@@ -30,14 +30,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use row_sim::{
-    available_workers, ExperimentConfig, FigureResults, Sweep, SweepCheckpoint, SweepEvent,
-    SweepOptions,
+    available_workers, parse_workers, ExperimentConfig, FigureResults, Sweep, SweepCheckpoint,
+    SweepEvent, SweepOptions,
 };
 use row_workloads::Benchmark;
-
-/// Upper bound on `--jobs`; far beyond any host, it only exists so a typo
-/// like `--jobs 80000` fails loudly instead of spawning a thread herd.
-pub const MAX_JOBS: usize = 4096;
 
 /// The experiment scale selected through `NORUSH_SCALE`.
 pub fn scale() -> ExperimentConfig {
@@ -94,25 +90,14 @@ pub struct SweepCli {
 ///
 /// # Errors
 /// A printable message for unknown flags, non-numeric worker counts, or
-/// counts outside `[1, MAX_JOBS]`.
+/// counts outside `[1, MAX_WORKERS]` ([`row_sim::parse_workers`]).
 pub fn parse_sweep_cli(
     args: &[String],
     env_jobs: Option<&str>,
     env_resume: bool,
 ) -> Result<SweepCli, String> {
-    let parse_jobs = |source: &str, v: &str| -> Result<usize, String> {
-        let n: usize = v
-            .parse()
-            .map_err(|e| format!("{source}: `{v}` is not a worker count ({e})"))?;
-        if !(1..=MAX_JOBS).contains(&n) {
-            return Err(format!(
-                "{source}: {n} out of range [1, {MAX_JOBS}] (need at least one worker)"
-            ));
-        }
-        Ok(n)
-    };
     let mut workers = match env_jobs {
-        Some(v) => parse_jobs("NORUSH_JOBS", v)?,
+        Some(v) => parse_workers("NORUSH_JOBS", v)?,
         None => available_workers(),
     };
     let mut resume = env_resume;
@@ -120,9 +105,9 @@ pub fn parse_sweep_cli(
     while let Some(a) = it.next() {
         if a == "--jobs" {
             let v = it.next().ok_or("--jobs: missing worker count")?;
-            workers = parse_jobs("--jobs", v)?;
+            workers = parse_workers("--jobs", v)?;
         } else if let Some(v) = a.strip_prefix("--jobs=") {
-            workers = parse_jobs("--jobs", v)?;
+            workers = parse_workers("--jobs", v)?;
         } else if a == "--resume" {
             resume = true;
         } else {

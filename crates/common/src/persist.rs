@@ -95,6 +95,20 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Writes `bytes` to `path` atomically: the data lands in `<path>.tmp` first
+/// and is renamed over `path` only once fully written, so a reader (or a
+/// crash) sees either the previous complete file or the new one, never a
+/// torn one. Every checkpoint, state file and report goes through here.
+///
+/// # Errors
+/// Any filesystem error from the write or the rename.
+pub fn write_atomic(path: &std::path::Path, bytes: impl AsRef<[u8]>) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
+
 /// An append-only little-endian byte sink for snapshot encoding.
 #[derive(Clone, Debug, Default)]
 pub struct Writer {

@@ -21,7 +21,7 @@
 use std::fs;
 use std::path::Path;
 
-use row_common::persist::PersistError;
+use row_common::persist::{write_atomic, PersistError};
 
 /// First bytes of every checkpoint file.
 pub const MAGIC: &[u8; 8] = b"ROWCKPT\n";
@@ -48,13 +48,7 @@ pub const FORMAT_VERSION: u32 = 4;
 /// # Errors
 /// [`PersistError::Io`] on any filesystem failure.
 pub fn write_checkpoint(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    let io = |e: std::io::Error| PersistError::Io(format!("{}: {e}", path.display()));
-    fs::write(&tmp, bytes).map_err(io)?;
-    fs::rename(&tmp, path).map_err(io)?;
-    Ok(())
+    write_atomic(path, bytes).map_err(|e| PersistError::Io(format!("{}: {e}", path.display())))
 }
 
 /// Reads a checkpoint file back into memory. Validation of the contents

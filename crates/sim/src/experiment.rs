@@ -6,7 +6,7 @@
 //! (32 cores, Table I caches) fidelity.
 
 use row_common::config::{
-    AtomicPlacement, AtomicPolicy, CheckConfig, DetectorKind, FenceModel, PredictorKind, RowConfig,
+    AtomicPolicy, CheckConfig, DetectorKind, FenceModel, PredictorKind, RowConfig,
 };
 use row_common::SystemConfig;
 use row_cpu::instr::InstrStream;
@@ -15,6 +15,7 @@ use row_workloads::{
 };
 
 use crate::machine::{Machine, RunResult, SimError};
+use crate::sweep::Variant;
 
 /// Scale of an experiment run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -172,34 +173,35 @@ pub fn run_benchmark(
     Machine::new(&sys, bench_streams(bench, exp)).run(exp.cycle_limit)
 }
 
-/// Like [`run_benchmark`], but crash-resilient: a checkpoint file is written
-/// to `path` every `every` cycles, and when `resume` is set and `path`
-/// already holds a checkpoint, the run continues from it instead of starting
-/// over. The checkpoint's config hash guarantees a resume against different
-/// settings is refused.
+/// Runs `bench` on `sys` crash-resiliently: a checkpoint file is written to
+/// `path` every `every` cycles, and when `resume` is set and `path` already
+/// holds a checkpoint, the run continues from it instead of starting over
+/// (`on_resume` is told the restored cycle). The checkpoint's config hash
+/// guarantees a resume against different settings is refused. A finished
+/// run deletes its spent checkpoint, so a later resume starts fresh instead
+/// of replaying a finished machine.
 ///
 /// # Errors
 /// Everything [`run_benchmark`] raises, plus [`SimError::Checkpoint`] for
 /// unreadable, corrupt, or mismatched checkpoint files.
 pub fn run_benchmark_checkpointed(
+    sys: &SystemConfig,
     bench: Benchmark,
-    policy: AtomicPolicy,
-    forwarding: bool,
     exp: &ExperimentConfig,
     every: u64,
     path: &std::path::Path,
     resume: bool,
+    on_resume: impl FnOnce(u64),
 ) -> Result<RunResult, SimError> {
-    let sys = exp
-        .system()
-        .with_policy(policy)
-        .with_forward_to_atomics(forwarding);
-    let mut m = Machine::new(&sys, bench_streams(bench, exp));
+    let mut m = Machine::new(sys, bench_streams(bench, exp));
     if resume && path.exists() {
         let bytes = crate::checkpoint::read_checkpoint(path).map_err(SimError::Checkpoint)?;
         m.restore(&bytes)?;
+        on_resume(m.now().raw());
     }
-    m.run_checkpointed(exp.cycle_limit, every, path)
+    let r = m.run_checkpointed(exp.cycle_limit, every, path)?;
+    std::fs::remove_file(path).ok();
+    Ok(r)
 }
 
 /// Runs one Fig. 2 microbenchmark cell against an explicit cycle budget and
@@ -253,10 +255,7 @@ pub fn run_microbench(
 /// # Errors
 /// Propagates any [`SimError`] (cycle-budget timeout, watchdog stall, or protocol violation).
 pub fn run_far(bench: Benchmark, exp: &ExperimentConfig) -> Result<RunResult, SimError> {
-    let sys = exp
-        .system()
-        .with_policy(AtomicPolicy::Eager)
-        .with_placement(AtomicPlacement::Far);
+    let sys = Variant::far().apply(exp.system());
     Machine::new(&sys, bench_streams(bench, exp)).run(exp.cycle_limit)
 }
 

@@ -31,13 +31,17 @@
 //! then greedily minimized ([`minimize_schedule`]) into a deterministically
 //! replayable repro (`--replay`, hex-coded by [`schedule_to_hex`]).
 //! Completeness runs the other way: [`ExploreReport::unwitnessed`] lists
-//! allowed outcomes no enumerated schedule produced.
+//! allowed outcomes no enumerated schedule produced. [`report_json`]
+//! renders both modes' `norush-litmus-v1` report and [`write_triage`] the
+//! failure bundle.
 
 use std::collections::{BTreeMap, HashSet};
+use std::path::Path;
 
 use row_common::choice::{self, ChoiceKind, DecisionRecord};
-use row_common::config::{AtomicPolicy, RowConfig, SystemConfig};
-use row_common::coverage::{self, CoverageMap};
+use row_common::config::SystemConfig;
+use row_common::coverage::{self, CoverageMap, SLOT_COUNT};
+use row_common::json::escape;
 use row_common::persist::fnv1a;
 use row_common::rng::SplitMix64;
 use row_cpu::instr::{InstrStream, VecStream};
@@ -45,6 +49,8 @@ use row_workloads::litmus::{LitmusTest, OutcomeClass, Probe};
 
 use crate::fuzz::violation_kind;
 use crate::machine::{Machine, SimError};
+use crate::sweep::Variant;
+use crate::triage;
 
 /// Schema identifier of the litmus/explore JSON report.
 pub const LITMUS_SCHEMA: &str = "norush-litmus-v1";
@@ -98,19 +104,7 @@ impl ExploreOptions {
     /// a planted protocol bug must surface at the first bad state, not
     /// thousands of cycles later), online oracle armed.
     pub fn system(&self, cores: usize) -> Result<SystemConfig, String> {
-        let sys = SystemConfig::small(cores);
-        let mut sys = match self.policy.as_str() {
-            "eager" => sys.with_policy(AtomicPolicy::Eager),
-            "lazy" => sys.with_policy(AtomicPolicy::Lazy),
-            "row" => sys.with_policy(AtomicPolicy::Row(
-                RowConfig::best().with_locality_override(false),
-            )),
-            "row-fwd" => sys
-                .with_policy(AtomicPolicy::Row(RowConfig::best()))
-                .with_forward_to_atomics(true),
-            "far" => sys.with_placement(row_common::config::AtomicPlacement::Far),
-            other => return Err(format!("unknown policy `{other}`")),
-        };
+        let mut sys = Variant::by_name(&self.policy)?.apply(SystemConfig::small(cores));
         sys.check.invariant_every = Some(64);
         sys.check.oracle_online = true;
         Ok(sys)
@@ -527,6 +521,123 @@ pub fn schedule_from_hex(s: &str) -> Result<Vec<u8>, String> {
         .step_by(2)
         .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|e| format!("bad schedule hex: {e}")))
         .collect()
+}
+
+/// The copy-pasteable command that replays `sched` for `test`.
+pub fn repro_command(test: &LitmusTest, opts: &ExploreOptions, sched: &[u8]) -> String {
+    format!(
+        "norush explore --test {} --policy {}{} --replay {}",
+        test.name,
+        opts.policy,
+        if opts.planted_bug {
+            " --inject-early-unblock"
+        } else {
+            ""
+        },
+        schedule_to_hex(sched),
+    )
+}
+
+/// Writes the explore triage bundle into `dir`: `explore_failure.txt` with
+/// the (minimized) schedule and repro command, plus the online-checker
+/// journal tail from replaying the minimized schedule. Progress and write
+/// errors go to stderr.
+pub fn write_triage(test: &LitmusTest, opts: &ExploreOptions, v: &ExploreViolation, dir: &Path) {
+    let desc = format!(
+        "explore failure\ntest: {}\npolicy: {}\nkind: {}\ndetail: {}\n\
+         schedule: {}\nminimized: {}\nminimized detail: {}\nrepro: {}\n",
+        test.name,
+        opts.policy,
+        v.kind,
+        v.detail,
+        schedule_to_hex(&v.schedule),
+        schedule_to_hex(&v.minimized),
+        v.minimized_detail,
+        repro_command(test, opts, &v.minimized),
+    );
+    match triage::write_failure(dir, "explore_failure.txt", &desc) {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("cannot write explore_failure.txt: {e}"),
+    }
+    match run_schedule_full(test, opts, &v.minimized) {
+        Ok((_, m)) => match triage::write_journal_tail(dir, &m) {
+            Ok(Some(path)) => eprintln!("wrote {}", path.display()),
+            Ok(None) => {}
+            Err(e) => eprintln!("cannot write journal_tail.txt: {e}"),
+        },
+        Err(e) => eprintln!("cannot replay minimized schedule for journal tail: {e}"),
+    }
+}
+
+/// Renders one litmus/explore cell as a [`LITMUS_SCHEMA`] JSON object.
+fn cell_json(r: &ExploreReport) -> String {
+    let outcomes = r
+        .outcomes
+        .iter()
+        .map(|(o, n)| format!("\"{}\": {n}", fmt_outcome(o)))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let unwitnessed = r
+        .unwitnessed
+        .iter()
+        .map(|o| format!("\"{}\"", fmt_outcome(o)))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let violation = match &r.violation {
+        None => "null".to_string(),
+        Some(v) => format!(
+            "{{\"kind\": \"{}\", \"detail\": \"{}\", \"schedule\": \"{}\", \
+             \"minimized\": \"{}\", \"minimized_detail\": \"{}\"}}",
+            escape(&v.kind),
+            escape(&v.detail),
+            schedule_to_hex(&v.schedule),
+            schedule_to_hex(&v.minimized),
+            escape(&v.minimized_detail),
+        ),
+    };
+    format!(
+        "    {{\"test\": \"{}\", \"policy\": \"{}\", \"runs\": {}, \"states\": {}, \
+         \"dedup_hits\": {}, \"dpor_pruned\": {}, \"max_decision_points\": {}, \
+         \"truncated\": {}, \"coverage_covered\": {}, \"outcomes\": {{{outcomes}}}, \
+         \"unwitnessed\": [{unwitnessed}], \"violation\": {violation}}}",
+        escape(&r.test),
+        escape(&r.policy),
+        r.runs,
+        r.states,
+        r.dedup_hits,
+        r.dpor_pruned,
+        r.max_decision_points,
+        r.truncated,
+        r.coverage.covered(),
+    )
+}
+
+/// Renders the machine-readable litmus/explore report ([`LITMUS_SCHEMA`],
+/// documented in `results/README.md`). `mode` is `sample` or `explore`;
+/// `params` are the mode's integer knobs, emitted in order after it.
+/// Deterministic for a given configuration — independent of the worker
+/// count — so CI can diff reports.
+pub fn report_json(mode: &str, params: &[(&str, u64)], cells: &[ExploreReport]) -> String {
+    let mut union = CoverageMap::new();
+    for r in cells {
+        union.merge(&r.coverage);
+    }
+    let params: String = params
+        .iter()
+        .map(|(k, v)| format!("  \"{k}\": {v},\n"))
+        .collect();
+    let body = cells.iter().map(cell_json).collect::<Vec<_>>().join(",\n");
+    let status = if cells.iter().any(|r| r.violation.is_some()) {
+        "violation"
+    } else {
+        "ok"
+    };
+    format!(
+        "{{\n  \"schema\": \"{LITMUS_SCHEMA}\",\n  \"mode\": \"{mode}\",\n{params}  \
+         \"status\": \"{status}\",\n  \"coverage\": {{\"covered\": {}, \"total\": {SLOT_COUNT}}},\n  \
+         \"cells\": [\n{body}\n  ]\n}}\n",
+        union.covered(),
+    )
 }
 
 #[cfg(test)]

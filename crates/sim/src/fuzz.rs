@@ -36,11 +36,10 @@
 
 use std::path::Path;
 
-use row_common::config::{
-    AtomicPolicy, DelayBurst, FaultConfig, PerturbConfig, RowConfig, MAX_BURST_EXTRA,
-};
+use row_common::config::{DelayBurst, FaultConfig, PerturbConfig, MAX_BURST_EXTRA};
 use row_common::coverage::{self, CoverageMap, SLOT_COUNT};
-use row_common::persist::{fnv1a, Codec, PersistError, Reader, Writer};
+use row_common::json::escape;
+use row_common::persist::{fnv1a, write_atomic, Codec, PersistError, Reader, Writer};
 use row_common::rng::SplitMix64;
 use row_common::SystemConfig;
 use row_cpu::instr::InstrStream;
@@ -49,7 +48,7 @@ use row_workloads::{LockServiceConfig, LockServiceStream, ServiceKernel};
 
 use crate::machine::{Machine, SimError};
 use crate::shrink::shrink_chaos;
-use crate::sweep::parallel_map;
+use crate::sweep::{parallel_map, Variant};
 
 /// Schema tag of the machine-readable fuzz report.
 pub const FUZZ_SCHEMA: &str = "norush-fuzz-v1";
@@ -263,19 +262,7 @@ impl FuzzOptions {
     }
 
     fn system(&self, genome: &ScheduleGenome) -> Result<SystemConfig, String> {
-        let sys = SystemConfig::small(self.cores);
-        let mut sys = match self.policy.as_str() {
-            "eager" => sys.with_policy(AtomicPolicy::Eager),
-            "lazy" => sys.with_policy(AtomicPolicy::Lazy),
-            "row" => sys.with_policy(AtomicPolicy::Row(
-                RowConfig::best().with_locality_override(false),
-            )),
-            "row-fwd" => sys
-                .with_policy(AtomicPolicy::Row(RowConfig::best()))
-                .with_forward_to_atomics(true),
-            "far" => sys.with_placement(row_common::config::AtomicPlacement::Far),
-            other => return Err(format!("unknown policy `{other}`")),
-        };
+        let mut sys = Variant::by_name(&self.policy)?.apply(SystemConfig::small(self.cores));
         sys.check.oracle_online = true;
         sys.check.invariant_every = Some(4_096);
         sys.check.watchdog_window = Some(self.watchdog);
@@ -458,9 +445,7 @@ impl FuzzState {
 
     /// Atomically writes the state file (`tmp` + rename, like checkpoints).
     pub fn save(&self, path: &Path, fingerprint: u64) -> std::io::Result<()> {
-        let tmp = path.with_extension("state.tmp");
-        std::fs::write(&tmp, self.to_bytes(fingerprint))?;
-        std::fs::rename(&tmp, path)
+        write_atomic(path, self.to_bytes(fingerprint))
     }
 
     /// Loads a state file written by [`FuzzState::save`].
@@ -800,6 +785,24 @@ pub fn minimize(opts: &FuzzOptions, genome: &ScheduleGenome) -> ScheduleGenome {
 // Triage
 // ---------------------------------------------------------------------------
 
+/// The copy-pasteable command that replays `genome`.
+pub fn repro_command(opts: &FuzzOptions, genome: &ScheduleGenome) -> String {
+    format!(
+        "norush fuzz --policy {} --kernel {} --cores {} --ops {} --seed {}{} --replay {}",
+        opts.policy,
+        opts.kernel.name(),
+        opts.cores,
+        opts.ops_per_thread,
+        opts.seed,
+        if opts.planted_bug {
+            " --inject-early-unblock"
+        } else {
+            ""
+        },
+        genome.to_hex(),
+    )
+}
+
 /// Replays the minimized schedule once more, capturing the soak-style triage
 /// bundle into `repro_dir`: `fuzz_failure.txt` (description, repro command,
 /// error), `journal_tail.txt` (the online checker's last records), and
@@ -808,7 +811,6 @@ pub fn write_triage(
     opts: &FuzzOptions,
     finding: &Finding,
     repro_dir: &Path,
-    repro_cmd: &str,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(repro_dir)?;
     // Re-run in checkpointed slices so a recent restore point survives the
@@ -855,7 +857,7 @@ pub fn write_triage(
         finding.minimized.describe(),
         finding.minimized.to_hex(),
         ckpt_note,
-        repro_cmd,
+        repro_command(opts, &finding.minimized),
         finding.error,
         err.map(|e| e.to_string())
             .unwrap_or_else(|| finding.minimized_error.clone()),
@@ -868,22 +870,6 @@ pub fn write_triage(
 // ---------------------------------------------------------------------------
 // Report
 // ---------------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn genome_json(g: &ScheduleGenome) -> String {
     let bursts = g
@@ -914,7 +900,7 @@ fn genome_json(g: &ScheduleGenome) -> String {
 /// Renders the machine-readable fuzz report (`norush-fuzz-v1`, documented in
 /// `results/README.md`). Deliberately wall-clock-free and `jobs`-free: equal
 /// campaigns serialize byte-identically regardless of worker count.
-pub fn report_json(opts: &FuzzOptions, outcome: &FuzzOutcome, repro_cmd: Option<&str>) -> String {
+pub fn report_json(opts: &FuzzOptions, outcome: &FuzzOutcome) -> String {
     let s = &outcome.state;
     let domains = s
         .global
@@ -929,7 +915,7 @@ pub fn report_json(opts: &FuzzOptions, outcome: &FuzzOutcome, repro_cmd: Option<
         .global
         .uncovered_names()
         .iter()
-        .map(|n| format!("\"{}\"", json_escape(n)))
+        .map(|n| format!("\"{}\"", escape(n)))
         .collect::<Vec<_>>()
         .join(", ");
     let finding = match &outcome.finding {
@@ -937,17 +923,15 @@ pub fn report_json(opts: &FuzzOptions, outcome: &FuzzOutcome, repro_cmd: Option<
         Some(f) => format!(
             "{{\n    \"kind\": \"{}\",\n    \"generation\": {},\n    \"candidate\": {},\n    \
              \"error\": \"{}\",\n    \"genome\": {},\n    \"minimized\": {},\n    \
-             \"minimized_error\": \"{}\",\n    \"repro\": {}\n  }}",
+             \"minimized_error\": \"{}\",\n    \"repro\": \"{}\"\n  }}",
             f.kind,
             f.generation,
             f.candidate,
-            json_escape(&f.error),
+            escape(&f.error),
             genome_json(&f.genome),
             genome_json(&f.minimized),
-            json_escape(&f.minimized_error),
-            repro_cmd
-                .map(|c| format!("\"{}\"", json_escape(c)))
-                .unwrap_or_else(|| "null".to_string()),
+            escape(&f.minimized_error),
+            escape(&repro_command(opts, &f.minimized)),
         ),
     };
     format!(
@@ -976,7 +960,7 @@ pub fn report_json(opts: &FuzzOptions, outcome: &FuzzOutcome, repro_cmd: Option<
         } else {
             "clean"
         },
-        json_escape(&opts.policy),
+        escape(&opts.policy),
         opts.kernel.name(),
         opts.cores,
         opts.ops_per_thread,
@@ -1125,7 +1109,7 @@ mod tests {
             state: FuzzState::new(),
             finding: None,
         };
-        let json = report_json(&opts, &outcome, None);
+        let json = report_json(&opts, &outcome);
         assert!(json.contains("\"schema\": \"norush-fuzz-v1\""));
         assert!(json.contains("\"status\": \"clean\""));
         assert!(!json.contains("wall"), "report must be wall-clock-free");

@@ -26,10 +26,19 @@
 //!   schedule explorer behind `norush litmus`/`norush explore`: DFS over
 //!   message-delivery and atomic-commit decision points with partial-order
 //!   reduction and state-hash dedup, checking declared forbidden outcomes
-//!   unreachable and allowed outcomes witnessed (`norush-litmus-v1`).
+//!   unreachable and allowed outcomes witnessed (`norush-litmus-v1`), with
+//!   its report renderer and triage bundle writer.
+//! * [`soak`] — the phased lock-service soak behind `norush soak`:
+//!   kernel-rotating, chaos-escalating phases with the online
+//!   linearizability checker armed, checkpointed cells under cycle and wall
+//!   budgets, triage on the first violation, and the `norush-soak-v1`
+//!   report.
 //! * [`triage`] — the shared failure-triage bundle writers (`--repro-dir`
-//!   rotation, failure/journal-tail/checkpoint files) used by `run`,
-//!   `soak`, `fuzz`, and `explore`.
+//!   rotation, failure/journal-tail/checkpoint files, chaos
+//!   shrink-and-report) used by `run`, `soak`, `fuzz`, and `explore`.
+//!
+//! The five command-line policy names (`eager`, `lazy`, `row`, `row-fwd`,
+//! `far`) resolve in one place, [`Variant::by_name`].
 //!
 //! # Example
 //!
@@ -53,6 +62,7 @@ pub mod explore;
 pub mod fuzz;
 pub mod machine;
 pub mod shrink;
+pub mod soak;
 pub mod sweep;
 pub mod triage;
 
@@ -72,6 +82,6 @@ pub use fuzz::{
 pub use machine::{Machine, ProfileReport, RewindReport, RunResult, SimError, SimTimeout};
 pub use shrink::shrink_chaos;
 pub use sweep::{
-    available_workers, parallel_map, FigureResults, Job, JobRecord, JobSpec, Sweep,
+    available_workers, parallel_map, parse_workers, FigureResults, Job, JobRecord, JobSpec, Sweep,
     SweepCheckpoint, SweepError, SweepEvent, SweepOptions, Variant,
 };

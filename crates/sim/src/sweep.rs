@@ -32,14 +32,16 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use row_common::config::{AtomicPlacement, AtomicPolicy, FenceModel};
+use row_common::config::{AtomicPlacement, AtomicPolicy, FenceModel, RowConfig};
 use row_common::json::{escape, parse, Value};
-use row_common::persist::fnv1a;
+use row_common::persist::{fnv1a, write_atomic};
 use row_common::stats::JobStats;
+use row_common::SystemConfig;
 use row_workloads::{Benchmark, MicroRmw, MicroVariant};
 
 use crate::experiment::{
-    bench_streams, microbench_cycle_limit, run_microbench_result, ExperimentConfig, RowVariant,
+    bench_streams, microbench_cycle_limit, run_benchmark_checkpointed, run_microbench_result,
+    ExperimentConfig, RowVariant,
 };
 use crate::machine::{Machine, RunResult, SimError};
 
@@ -123,6 +125,48 @@ impl Variant {
     pub fn with_aq_entries(mut self, entries: usize) -> Self {
         self.aq_entries = Some(entries);
         self
+    }
+
+    /// The command-line policy table, in `norush compare` order: `eager`,
+    /// `lazy`, `row` (best RoW, no locality override), `row-fwd` (best RoW
+    /// with the override and store→atomic forwarding, §IV-E) and `far`
+    /// (§VII).
+    pub fn policy_table() -> [Variant; 5] {
+        [
+            Variant::eager(),
+            Variant::lazy(),
+            Variant::custom(
+                "row",
+                AtomicPolicy::Row(RowConfig::best().with_locality_override(false)),
+            ),
+            Variant::custom("row-fwd", AtomicPolicy::Row(RowConfig::best())).with_forwarding(),
+            Variant::far(),
+        ]
+    }
+
+    /// Looks `name` up in [`Variant::policy_table`]. Every tool that takes
+    /// a `--policy` name resolves it here.
+    ///
+    /// # Errors
+    /// `unknown policy` for any other name.
+    pub fn by_name(name: &str) -> Result<Variant, String> {
+        Variant::policy_table()
+            .into_iter()
+            .find(|v| v.name == name)
+            .ok_or_else(|| format!("unknown policy `{name}`"))
+    }
+
+    /// `sys` with this variant's policy, forwarding, placement and Atomic
+    /// Queue override applied.
+    pub fn apply(&self, sys: SystemConfig) -> SystemConfig {
+        let mut sys = sys
+            .with_policy(self.policy)
+            .with_forward_to_atomics(self.forwarding)
+            .with_placement(self.placement);
+        if let Some(aq) = self.aq_entries {
+            sys.core.aq_entries = aq;
+        }
+        sys
     }
 }
 
@@ -473,29 +517,15 @@ fn execute(
             variant,
             exp,
         } => {
-            let mut sys = exp
-                .system()
-                .with_policy(variant.policy)
-                .with_forward_to_atomics(variant.forwarding)
-                .with_placement(variant.placement);
-            if let Some(aq) = variant.aq_entries {
-                sys.core.aq_entries = aq;
-            }
-            let limit = exp.cycle_limit.saturating_mul(budget_factor);
-            let mut machine = Machine::new(&sys, bench_streams(*bench, exp));
+            let sys = variant.apply(exp.system());
+            let exp = ExperimentConfig {
+                cycle_limit: exp.cycle_limit.saturating_mul(budget_factor),
+                ..*exp
+            };
             match ckpt {
-                None => machine.run(limit),
+                None => Machine::new(&sys, bench_streams(*bench, &exp)).run(exp.cycle_limit),
                 Some((every, path)) => {
-                    if path.exists() {
-                        let bytes = crate::checkpoint::read_checkpoint(path)
-                            .map_err(SimError::Checkpoint)?;
-                        machine.restore(&bytes)?;
-                    }
-                    let r = machine.run_checkpointed(limit, *every, path)?;
-                    // The cell completed; a later resume must not replay a
-                    // finished machine.
-                    std::fs::remove_file(path).ok();
-                    Ok(r)
+                    run_benchmark_checkpointed(&sys, *bench, &exp, *every, path, true, |_| {})
                 }
             }
         }
@@ -620,6 +650,27 @@ pub fn available_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
+}
+
+/// Upper bound on a worker count; far beyond any host, it only exists so a
+/// typo like `--jobs 80000` fails loudly instead of spawning a thread herd.
+pub const MAX_WORKERS: usize = 4096;
+
+/// Parses a worker count `v` in `[1, MAX_WORKERS]`; `source` (the flag or
+/// variable it came from) prefixes the error message.
+///
+/// # Errors
+/// A printable message for a non-numeric or out-of-range count.
+pub fn parse_workers(source: &str, v: &str) -> Result<usize, String> {
+    let n: usize = v
+        .parse()
+        .map_err(|e| format!("{source}: `{v}` is not a worker count ({e})"))?;
+    if !(1..=MAX_WORKERS).contains(&n) {
+        return Err(format!(
+            "{source}: {n} out of range [1, {MAX_WORKERS}] (need at least one worker)"
+        ));
+    }
+    Ok(n)
 }
 
 /// Runs `f` over every item on a scoped-thread worker pool and returns the
@@ -814,11 +865,7 @@ impl FigureResults {
     /// # Errors
     /// Any filesystem failure.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+        write_atomic(path, self.to_json())
     }
 
     /// Loads and validates a results file.
@@ -962,6 +1009,39 @@ mod tests {
         assert_eq!(Variant::far().placement, AtomicPlacement::Far);
         assert_eq!(Variant::eager().with_aq_entries(4).aq_entries, Some(4));
         assert!(Variant::row_fwd(RowVariant::RwDirUd).name.ends_with("+fwd"));
+    }
+
+    /// The CLI names map to the configurations `run`, `fuzz` and `explore`
+    /// have always simulated.
+    #[test]
+    fn policy_table_resolves_the_five_cli_names() {
+        let row = AtomicPolicy::Row(RowConfig::best().with_locality_override(false));
+        let row_fwd = AtomicPolicy::Row(RowConfig::best());
+        let expect = [
+            ("eager", AtomicPolicy::Eager, false, AtomicPlacement::Near),
+            ("lazy", AtomicPolicy::Lazy, false, AtomicPlacement::Near),
+            ("row", row, false, AtomicPlacement::Near),
+            ("row-fwd", row_fwd, true, AtomicPlacement::Near),
+            ("far", AtomicPolicy::Eager, false, AtomicPlacement::Far),
+        ];
+        for (name, policy, fwd, placement) in expect {
+            let v = Variant::by_name(name).expect("known policy");
+            assert_eq!(v.name, name);
+            let core = v.apply(SystemConfig::small(4)).core;
+            assert_eq!(
+                (
+                    core.atomic_policy,
+                    core.forward_to_atomics,
+                    core.atomic_placement
+                ),
+                (policy, fwd, placement),
+                "{name}"
+            );
+        }
+        let names: Vec<String> = Variant::policy_table().map(|v| v.name).into();
+        assert_eq!(names, ["eager", "lazy", "row", "row-fwd", "far"]);
+        let err = Variant::by_name("nonesuch").unwrap_err();
+        assert!(err.contains("unknown policy `nonesuch`"), "{err}");
     }
 
     #[test]

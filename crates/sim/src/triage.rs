@@ -6,14 +6,18 @@
 //! copy-pasteable repro command, a `journal_tail.txt` with the online
 //! checker's last records, optionally a pre-violation `.ckpt`, and (for
 //! chaos failures) a shrunk `chaos_repro.txt`. This module owns the pieces
-//! all four callers previously triplicated in `src/bin/norush.rs` and
-//! [`crate::fuzz`]: marker naming, stale-bundle rotation, and the
-//! journal-tail/checkpoint writers.
+//! the four modes ([`crate::soak`], [`crate::fuzz`], [`crate::explore`] and
+//! the CLI's `run`) share: marker naming, stale-bundle rotation, the
+//! journal-tail/checkpoint writers, and the chaos shrink-and-report step
+//! ([`shrink_and_report`]).
 
 use std::io;
 use std::path::{Path, PathBuf};
 
+use row_common::config::FaultConfig;
+
 use crate::machine::Machine;
+use crate::shrink::shrink_chaos;
 
 /// Files that mark a triage bundle from a previous failing run. A directory
 /// containing any of these is rotated aside by [`rotate_stale_bundle`]
@@ -119,6 +123,34 @@ pub fn write_checkpoint_file(dir: &Path, name: &str, bytes: &[u8]) -> io::Result
     let path = dir.join(name);
     std::fs::write(&path, bytes)?;
     Ok(path)
+}
+
+/// A failing chaos run: minimizes the fault config while `fails` keeps
+/// reproducing the failure, prints the minimal repro command (`repro_cmd`
+/// renders one for a candidate config) to stderr, and saves it to
+/// `<repro_dir>/chaos_repro.txt`. Returns the minimal config so callers can
+/// record it.
+pub fn shrink_and_report(
+    repro_dir: &Path,
+    initial: FaultConfig,
+    repro_cmd: &dyn Fn(&FaultConfig) -> String,
+    fails: &mut dyn FnMut(&FaultConfig) -> bool,
+) -> FaultConfig {
+    eprintln!("shrinking the failing chaos config (one run per probe)...");
+    let min = shrink_chaos(initial, fails);
+    let repro = repro_cmd(&min);
+    eprintln!(
+        "minimal failing chaos config: latency {} drop {}ppm dup {}ppm corrupt {}ppm",
+        min.max_extra_latency, min.drop_ppm, min.dup_ppm, min.corrupt_ppm
+    );
+    eprintln!("repro: {repro}");
+    let path = repro_dir.join("chaos_repro.txt");
+    if let Err(e) = std::fs::write(&path, format!("{repro}\n")) {
+        eprintln!("cannot write {}: {e}", path.display());
+    } else {
+        eprintln!("wrote {}", path.display());
+    }
+    min
 }
 
 #[cfg(test)]

@@ -177,7 +177,7 @@ pub fn read_trace(mut r: impl Read) -> io::Result<Vec<Instr>> {
 ///
 /// # Errors
 /// Propagates file-creation and write errors.
-pub fn record_to_file(path: impl AsRef<Path>, mut stream: impl InstrStream) -> io::Result<u64> {
+pub fn record_to_file(path: impl AsRef<Path>, stream: &mut dyn InstrStream) -> io::Result<u64> {
     let mut instrs = Vec::new();
     while let Some(i) = stream.next_instr() {
         instrs.push(i);
@@ -314,7 +314,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pc.trace");
         let profile = Benchmark::Pc.profile().with_instructions(500);
-        let n = record_to_file(&path, ProfileStream::new(profile, 0, 4, 9)).unwrap();
+        let n = record_to_file(&path, &mut ProfileStream::new(profile, 0, 4, 9)).unwrap();
         assert!(n >= 500);
 
         let mut replay = TraceFileStream::open(&path).unwrap();

@@ -10,6 +10,7 @@ const COMMANDS: &[&str] = &[
     "list",
     "table1",
     "run",
+    "profile",
     "compare",
     "soak",
     "fuzz",
@@ -67,15 +68,23 @@ fn config_errors_exit_nonzero_with_stderr() {
         &["explore", "--replay", "00"], // --replay without --test
         &["fuzz", "--kernel", "kv"],
         &["run", "nonesuch"],
+        &["run", "pc", "--policy", "nonesuch"],
+        &["soak", "--policies", "lazy,nonesuch"],
+        // Zero cores is a range error, not a panic.
+        &["run", "pc", "--cores", "0"],
+        &["profile", "pc", "--cores", "0"],
+        &["compare", "pc", "--cores", "0"],
+        &["record", "pc", "t.trace", "--tid", "4", "--threads", "4"],
     ];
     for args in cases {
         let out = Command::new(BIN)
             .args(*args)
             .output()
             .expect("spawn norush");
-        assert!(
-            !out.status.success(),
-            "`norush {}` should fail",
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "`norush {}` should exit 1",
             args.join(" ")
         );
         assert!(

@@ -72,7 +72,7 @@ fn report_is_byte_identical_across_worker_counts() {
         let mut o = opts.clone();
         o.jobs = jobs;
         let outcome = fuzz::fuzz(&o, FuzzState::new(), |_| {}).expect("valid config");
-        fuzz::report_json(&o, &outcome, None)
+        fuzz::report_json(&o, &outcome)
     };
     assert_eq!(
         run(1),
@@ -109,8 +109,8 @@ fn kill_and_resume_is_bit_exact() {
     let resumed = fuzz::fuzz(&opts, restored, |_| {}).expect("valid config");
     assert_eq!(resumed.state, full.state, "resume must be bit-exact");
     assert_eq!(
-        fuzz::report_json(&opts, &resumed, None),
-        fuzz::report_json(&opts, &full, None),
+        fuzz::report_json(&opts, &resumed),
+        fuzz::report_json(&opts, &full),
         "resumed report must match the straight-through report byte for byte"
     );
 }

@@ -1,11 +1,17 @@
 //! Soak-harness pillars, exercised at the library level: the lock-service
 //! workload family runs clean under every policy with the online
 //! linearizability checker armed; a seeded net-zero lost+duplicated FAA —
-//! invisible to every end-state check — is caught per-operation; and a
-//! mid-soak checkpoint/restore preserves the checker's state bit-exactly.
+//! invisible to every end-state check — is caught per-operation; a
+//! mid-soak checkpoint/restore preserves the checker's state bit-exactly;
+//! and the phased soak engine (`row_sim::soak`) reports a clean campaign as
+//! `pass` and a planted bug as `fail` with a triage bundle.
 
-use norush::common::config::{AtomicPolicy, RowConfig};
+use std::path::Path;
+
+use norush::common::config::{AtomicPolicy, FaultConfig, RowConfig};
+use norush::common::json;
 use norush::cpu::instr::InstrStream;
+use norush::sim::soak::{self, SoakEvent, SoakOptions};
 use norush::sim::{Machine, SimError};
 use norush::workloads::{LockServiceConfig, LockServiceStream, ServiceKernel};
 use norush::SystemConfig;
@@ -128,4 +134,95 @@ fn mid_soak_checkpoint_restore_preserves_checker_state_bit_exactly() {
         b.checkpoint().expect("checkpoint"),
         "both machines end in identical states, checker included"
     );
+}
+
+/// Soak options for a short campaign whose repro dir is a fresh temp dir.
+fn soak_opts(tag: &str) -> SoakOptions {
+    let dir = std::env::temp_dir().join(format!("norush-soak-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp repro dir");
+    SoakOptions {
+        phases: 2,
+        cores: CORES,
+        seed: SEED,
+        svc: service_cfg(ServiceKernel::Counter),
+        phase_cycles: 500_000,
+        repro_dir: dir,
+        ..SoakOptions::default()
+    }
+}
+
+fn ckpt_files(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .expect("repro dir")
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "ckpt"))
+        .count()
+}
+
+#[test]
+fn two_phase_lazy_row_soak_passes_and_reports_every_cell() {
+    let opts = soak_opts("clean");
+    assert_eq!(opts.policies, ["lazy", "row"]);
+    let (mut phases, mut cells) = (0, 0);
+    let outcomes = soak::soak(&opts, |ev| match ev {
+        SoakEvent::Phase(_) => phases += 1,
+        SoakEvent::Cell(o) => {
+            assert_eq!(o.status, "ok", "{:?}", o.error);
+            cells += 1;
+        }
+    })
+    .expect("known policies");
+    assert_eq!((phases, cells), (2, 4));
+    assert!(!soak::failed(&outcomes));
+    let text = soak::report_json(&opts, &outcomes);
+    assert!(text.contains("\"status\": \"pass\""), "{text}");
+    let v = json::parse(&text).expect("report is valid JSON");
+    assert_eq!(
+        v.get("schema").and_then(|s| s.as_str()),
+        Some(soak::SOAK_SCHEMA)
+    );
+    assert_eq!(
+        v.get("runs").and_then(|r| r.as_array()).map(<[_]>::len),
+        Some(4)
+    );
+    assert_eq!(
+        ckpt_files(&opts.repro_dir),
+        0,
+        "finished cells delete their checkpoints"
+    );
+    let _ = std::fs::remove_dir_all(&opts.repro_dir);
+}
+
+#[test]
+fn injected_net_zero_faa_fails_the_soak_with_a_triage_bundle() {
+    // Chaos off: the bug alone must fail the cell, and there is nothing to
+    // shrink.
+    let opts = SoakOptions {
+        phases: 1,
+        policies: vec!["lazy".into()],
+        chaos: FaultConfig {
+            seed: 1,
+            max_extra_latency: 0,
+            drop_ppm: 0,
+            dup_ppm: 0,
+            corrupt_ppm: 0,
+        },
+        inject: 50,
+        ..soak_opts("inject")
+    };
+    let outcomes = soak::soak(&opts, |_| {}).expect("known policy");
+    assert!(soak::failed(&outcomes));
+    let cell = outcomes.last().expect("the failing cell");
+    assert_eq!(cell.status, "violation");
+    assert!(cell.error.as_deref().is_some_and(|e| e.contains("oracle")));
+    let text = soak::report_json(&opts, &outcomes);
+    assert!(text.contains("\"status\": \"fail\""), "{text}");
+    let failure = std::fs::read_to_string(opts.repro_dir.join("soak_failure.txt"))
+        .expect("soak_failure.txt written");
+    assert!(failure.contains("chaos: off"));
+    assert!(failure.contains("--inject-net-zero-faa 50"));
+    assert!(opts.repro_dir.join("journal_tail.txt").exists());
+    assert!(!opts.repro_dir.join("chaos_repro.txt").exists());
+    let _ = std::fs::remove_dir_all(&opts.repro_dir);
 }
