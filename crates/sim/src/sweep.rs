@@ -1,10 +1,10 @@
 //! The declarative sweep engine: every paper figure as a parallel grid run.
 //!
 //! Each evaluation figure is a grid of `(benchmark × variant ×
-//! config-override × seed)` cells, and every cell is one deterministic,
+//! config-override)` cells, and every cell is one deterministic,
 //! state-sharing-free [`Machine`] run — so the sweep layer is embarrassingly
-//! parallel at the host level. This module turns the hand-rolled sequential
-//! loops the figure binaries used to carry into one engine:
+//! parallel at the host level. Every figure of the `figure` driver runs
+//! through this one engine:
 //!
 //! * [`Job`] / [`JobSpec`] / [`Variant`] — one declarative cell: which
 //!   benchmark, which policy knobs, which scale, which seed.
@@ -16,7 +16,7 @@
 //!   results **in job order regardless of completion order**, so `--jobs 8`
 //!   is byte-identical to `--jobs 1`.
 //! * [`FigureResults`] — the unified `BENCH_<figure>.json` container every
-//!   figure binary writes (schema in `results/README.md`): figure id, config
+//!   figure writes (schema in `results/README.md`): figure id, config
 //!   fingerprint, per-job stats, wall-clock, workers used. The file is
 //!   rewritten atomically after every finished job, so a killed sweep leaves
 //!   a loadable partial result.
@@ -215,7 +215,7 @@ impl Job {
     }
 }
 
-/// A declarative experiment sweep: the unit every figure binary submits.
+/// A declarative experiment sweep: the unit every figure submits.
 #[derive(Clone, Debug)]
 pub struct Sweep {
     /// Figure identifier (`"fig01"`, `"headline"`, …); names the results
@@ -237,43 +237,25 @@ impl Sweep {
         }
     }
 
-    /// Builds the full `(benchmark × variant × seed)` grid. With an empty
-    /// `seeds` slice the base scale's seed is used and labels are
-    /// `"<bench>/<variant>"`; with explicit seeds each cell is labelled
-    /// `"<bench>/<variant>@s<seed>"`.
+    /// Builds the full `(benchmark × variant)` grid at scale `exp`, each
+    /// cell labelled `"<bench>/<variant>"`.
     pub fn grid(
         figure: impl Into<String>,
         exp: &ExperimentConfig,
         benches: &[Benchmark],
         variants: &[Variant],
-        seeds: &[u64],
     ) -> Self {
         let mut sweep = Sweep::new(figure, exp);
         for &bench in benches {
             for variant in variants {
-                if seeds.is_empty() {
-                    sweep.push(
-                        format!("{}/{}", bench.name(), variant.name),
-                        JobSpec::Bench {
-                            bench,
-                            variant: variant.clone(),
-                            exp: *exp,
-                        },
-                    );
-                } else {
-                    for &seed in seeds {
-                        let mut cell = *exp;
-                        cell.seed = seed;
-                        sweep.push(
-                            format!("{}/{}@s{}", bench.name(), variant.name, seed),
-                            JobSpec::Bench {
-                                bench,
-                                variant: variant.clone(),
-                                exp: cell,
-                            },
-                        );
-                    }
-                }
+                sweep.push(
+                    format!("{}/{}", bench.name(), variant.name),
+                    JobSpec::Bench {
+                        bench,
+                        variant: variant.clone(),
+                        exp: *exp,
+                    },
+                );
             }
         }
         sweep
@@ -309,9 +291,8 @@ impl Sweep {
     ///
     /// Worker threads pull cells from a shared queue; a cell that fails with
     /// [`SimError::Timeout`] is retried once with a [`RETRY_BUDGET_FACTOR`]×
-    /// cycle budget when [`SweepOptions::retry_timeouts`] is set. When
-    /// [`SweepOptions::results_path`] is set the results file is rewritten
-    /// (atomically) after every finished job; with
+    /// cycle budget. When [`SweepOptions::results_path`] is set the results
+    /// file is rewritten (atomically) after every finished job; with
     /// [`SweepOptions::resume`] also set, cells already present in that file
     /// under matching fingerprints are returned from cache without
     /// simulating.
@@ -331,29 +312,20 @@ impl Sweep {
 
         // Resume: prefill slots from an existing results file, keyed by
         // per-job fingerprint, but only when the file describes this sweep.
-        if opts.resume {
-            if let Some(path) = &opts.results_path {
-                if let Ok(prev) = FigureResults::load(path) {
-                    if prev.config_fingerprint == config_fingerprint {
-                        for (i, job) in self.jobs.iter().enumerate() {
-                            if let Some(rec) = prev
-                                .jobs
-                                .iter()
-                                .find(|r| r.fingerprint == fingerprints[i] && r.label == job.label)
-                            {
-                                let mut cached = rec.clone();
-                                cached.from_cache = true;
-                                *slots[i].lock().expect("poisoned") = Some(cached);
-                                if let Some(cb) = opts.progress {
-                                    cb(&SweepEvent::Cached {
-                                        index: i,
-                                        total,
-                                        label: &job.label,
-                                    });
-                                }
-                            }
-                        }
-                    }
+        let prev = opts
+            .results_path
+            .as_deref()
+            .filter(|_| opts.resume)
+            .and_then(|path| FigureResults::load(path).ok())
+            .filter(|prev| prev.config_fingerprint == config_fingerprint);
+        for (i, job) in self.jobs.iter().enumerate() {
+            let mut stored = prev.iter().flat_map(|p| &p.jobs);
+            if let Some(rec) =
+                stored.find(|r| r.fingerprint == fingerprints[i] && r.label == job.label)
+            {
+                *slots[i].lock().expect("poisoned") = Some(rec.clone());
+                if let Some(cb) = opts.progress {
+                    cb(&SweepEvent::Cached { label: &job.label });
                 }
             }
         }
@@ -380,13 +352,6 @@ impl Sweep {
                     }
                     let i = pending[k];
                     let job = &self.jobs[i];
-                    if let Some(cb) = opts.progress {
-                        cb(&SweepEvent::Started {
-                            index: i,
-                            total,
-                            label: &job.label,
-                        });
-                    }
                     let started = Instant::now();
                     let ckpt = opts.checkpoint.as_ref().map(|c| {
                         (
@@ -395,7 +360,7 @@ impl Sweep {
                                 .join(format!("{}_{:016x}.ckpt", self.figure, fingerprints[i])),
                         )
                     });
-                    let (outcome, retried) = run_with_retry(&job.spec, opts.retry_timeouts, &ckpt);
+                    let (outcome, retried) = run_with_retry(&job.spec, &ckpt);
                     match outcome {
                         Ok(result) => {
                             let record = JobRecord {
@@ -404,14 +369,11 @@ impl Sweep {
                                 stats: JobStats::from(&result),
                                 wall_s: started.elapsed().as_secs_f64(),
                                 retried,
-                                from_cache: false,
                             };
                             let wall_s = record.wall_s;
                             *slots[i].lock().expect("poisoned") = Some(record);
                             if let Some(cb) = opts.progress {
                                 cb(&SweepEvent::Finished {
-                                    index: i,
-                                    total,
                                     label: &job.label,
                                     wall_s,
                                     retried,
@@ -490,17 +452,14 @@ fn assemble(
 }
 
 /// Executes one spec, retrying a cycle-budget timeout once with a raised
-/// budget when `retry` is set. Returns the outcome and whether a retry ran.
+/// budget (the first attempt's diagnostics are superseded by the retry).
+/// Returns the outcome and whether a retry ran.
 fn run_with_retry(
     spec: &JobSpec,
-    retry: bool,
     ckpt: &Option<(u64, PathBuf)>,
 ) -> (Result<RunResult, SimError>, bool) {
     match execute(spec, 1, ckpt) {
-        Err(SimError::Timeout(t)) if retry => {
-            let _ = t; // first-attempt diagnostics are superseded by the retry
-            (execute(spec, RETRY_BUDGET_FACTOR, ckpt), true)
-        }
+        Err(SimError::Timeout(_)) => (execute(spec, RETRY_BUDGET_FACTOR, ckpt), true),
         other => (other, false),
     }
 }
@@ -583,21 +542,8 @@ pub struct SweepCheckpoint {
 /// Progress reported through [`SweepOptions::progress`].
 #[derive(Clone, Copy, Debug)]
 pub enum SweepEvent<'a> {
-    /// A worker picked up a job.
-    Started {
-        /// Job index in declaration order.
-        index: usize,
-        /// Total jobs in the sweep.
-        total: usize,
-        /// The job's label.
-        label: &'a str,
-    },
     /// A job completed.
     Finished {
-        /// Job index in declaration order.
-        index: usize,
-        /// Total jobs in the sweep.
-        total: usize,
         /// The job's label.
         label: &'a str,
         /// Host wall-clock seconds the job took.
@@ -607,10 +553,6 @@ pub enum SweepEvent<'a> {
     },
     /// A job was satisfied from the results file without running (resume).
     Cached {
-        /// Job index in declaration order.
-        index: usize,
-        /// Total jobs in the sweep.
-        total: usize,
         /// The job's label.
         label: &'a str,
     },
@@ -620,8 +562,6 @@ pub enum SweepEvent<'a> {
 pub struct SweepOptions<'a> {
     /// Worker threads (≥ 1; clamped to the number of pending jobs).
     pub workers: usize,
-    /// Retry a [`SimError::Timeout`] once with a raised budget.
-    pub retry_timeouts: bool,
     /// Where to persist/load `BENCH_<figure>.json` (incremental writes).
     pub results_path: Option<PathBuf>,
     /// Skip jobs already present in `results_path` (fingerprint-matched).
@@ -636,7 +576,6 @@ impl Default for SweepOptions<'_> {
     fn default() -> Self {
         SweepOptions {
             workers: available_workers(),
-            retry_timeouts: true,
             results_path: None,
             resume: false,
             checkpoint: None,
@@ -743,12 +682,10 @@ pub struct JobRecord {
     pub fingerprint: u64,
     /// Every metric the figure tables need.
     pub stats: JobStats,
-    /// Host wall-clock seconds (0.0 for cells loaded from cache).
+    /// Host wall-clock seconds of the run that produced the cell.
     pub wall_s: f64,
     /// Whether the run needed a raised-budget retry.
     pub retried: bool,
-    /// Whether the record came from an existing results file.
-    pub from_cache: bool,
 }
 
 /// The unified per-figure results container behind `BENCH_<figure>.json`.
@@ -772,31 +709,21 @@ pub struct FigureResults {
 }
 
 impl FigureResults {
-    /// Looks a cell up by label.
-    pub fn get(&self, label: &str) -> Option<&JobStats> {
-        self.jobs
-            .iter()
-            .find(|j| j.label == label)
-            .map(|j| &j.stats)
-    }
-
     /// Looks a cell up by label, panicking with the available labels on a
-    /// miss — figure binaries use this because a missing cell is a bug in
+    /// miss — figure reports use this because a missing cell is a bug in
     /// the sweep declaration, not a runtime condition.
     ///
     /// # Panics
     /// When no cell is labelled `label`.
     pub fn stat(&self, label: &str) -> &JobStats {
-        self.get(label).unwrap_or_else(|| {
+        let Some(job) = self.jobs.iter().find(|j| j.label == label) else {
+            let have: Vec<&str> = self.jobs.iter().map(|j| j.label.as_str()).collect();
             panic!(
                 "no sweep cell labelled `{label}`; have: {}",
-                self.jobs
-                    .iter()
-                    .map(|j| j.label.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        })
+                have.join(", ")
+            );
+        };
+        &job.stats
     }
 
     /// A cell's cycle count as `f64` (ratio arithmetic convenience).
@@ -896,7 +823,6 @@ impl FigureResults {
                     stats: JobStats::from_json(j.get("stats")?)?,
                     wall_s: j.get("wall_s")?.as_f64()?,
                     retried: j.get("retried")?.as_bool()?,
-                    from_cache: true,
                 })
             })
             .collect::<Option<Vec<_>>>()
@@ -956,17 +882,9 @@ mod tests {
             &exp,
             &[Benchmark::Pc, Benchmark::Sps],
             &[Variant::eager(), Variant::lazy()],
-            &[],
         );
         let labels: Vec<&str> = s.jobs.iter().map(|j| j.label.as_str()).collect();
         assert_eq!(labels, ["pc/eager", "pc/lazy", "sps/eager", "sps/lazy"]);
-        let seeded = Sweep::grid("t", &exp, &[Benchmark::Pc], &[Variant::eager()], &[1, 2]);
-        assert_eq!(seeded.jobs.len(), 2);
-        assert_eq!(seeded.jobs[0].label, "pc/eager@s1");
-        let JobSpec::Bench { exp: e, .. } = &seeded.jobs[1].spec else {
-            panic!("bench spec");
-        };
-        assert_eq!(e.seed, 2);
     }
 
     #[test]
@@ -1052,7 +970,6 @@ mod tests {
             &exp,
             &[Benchmark::Pc],
             &[Variant::eager(), Variant::lazy()],
-            &[],
         );
         let r = sweep
             .run(&SweepOptions {
@@ -1074,13 +991,7 @@ mod tests {
     #[test]
     fn results_file_round_trips() {
         let exp = tiny();
-        let sweep = Sweep::grid(
-            "roundtrip",
-            &exp,
-            &[Benchmark::Pc],
-            &[Variant::eager()],
-            &[],
-        );
+        let sweep = Sweep::grid("roundtrip", &exp, &[Benchmark::Pc], &[Variant::eager()]);
         let dir = std::env::temp_dir().join(format!("norush_sweep_rt_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_roundtrip.json");
@@ -1093,7 +1004,6 @@ mod tests {
             .expect("runs");
         let loaded = FigureResults::load(&path).expect("loads");
         assert_eq!(loaded.canonical_json(), r.canonical_json());
-        assert!(loaded.jobs.iter().all(|j| j.from_cache));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1120,7 +1030,7 @@ mod tests {
     fn failing_job_reports_its_label() {
         let mut exp = tiny();
         exp.cycle_limit = 10; // cannot finish; retry at 40 cycles still fails
-        let sweep = Sweep::grid("fail", &exp, &[Benchmark::Pc], &[Variant::eager()], &[]);
+        let sweep = Sweep::grid("fail", &exp, &[Benchmark::Pc], &[Variant::eager()]);
         let err = sweep.run(&SweepOptions::default()).expect_err("times out");
         let SweepError::Job { label, error } = err else {
             panic!("expected a job error");
@@ -1134,18 +1044,12 @@ mod tests {
         let exp = tiny();
         // Find the true cost, then grant just over a quarter of it: the
         // first attempt times out, the 4x retry completes.
-        let probe = Sweep::grid("probe", &exp, &[Benchmark::Pc], &[Variant::eager()], &[]);
+        let probe = Sweep::grid("probe", &exp, &[Benchmark::Pc], &[Variant::eager()]);
         let full = probe.run(&SweepOptions::default()).expect("probe runs");
         let cycles = full.stat("pc/eager").cycles;
         let mut starved = exp;
         starved.cycle_limit = cycles / 4 + 1;
-        let sweep = Sweep::grid(
-            "retry",
-            &starved,
-            &[Benchmark::Pc],
-            &[Variant::eager()],
-            &[],
-        );
+        let sweep = Sweep::grid("retry", &starved, &[Benchmark::Pc], &[Variant::eager()]);
         let r = sweep.run(&SweepOptions::default()).expect("retry saves it");
         assert!(r.jobs[0].retried);
         assert_eq!(r.stat("pc/eager").cycles, cycles, "same deterministic run");

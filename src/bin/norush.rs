@@ -1033,7 +1033,7 @@ fn cmd_compare(args: &Args) -> CliResult {
         exp.cores, exp.instructions
     );
     let variants = Variant::policy_table();
-    let sweep = Sweep::grid("compare", &exp, &[bench], &variants, &[]);
+    let sweep = Sweep::grid("compare", &exp, &[bench], &variants);
     let r = sweep.run(&SweepOptions {
         workers: jobs,
         ..SweepOptions::default()

@@ -1,7 +1,7 @@
 //! Sweep-engine contract tests.
 //!
 //! The contract is host-independence: a sweep's results — the tables the
-//! figure binaries print and the `BENCH_<figure>.json` they write — must be
+//! figures print and the `BENCH_<figure>.json` they write — must be
 //! byte-identical whether the grid ran on 1, 2, or 8 workers, in whatever
 //! completion order the scheduler produced. Resume must re-run exactly the
 //! missing cells and converge to the same canonical bytes.
@@ -30,7 +30,6 @@ fn tiny_sweep(figure: &str) -> Sweep {
         &tiny_exp(),
         &[Benchmark::Pc, Benchmark::Sps],
         &[Variant::eager(), Variant::lazy()],
-        &[],
     )
 }
 
@@ -90,7 +89,6 @@ fn resume_reruns_only_the_missing_cell() {
         SweepEvent::Cached { .. } => {
             cached.fetch_add(1, Ordering::Relaxed);
         }
-        SweepEvent::Started { .. } => {}
     };
     let resumed = sweep
         .run(&SweepOptions {
@@ -140,7 +138,6 @@ fn resume_ignores_results_from_a_different_sweep() {
         &other_exp,
         &[Benchmark::Pc, Benchmark::Sps],
         &[Variant::eager(), Variant::lazy()],
-        &[],
     );
     let cached = AtomicUsize::new(0);
     let progress = |ev: &SweepEvent<'_>| {
