@@ -398,6 +398,17 @@ pub struct FaultConfig {
 pub const MAX_FAULT_PPM: u32 = 500_000;
 
 impl FaultConfig {
+    /// The chaos object of the soak and fuzz reports.
+    pub fn to_json(&self) -> crate::json::Value {
+        crate::object! {
+            "seed": self.seed,
+            "latency": self.max_extra_latency,
+            "drop_ppm": self.drop_ppm,
+            "dup_ppm": self.dup_ppm,
+            "corrupt_ppm": self.corrupt_ppm,
+        }
+    }
+
     /// A delay-only chaos configuration with the default perturbation bound.
     pub fn with_seed(seed: u64) -> Self {
         FaultConfig {

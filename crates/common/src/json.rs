@@ -1,13 +1,13 @@
-//! A minimal, dependency-free JSON reader and writer.
+//! A minimal, dependency-free JSON reader and writer — the one place in the
+//! workspace that produces JSON text.
 //!
-//! The sweep engine persists per-figure results as JSON (`BENCH_<fig>.json`)
-//! and must read them back for resume, so this module provides the small
-//! slice of JSON the workspace needs: a [`Value`] tree, a recursive-descent
-//! [`parse`], and escape/format helpers for writing. Numbers keep their
-//! integer/float distinction so `u64`/`u128` counters round-trip exactly;
-//! floats are written with Rust's shortest round-trip `Display`, so a value
-//! parsed back and re-serialized is byte-identical — the property the sweep
-//! determinism tests rely on.
+//! Results files and reports are [`Value`] trees built with [`object!`] and
+//! laid out by [`render`]; sweep resume reads them back with [`parse`].
+//! Objects keep insertion order, so a builder's field order is the file's.
+//! Integers stay exact (`u64`/`u128` counters round-trip) and floats use
+//! Rust's shortest round-trip `Display`, so parsing a file and writing it
+//! again is byte-identical — the property sweep determinism relies on.
+//! [`Value::Fixed`] carries fields written with a fixed number of decimals.
 //!
 //! # Example
 //! ```
@@ -15,12 +15,13 @@
 //! let v = parse(r#"{"cycles": 42, "ipc": 1.5, "tags": ["a", "b"]}"#).unwrap();
 //! assert_eq!(v.get("cycles").and_then(Value::as_u64), Some(42));
 //! assert_eq!(v.get("ipc").and_then(Value::as_f64), Some(1.5));
+//! let w = row_common::object! { "ipc": Value::Fixed(1.5, 2), "tags": vec!["a"] };
+//! assert_eq!(w.to_string(), r#"{"ipc": 1.50, "tags": ["a"]}"#);
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -31,23 +32,31 @@ pub enum Value {
     Int(i128),
     /// A number with a fraction or exponent.
     Float(f64),
+    /// A number written with a fixed number of decimals (`{:.N}`, e.g.
+    /// wall-clock seconds as `1.204`). Only writers build it; [`parse`]
+    /// reads such numbers back as [`Value::Float`].
+    Fixed(f64, usize),
     /// A string (unescaped).
     Str(String),
     /// An array.
     Array(Vec<Value>),
-    /// An object. `BTreeMap` keeps iteration deterministic.
-    Object(BTreeMap<String, Value>),
+    /// An object, in insertion (document) order.
+    Object(Vec<(String, Value)>),
 }
 
 impl Value {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn object<K: Into<String>>(fields: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Object field lookup; `None` on non-objects or missing keys.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Object(m) => m.get(key),
+            Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
-
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -76,7 +85,7 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
+            Value::Float(f) | Value::Fixed(f, _) => Some(*f),
             _ => None,
         }
     }
@@ -101,6 +110,105 @@ impl Value {
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
+}
+
+/// `Value::from` for every scalar type the reports carry.
+macro_rules! from_scalar {
+    ($($t:ty => |$x:ident| $value:expr),* $(,)?) => {$(
+        impl From<$t> for Value {
+            fn from($x: $t) -> Value {
+                $value
+            }
+        }
+    )*};
+}
+from_scalar! {
+    u32 => |n| Value::Int(n.into()),
+    u64 => |n| Value::Int(n.into()),
+    usize => |n| Value::Int(n as i128),
+    bool => |b| Value::Bool(b),
+    f64 => |x| Value::Float(x),
+    &str => |s| Value::Str(s.to_string()),
+    String => |s| Value::Str(s),
+}
+
+/// `None` is `null`.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(items: Vec<T>) -> Value {
+        Value::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Builds a [`Value::Object`] from `"key": value` pairs, in the order given;
+/// each value goes through `Value::from`.
+///
+/// ```
+/// let v = row_common::object! { "cycles": 42u64, "error": None::<String> };
+/// assert_eq!(v.to_string(), r#"{"cycles": 42, "error": null}"#);
+/// ```
+#[macro_export]
+macro_rules! object {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        $crate::json::Value::object([$(($key, $crate::json::Value::from($value))),*])
+    };
+}
+
+/// One `"key": value` object member, the value inline.
+fn member((key, value): &(String, Value)) -> String {
+    format!("\"{}\": {value}", escape(key))
+}
+
+/// The inline form: everything on one line, `", "` between items and `": "`
+/// after keys. Non-finite numbers, which JSON cannot express, render as `0`.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) => f.write_str(&fmt_f64(*x)),
+            Value::Fixed(x, decimals) if x.is_finite() => write!(f, "{x:.*}", *decimals),
+            Value::Fixed(..) => f.write_str("0"),
+            Value::Str(s) => write!(f, "\"{}\"", escape(s)),
+            Value::Array(items) => {
+                let items: Vec<String> = items.iter().map(Value::to_string).collect();
+                write!(f, "[{}]", items.join(", "))
+            }
+            Value::Object(fields) => {
+                let fields: Vec<String> = fields.iter().map(member).collect();
+                write!(f, "{{{}}}", fields.join(", "))
+            }
+        }
+    }
+}
+
+/// Lays out a report, ending with a newline: each top-level member of the
+/// `report` object on a line of its own, the members named in `expand` (an
+/// array or an object) with one entry per line, everything else inline.
+pub fn render(report: &Value, expand: &[&str]) -> String {
+    let Value::Object(fields) = report else {
+        return format!("{report}\n");
+    };
+    let line = |field: &(String, Value)| {
+        let (key, value) = field;
+        let expanded = expand.contains(&key.as_str());
+        let (open, entries, close): (_, Vec<String>, _) = match (value, expanded) {
+            (Value::Array(items), true) => ('[', items.iter().map(Value::to_string).collect(), ']'),
+            (Value::Object(fields), true) => ('{', fields.iter().map(member).collect(), '}'),
+            _ => return format!("  {}", member(field)),
+        };
+        let body: Vec<String> = entries.iter().map(|e| format!("    {e}")).collect();
+        let body = body.join(",\n");
+        format!("  \"{}\": {open}\n{body}\n  {close}", escape(key))
+    };
+    let lines: Vec<String> = fields.iter().map(line).collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
 }
 
 /// A parse failure: what was wrong and the byte offset it was found at.
@@ -195,11 +303,11 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Value, JsonError> {
         self.expect(b'{', "expected '{'")?;
-        let mut map = BTreeMap::new();
+        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            return Ok(Value::Object(fields));
         }
         loop {
             self.skip_ws();
@@ -207,13 +315,13 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':', "expected ':' after object key")?;
             let v = self.value()?;
-            map.insert(key, v);
+            fields.push((key, v));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(map));
+                    return Ok(Value::Object(fields));
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
@@ -346,10 +454,9 @@ pub fn escape(s: &str) -> String {
 /// they never occur in well-formed results).
 pub fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
-        let s = format!("{v}");
-        // `Display` for f64 never emits an exponent, but guard anyway: a
-        // bare integer like "3" is still valid JSON.
-        s
+        // `Display` for f64 never emits an exponent; a bare integer like
+        // "3" is still valid JSON.
+        format!("{v}")
     } else {
         "0".to_string()
     }
@@ -404,6 +511,60 @@ mod tests {
             assert_eq!(back.to_bits(), f.to_bits(), "{s}");
         }
         assert_eq!(fmt_f64(f64::NAN), "0");
+    }
+
+    #[test]
+    fn objects_keep_insertion_order() {
+        let v = parse(r#"{"z": 1, "a": {"y": 2, "b": 3}}"#).unwrap();
+        assert_eq!(v.to_string(), r#"{"z": 1, "a": {"y": 2, "b": 3}}"#);
+        let built = crate::object! { "z": 1u64, "a": crate::object! { "y": 2u64, "b": 3u64 } };
+        assert_eq!(built, v);
+        assert_eq!(
+            v.get("a").and_then(|a| a.get("b")).and_then(Value::as_u64),
+            Some(3)
+        );
+    }
+
+    #[test]
+    fn inline_form_escapes_and_formats_numbers() {
+        let v = crate::object! {
+            "s": "a\"b\n",
+            "f": 0.5,
+            "whole": 3.0,
+            "fixed": Value::Fixed(1.0, 3),
+            "rounded": Value::Fixed(1.23456, 4),
+            "nan": f64::NAN,
+            "inf": Value::Fixed(f64::INFINITY, 2),
+            "none": None::<u64>,
+            "list": vec![1u64, 2],
+            "empty": Vec::<u64>::new(),
+            "obj": Value::object(Vec::<(String, Value)>::new()),
+        };
+        assert_eq!(
+            v.to_string(),
+            r#"{"s": "a\"b\n", "f": 0.5, "whole": 3, "fixed": 1.000, "rounded": 1.2346, "nan": 0, "inf": 0, "none": null, "list": [1, 2], "empty": [], "obj": {}}"#
+        );
+        assert_eq!(
+            parse("1.500").unwrap().as_f64(),
+            Value::Fixed(1.5, 3).as_f64()
+        );
+    }
+
+    #[test]
+    fn render_expands_only_the_named_members() {
+        let report = crate::object! {
+            "schema": "x-v1",
+            "meta": crate::object! { "a": 1u64 },
+            "rows": vec![crate::object! { "k": 1u64 }, crate::object! { "k": 2u64 }],
+            "none": Vec::<u64>::new(),
+            "finding": crate::object! { "kind": "oracle", "n": 2u64 },
+            "later": None::<u64>,
+        };
+        assert_eq!(
+            render(&report, &["rows", "none", "finding", "later"]),
+            "{\n  \"schema\": \"x-v1\",\n  \"meta\": {\"a\": 1},\n  \"rows\": [\n    {\"k\": 1},\n    {\"k\": 2}\n  ],\n  \"none\": [\n\n  ],\n  \"finding\": {\n    \"kind\": \"oracle\",\n    \"n\": 2\n  },\n  \"later\": null\n}\n"
+        );
+        assert_eq!(parse(&render(&report, &["rows"])).unwrap(), report);
     }
 
     #[test]

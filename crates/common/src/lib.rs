@@ -17,8 +17,9 @@
 //! * [`persist`] — the versioned binary snapshot codec
 //!   ([`Codec`][persist::Codec]/[`Persist`][persist::Persist]) behind
 //!   deterministic checkpoint/restore.
-//! * [`json`] — a minimal JSON reader/writer backing the per-figure
-//!   `BENCH_<fig>.json` results files and sweep resume.
+//! * [`json`] — a minimal JSON reader/writer: every results file and report
+//!   (`BENCH_<fig>.json`, soak, fuzz, litmus) is rendered by it, and sweep
+//!   resume reads results files back with it.
 //! * [`coverage`] — the protocol transition-coverage map driving the
 //!   schedule fuzzer (`norush fuzz`) and its dead-protocol-arm report.
 //! * [`choice`] — thread-local decision-point hooks (message delivery,

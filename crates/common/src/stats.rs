@@ -6,6 +6,7 @@
 
 use std::fmt;
 
+use crate::json::Value;
 use crate::persist::{Codec, PersistError, Reader, Writer};
 
 /// An online mean over `u64` samples.
@@ -650,72 +651,59 @@ impl JobStats {
         self.transport.map_or(0, |t| t.retries + t.nack_retransmits)
     }
 
-    /// Serializes to one JSON object (no trailing newline), field order
-    /// fixed so identical stats always render identically.
-    pub fn to_json(&self) -> String {
-        use crate::json::fmt_f64;
-        let accuracy = match &self.accuracy {
-            None => "null".to_string(),
-            Some(a) => format!(
-                "{{\"true_contended\": {}, \"true_uncontended\": {}, \"false_contended\": {}, \"false_uncontended\": {}}}",
-                a.true_contended, a.true_uncontended, a.false_contended, a.false_uncontended
-            ),
-        };
-        let transport = match &self.transport {
-            None => "null".to_string(),
-            Some(t) => format!(
-                concat!(
-                    "{{\"sent\": {}, \"delivered\": {}, \"retries\": {}, \"nack_retransmits\": {}, ",
-                    "\"drops_injected\": {}, \"dups_injected\": {}, \"corrupts_injected\": {}, ",
-                    "\"dup_dropped\": {}, \"corrupt_dropped\": {}, \"acks_sent\": {}, \"giveups\": {}}}"
-                ),
-                t.sent, t.delivered, t.retries, t.nack_retransmits,
-                t.drops_injected, t.dups_injected, t.corrupts_injected,
-                t.dup_dropped, t.corrupt_dropped, t.acks_sent, t.giveups
-            ),
-        };
-        format!(
-            concat!(
-                "{{\"cycles\": {}, \"committed\": {}, \"atomics\": {}, \"contended_atomics\": {}, ",
-                "\"atomics_eager\": {}, \"atomics_lazy\": {}, \"atomics_forwarded\": {}, ",
-                "\"locality_overrides\": {}, \"remote_fills\": {}, ",
-                "\"miss_latency_mean\": {}, \"older_unexecuted_mean\": {}, \"younger_started_mean\": {}, ",
-                "\"breakdown_dispatch_to_issue\": {}, \"breakdown_issue_to_lock\": {}, ",
-                "\"breakdown_lock_to_unlock\": {}, \"branch_miss_rate\": {}, ",
-                "\"accuracy\": {}, \"transport\": {}}}"
-            ),
-            self.cycles,
-            self.committed,
-            self.atomics,
-            self.contended_atomics,
-            self.atomics_eager,
-            self.atomics_lazy,
-            self.atomics_forwarded,
-            self.locality_overrides,
-            self.remote_fills,
-            fmt_f64(self.miss_latency_mean),
-            fmt_f64(self.older_unexecuted_mean),
-            fmt_f64(self.younger_started_mean),
-            fmt_f64(self.breakdown_dispatch_to_issue),
-            fmt_f64(self.breakdown_issue_to_lock),
-            fmt_f64(self.breakdown_lock_to_unlock),
-            fmt_f64(self.branch_miss_rate),
-            accuracy,
-            transport,
-        )
+    /// The stats as one JSON object, field order fixed so identical stats
+    /// always render identically.
+    pub fn to_json(&self) -> Value {
+        crate::object! {
+            "cycles": self.cycles,
+            "committed": self.committed,
+            "atomics": self.atomics,
+            "contended_atomics": self.contended_atomics,
+            "atomics_eager": self.atomics_eager,
+            "atomics_lazy": self.atomics_lazy,
+            "atomics_forwarded": self.atomics_forwarded,
+            "locality_overrides": self.locality_overrides,
+            "remote_fills": self.remote_fills,
+            "miss_latency_mean": self.miss_latency_mean,
+            "older_unexecuted_mean": self.older_unexecuted_mean,
+            "younger_started_mean": self.younger_started_mean,
+            "breakdown_dispatch_to_issue": self.breakdown_dispatch_to_issue,
+            "breakdown_issue_to_lock": self.breakdown_issue_to_lock,
+            "breakdown_lock_to_unlock": self.breakdown_lock_to_unlock,
+            "branch_miss_rate": self.branch_miss_rate,
+            "accuracy": self.accuracy.map(|a| crate::object! {
+                "true_contended": a.true_contended,
+                "true_uncontended": a.true_uncontended,
+                "false_contended": a.false_contended,
+                "false_uncontended": a.false_uncontended,
+            }),
+            "transport": self.transport.map(|t| crate::object! {
+                "sent": t.sent,
+                "delivered": t.delivered,
+                "retries": t.retries,
+                "nack_retransmits": t.nack_retransmits,
+                "drops_injected": t.drops_injected,
+                "dups_injected": t.dups_injected,
+                "corrupts_injected": t.corrupts_injected,
+                "dup_dropped": t.dup_dropped,
+                "corrupt_dropped": t.corrupt_dropped,
+                "acks_sent": t.acks_sent,
+                "giveups": t.giveups,
+            }),
+        }
     }
 
     /// Parses a [`JobStats::to_json`] object back.
     ///
     /// Returns `None` when any required field is missing or ill-typed (the
     /// caller treats that as "cell absent" and re-runs the job).
-    pub fn from_json(v: &crate::json::Value) -> Option<JobStats> {
-        let u = |k: &str| v.get(k).and_then(crate::json::Value::as_u64);
-        let f = |k: &str| v.get(k).and_then(crate::json::Value::as_f64);
+    pub fn from_json(v: &Value) -> Option<JobStats> {
+        let u = |k: &str| v.get(k).and_then(Value::as_u64);
+        let f = |k: &str| v.get(k).and_then(Value::as_f64);
         let accuracy = match v.get("accuracy") {
-            None | Some(crate::json::Value::Null) => None,
+            None | Some(Value::Null) => None,
             Some(a) => {
-                let q = |k: &str| a.get(k).and_then(crate::json::Value::as_u64);
+                let q = |k: &str| a.get(k).and_then(Value::as_u64);
                 Some(AccuracyCounter {
                     true_contended: q("true_contended")?,
                     true_uncontended: q("true_uncontended")?,
@@ -725,9 +713,9 @@ impl JobStats {
             }
         };
         let transport = match v.get("transport") {
-            None | Some(crate::json::Value::Null) => None,
+            None | Some(Value::Null) => None,
             Some(t) => {
-                let q = |k: &str| t.get(k).and_then(crate::json::Value::as_u64);
+                let q = |k: &str| t.get(k).and_then(Value::as_u64);
                 Some(TransportStats {
                     sent: q("sent")?,
                     delivered: q("delivered")?,
@@ -973,12 +961,12 @@ mod tests {
                 ..TransportStats::default()
             }),
         };
-        let json = s.to_json();
+        let json = s.to_json().to_string();
         let v = crate::json::parse(&json).expect("valid JSON");
         let back = JobStats::from_json(&v).expect("complete record");
         assert_eq!(back, s);
         // Re-serialization is byte-identical — what sweep resume relies on.
-        assert_eq!(back.to_json(), json);
+        assert_eq!(back.to_json().to_string(), json);
     }
 
     #[test]
@@ -990,7 +978,7 @@ mod tests {
             contended_atomics: 4,
             ..JobStats::default()
         };
-        let v = crate::json::parse(&s.to_json()).unwrap();
+        let v = crate::json::parse(&s.to_json().to_string()).unwrap();
         let back = JobStats::from_json(&v).unwrap();
         assert_eq!(back.accuracy, None);
         assert_eq!(back.transport, None);

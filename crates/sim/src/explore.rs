@@ -41,7 +41,8 @@ use std::path::Path;
 use row_common::choice::{self, ChoiceKind, DecisionRecord};
 use row_common::config::SystemConfig;
 use row_common::coverage::{self, CoverageMap, SLOT_COUNT};
-use row_common::json::escape;
+use row_common::json::{self, Value};
+use row_common::object;
 use row_common::persist::fnv1a;
 use row_common::rng::SplitMix64;
 use row_cpu::instr::{InstrStream, VecStream};
@@ -569,47 +570,30 @@ pub fn write_triage(test: &LitmusTest, opts: &ExploreOptions, v: &ExploreViolati
     }
 }
 
-/// Renders one litmus/explore cell as a [`LITMUS_SCHEMA`] JSON object.
-fn cell_json(r: &ExploreReport) -> String {
-    let outcomes = r
-        .outcomes
-        .iter()
-        .map(|(o, n)| format!("\"{}\": {n}", fmt_outcome(o)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let unwitnessed = r
-        .unwitnessed
-        .iter()
-        .map(|o| format!("\"{}\"", fmt_outcome(o)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let violation = match &r.violation {
-        None => "null".to_string(),
-        Some(v) => format!(
-            "{{\"kind\": \"{}\", \"detail\": \"{}\", \"schedule\": \"{}\", \
-             \"minimized\": \"{}\", \"minimized_detail\": \"{}\"}}",
-            escape(&v.kind),
-            escape(&v.detail),
-            schedule_to_hex(&v.schedule),
-            schedule_to_hex(&v.minimized),
-            escape(&v.minimized_detail),
-        ),
-    };
-    format!(
-        "    {{\"test\": \"{}\", \"policy\": \"{}\", \"runs\": {}, \"states\": {}, \
-         \"dedup_hits\": {}, \"dpor_pruned\": {}, \"max_decision_points\": {}, \
-         \"truncated\": {}, \"coverage_covered\": {}, \"outcomes\": {{{outcomes}}}, \
-         \"unwitnessed\": [{unwitnessed}], \"violation\": {violation}}}",
-        escape(&r.test),
-        escape(&r.policy),
-        r.runs,
-        r.states,
-        r.dedup_hits,
-        r.dpor_pruned,
-        r.max_decision_points,
-        r.truncated,
-        r.coverage.covered(),
-    )
+/// One litmus/explore cell as a [`LITMUS_SCHEMA`] JSON object.
+fn cell_json(r: &ExploreReport) -> Value {
+    let outcomes = r.outcomes.iter().map(|(o, &n)| (fmt_outcome(o), n.into()));
+    let unwitnessed: Vec<String> = r.unwitnessed.iter().map(|o| fmt_outcome(o)).collect();
+    object! {
+        "test": r.test.as_str(),
+        "policy": r.policy.as_str(),
+        "runs": r.runs,
+        "states": r.states,
+        "dedup_hits": r.dedup_hits,
+        "dpor_pruned": r.dpor_pruned,
+        "max_decision_points": r.max_decision_points,
+        "truncated": r.truncated,
+        "coverage_covered": r.coverage.covered(),
+        "outcomes": Value::object(outcomes),
+        "unwitnessed": unwitnessed,
+        "violation": r.violation.as_ref().map(|v| object! {
+            "kind": v.kind.as_str(),
+            "detail": v.detail.as_str(),
+            "schedule": schedule_to_hex(&v.schedule),
+            "minimized": schedule_to_hex(&v.minimized),
+            "minimized_detail": v.minimized_detail.as_str(),
+        }),
+    }
 }
 
 /// Renders the machine-readable litmus/explore report ([`LITMUS_SCHEMA`],
@@ -622,22 +606,19 @@ pub fn report_json(mode: &str, params: &[(&str, u64)], cells: &[ExploreReport]) 
     for r in cells {
         union.merge(&r.coverage);
     }
-    let params: String = params
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v},\n"))
-        .collect();
-    let body = cells.iter().map(cell_json).collect::<Vec<_>>().join(",\n");
-    let status = if cells.iter().any(|r| r.violation.is_some()) {
-        "violation"
-    } else {
-        "ok"
+    let violated = cells.iter().any(|r| r.violation.is_some());
+    let mut report = object! {
+        "schema": LITMUS_SCHEMA,
+        "mode": mode,
+        "status": if violated { "violation" } else { "ok" },
+        "coverage": object! { "covered": union.covered(), "total": SLOT_COUNT },
+        "cells": cells.iter().map(cell_json).collect::<Vec<_>>(),
     };
-    format!(
-        "{{\n  \"schema\": \"{LITMUS_SCHEMA}\",\n  \"mode\": \"{mode}\",\n{params}  \
-         \"status\": \"{status}\",\n  \"coverage\": {{\"covered\": {}, \"total\": {SLOT_COUNT}}},\n  \
-         \"cells\": [\n{body}\n  ]\n}}\n",
-        union.covered(),
-    )
+    // The mode's integer knobs follow `mode`.
+    if let Value::Object(fields) = &mut report {
+        fields.splice(2..2, params.iter().map(|&(k, v)| (k.to_string(), v.into())));
+    }
+    json::render(&report, &["cells"])
 }
 
 #[cfg(test)]

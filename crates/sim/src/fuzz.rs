@@ -38,7 +38,8 @@ use std::path::Path;
 
 use row_common::config::{DelayBurst, FaultConfig, PerturbConfig, MAX_BURST_EXTRA};
 use row_common::coverage::{self, CoverageMap, SLOT_COUNT};
-use row_common::json::escape;
+use row_common::json::{self, Value};
+use row_common::object;
 use row_common::persist::{fnv1a, write_atomic, Codec, PersistError, Reader, Writer};
 use row_common::rng::SplitMix64;
 use row_common::SystemConfig;
@@ -871,30 +872,14 @@ pub fn write_triage(
 // Report
 // ---------------------------------------------------------------------------
 
-fn genome_json(g: &ScheduleGenome) -> String {
-    let bursts = g
+fn genome_json(g: &ScheduleGenome) -> Value {
+    let bursts: Vec<Value> = g
         .perturb
         .active()
         .iter()
-        .map(|b| {
-            format!(
-                "{{\"start\": {}, \"len\": {}, \"extra\": {}, \"salt\": {}}}",
-                b.start, b.len, b.extra, b.salt
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"chaos\": {{\"seed\": {}, \"latency\": {}, \"drop_ppm\": {}, \"dup_ppm\": {}, \
-         \"corrupt_ppm\": {}}}, \"bursts\": [{}], \"hex\": \"{}\"}}",
-        g.fault.seed,
-        g.fault.max_extra_latency,
-        g.fault.drop_ppm,
-        g.fault.dup_ppm,
-        g.fault.corrupt_ppm,
-        bursts,
-        g.to_hex(),
-    )
+        .map(|b| object! { "start": b.start, "len": b.len, "extra": b.extra, "salt": b.salt })
+        .collect();
+    object! { "chaos": g.fault.to_json(), "bursts": bursts, "hex": g.to_hex() }
 }
 
 /// Renders the machine-readable fuzz report (`norush-fuzz-v1`, documented in
@@ -902,80 +887,48 @@ fn genome_json(g: &ScheduleGenome) -> String {
 /// campaigns serialize byte-identically regardless of worker count.
 pub fn report_json(opts: &FuzzOptions, outcome: &FuzzOutcome) -> String {
     let s = &outcome.state;
-    let domains = s
+    let domains: Vec<Value> = s
         .global
         .domain_summary()
-        .iter()
+        .into_iter()
         .map(|(name, covered, total)| {
-            format!("{{\"domain\": \"{name}\", \"covered\": {covered}, \"total\": {total}}}")
+            object! { "domain": name, "covered": covered, "total": total }
         })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let uncovered = s
-        .global
-        .uncovered_names()
-        .iter()
-        .map(|n| format!("\"{}\"", escape(n)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let finding = match &outcome.finding {
-        None => "null".to_string(),
-        Some(f) => format!(
-            "{{\n    \"kind\": \"{}\",\n    \"generation\": {},\n    \"candidate\": {},\n    \
-             \"error\": \"{}\",\n    \"genome\": {},\n    \"minimized\": {},\n    \
-             \"minimized_error\": \"{}\",\n    \"repro\": \"{}\"\n  }}",
-            f.kind,
-            f.generation,
-            f.candidate,
-            escape(&f.error),
-            genome_json(&f.genome),
-            genome_json(&f.minimized),
-            escape(&f.minimized_error),
-            escape(&repro_command(opts, &f.minimized)),
-        ),
-    };
-    format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"{}\",\n",
-            "  \"status\": \"{}\",\n",
-            "  \"policy\": \"{}\",\n",
-            "  \"kernel\": \"{}\",\n",
-            "  \"cores\": {},\n",
-            "  \"ops_per_thread\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"budget\": {},\n",
-            "  \"planted_bug\": {},\n",
-            "  \"runs\": {},\n",
-            "  \"generations\": {},\n",
-            "  \"corpus\": {},\n",
-            "  \"coverage\": {{\"covered\": {}, \"total\": {}, \"domains\": [{}]}},\n",
-            "  \"uncovered\": [{}],\n",
-            "  \"finding\": {}\n",
-            "}}\n"
-        ),
-        FUZZ_SCHEMA,
-        if outcome.finding.is_some() {
-            "finding"
-        } else {
-            "clean"
+        .collect();
+    let finding = outcome.finding.as_ref().map(|f| {
+        object! {
+            "kind": f.kind,
+            "generation": f.generation,
+            "candidate": f.candidate,
+            "error": f.error.as_str(),
+            "genome": genome_json(&f.genome),
+            "minimized": genome_json(&f.minimized),
+            "minimized_error": f.minimized_error.as_str(),
+            "repro": repro_command(opts, &f.minimized),
+        }
+    });
+    let report = object! {
+        "schema": FUZZ_SCHEMA,
+        "status": if finding.is_some() { "finding" } else { "clean" },
+        "policy": opts.policy.as_str(),
+        "kernel": opts.kernel.name(),
+        "cores": opts.cores,
+        "ops_per_thread": opts.ops_per_thread,
+        "seed": opts.seed,
+        "budget": opts.budget,
+        "planted_bug": opts.planted_bug,
+        "runs": s.runs_done,
+        "generations": s.generation,
+        "corpus": s.corpus.len(),
+        "coverage": object! {
+            "covered": s.global.covered(),
+            "total": SLOT_COUNT,
+            "domains": domains,
         },
-        escape(&opts.policy),
-        opts.kernel.name(),
-        opts.cores,
-        opts.ops_per_thread,
-        opts.seed,
-        opts.budget,
-        opts.planted_bug,
-        s.runs_done,
-        s.generation,
-        s.corpus.len(),
-        s.global.covered(),
-        SLOT_COUNT,
-        domains,
-        uncovered,
-        finding,
-    )
+        "uncovered": s.global.uncovered_names(),
+        "finding": finding,
+    };
+    json::render(&report, &["finding"])
 }
 
 #[cfg(test)]

@@ -17,7 +17,8 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use row_common::config::{CheckConfig, FaultConfig, SystemConfig};
-use row_common::json::escape;
+use row_common::json::{self, Value};
+use row_common::object;
 use row_common::stats::LogHistogram;
 use row_cpu::instr::InstrStream;
 use row_workloads::{LockServiceConfig, LockServiceStream, ServiceKernel};
@@ -421,67 +422,47 @@ fn write_triage(
 /// Renders the machine-readable soak report ([`SOAK_SCHEMA`], documented in
 /// `results/README.md`).
 pub fn report_json(opts: &SoakOptions, outcomes: &[SoakOutcome]) -> String {
-    let runs = outcomes
+    let runs: Vec<Value> = outcomes
         .iter()
         .map(|o| {
-            let chaos = match &o.chaos {
-                Some(f) => format!(
-                    "{{\"seed\": {}, \"latency\": {}, \"drop_ppm\": {}, \"dup_ppm\": {}, \
-                     \"corrupt_ppm\": {}}}",
-                    f.seed, f.max_extra_latency, f.drop_ppm, f.dup_ppm, f.corrupt_ppm
-                ),
-                None => "null".to_string(),
-            };
-            let lat = match &o.lat {
-                Some(h) => format!(
-                    "{{\"count\": {}, \"mean\": {:.2}, \"p50\": {}, \"p99\": {}, \
-                     \"p999\": {}, \"max\": {}}}",
-                    h.count(),
-                    h.mean(),
-                    h.percentile(0.50),
-                    h.percentile(0.99),
-                    h.percentile(0.999),
-                    h.max()
-                ),
-                None => "null".to_string(),
-            };
-            let checker = match &o.checker {
-                Some((ops, rmws, live)) => {
-                    format!("{{\"ops\": {ops}, \"rmws\": {rmws}, \"live_words\": {live}}}")
-                }
-                None => "null".to_string(),
-            };
-            let error = match &o.error {
-                Some(e) => format!("\"{}\"", escape(e)),
-                None => "null".to_string(),
-            };
-            format!(
-                "    {{\"phase\": {}, \"kernel\": \"{}\", \"policy\": \"{}\", \
-                 \"chaos\": {chaos}, \"status\": \"{}\", \"cycles\": {}, \"ipc\": {:.4}, \
-                 \"atomics\": {}, \"latency\": {lat}, \"checker\": {checker}, \
-                 \"error\": {error}}}",
-                o.phase, o.kernel, o.policy, o.status, o.cycles, o.ipc, o.atomics,
-            )
+            object! {
+                "phase": o.phase,
+                "kernel": o.kernel,
+                "policy": o.policy.as_str(),
+                "chaos": o.chaos.as_ref().map(FaultConfig::to_json),
+                "status": o.status,
+                "cycles": o.cycles,
+                "ipc": Value::Fixed(o.ipc, 4),
+                "atomics": o.atomics,
+                "latency": o.lat.as_ref().map(|h| object! {
+                    "count": h.count(),
+                    "mean": Value::Fixed(h.mean(), 2),
+                    "p50": h.percentile(0.50),
+                    "p99": h.percentile(0.99),
+                    "p999": h.percentile(0.999),
+                    "max": h.max(),
+                }),
+                "checker": o.checker.map(|(ops, rmws, live)| object! {
+                    "ops": ops,
+                    "rmws": rmws,
+                    "live_words": live,
+                }),
+                "error": o.error.as_deref(),
+            }
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let policies = opts
-        .policies
-        .iter()
-        .map(|p| format!("\"{}\"", escape(p)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\n  \"schema\": \"{SOAK_SCHEMA}\",\n  \"status\": \"{}\",\n  \"seed\": {},\n  \
-         \"cores\": {},\n  \"phases\": {},\n  \"policies\": [{policies}],\n  \
-         \"phase_cycles\": {},\n  \"wall_secs\": {},\n  \"runs\": [\n{runs}\n  ]\n}}\n",
-        if failed(outcomes) { "fail" } else { "pass" },
-        opts.seed,
-        opts.cores,
-        opts.phases,
-        opts.phase_cycles,
-        opts.wall_secs,
-    )
+        .collect();
+    let report = object! {
+        "schema": SOAK_SCHEMA,
+        "status": if failed(outcomes) { "fail" } else { "pass" },
+        "seed": opts.seed,
+        "cores": opts.cores,
+        "phases": opts.phases,
+        "policies": opts.policies.clone(),
+        "phase_cycles": opts.phase_cycles,
+        "wall_secs": opts.wall_secs,
+        "runs": runs,
+    };
+    json::render(&report, &["runs"])
 }
 
 #[cfg(test)]

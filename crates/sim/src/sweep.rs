@@ -33,7 +33,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use row_common::config::{AtomicPlacement, AtomicPolicy, FenceModel, RowConfig};
-use row_common::json::{escape, parse, Value};
+use row_common::json::{self, parse, Value};
+use row_common::object;
 use row_common::persist::{fnv1a, write_atomic};
 use row_common::stats::JobStats;
 use row_common::SystemConfig;
@@ -747,42 +748,31 @@ impl FigureResults {
     }
 
     fn render(&self, canonical: bool) -> String {
-        let mut rows = String::new();
-        for (i, j) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                rows.push_str(",\n");
-            }
-            rows.push_str(&format!(
-                "    {{\"label\": \"{}\", \"fingerprint\": \"0x{:016x}\", \"wall_s\": {:.3}, \"retried\": {}, \"stats\": {}}}",
-                escape(&j.label),
-                j.fingerprint,
-                if canonical { 0.0 } else { j.wall_s },
-                j.retried,
-                j.stats.to_json(),
-            ));
-        }
-        format!(
-            concat!(
-                "{{\n",
-                "  \"schema\": \"{}\",\n",
-                "  \"figure\": \"{}\",\n",
-                "  \"cores\": {},\n",
-                "  \"instructions_per_core\": {},\n",
-                "  \"config_fingerprint\": \"0x{:016x}\",\n",
-                "  \"jobs_used\": {},\n",
-                "  \"wall_s\": {:.3},\n",
-                "  \"jobs\": [\n{}\n  ]\n",
-                "}}\n"
-            ),
-            FIGURE_SCHEMA,
-            escape(&self.figure),
-            self.cores,
-            self.instructions_per_core,
-            self.config_fingerprint,
-            if canonical { 0 } else { self.jobs_used },
-            if canonical { 0.0 } else { self.wall_s },
-            rows,
-        )
+        let wall_s = |s: f64| Value::Fixed(if canonical { 0.0 } else { s }, 3);
+        let jobs: Vec<Value> = self
+            .jobs
+            .iter()
+            .map(|j| {
+                object! {
+                    "label": j.label.as_str(),
+                    "fingerprint": format!("0x{:016x}", j.fingerprint),
+                    "wall_s": wall_s(j.wall_s),
+                    "retried": j.retried,
+                    "stats": j.stats.to_json(),
+                }
+            })
+            .collect();
+        let report = object! {
+            "schema": FIGURE_SCHEMA,
+            "figure": self.figure.as_str(),
+            "cores": self.cores,
+            "instructions_per_core": self.instructions_per_core,
+            "config_fingerprint": format!("0x{:016x}", self.config_fingerprint),
+            "jobs_used": if canonical { 0 } else { self.jobs_used },
+            "wall_s": wall_s(self.wall_s),
+            "jobs": jobs,
+        };
+        json::render(&report, &["jobs"])
     }
 
     /// Writes the results file atomically (temp file + rename), like the
@@ -811,10 +801,12 @@ impl FigureResults {
             let s = v.as_str()?;
             u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
         };
+        let missing = |what: &str| bad(&format!("missing {what}"));
+        let u = |k: &str| v.get(k).and_then(Value::as_u64).ok_or_else(|| missing(k));
         let jobs = v
             .get("jobs")
             .and_then(Value::as_array)
-            .ok_or_else(|| bad("missing jobs array"))?
+            .ok_or_else(|| missing("jobs array"))?
             .iter()
             .map(|j| {
                 Some(JobRecord {
@@ -831,28 +823,19 @@ impl FigureResults {
             figure: v
                 .get("figure")
                 .and_then(Value::as_str)
-                .ok_or_else(|| bad("missing figure id"))?
+                .ok_or_else(|| missing("figure id"))?
                 .to_string(),
-            cores: v
-                .get("cores")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| bad("missing cores"))? as usize,
-            instructions_per_core: v
-                .get("instructions_per_core")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| bad("missing instructions_per_core"))?,
+            cores: u("cores")? as usize,
+            instructions_per_core: u("instructions_per_core")?,
             config_fingerprint: v
                 .get("config_fingerprint")
                 .and_then(fingerprint_of)
-                .ok_or_else(|| bad("missing config_fingerprint"))?,
-            jobs_used: v
-                .get("jobs_used")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| bad("missing jobs_used"))? as usize,
+                .ok_or_else(|| missing("config_fingerprint"))?,
+            jobs_used: u("jobs_used")? as usize,
             wall_s: v
                 .get("wall_s")
                 .and_then(Value::as_f64)
-                .ok_or_else(|| bad("missing wall_s"))?,
+                .ok_or_else(|| missing("wall_s"))?,
             jobs,
         })
     }

@@ -1,24 +1,8 @@
-//! `norush` command-line interface.
-//!
-//! ```text
-//! norush list
-//! norush table1
-//! norush run <benchmark> [--cores N] [--instr N] [--seed S] [--policy P]
-//!            [--check [K]] [--watchdog N] [--rewind K] [--chaos SEED]
-//!            [--chaos-latency N] [--chaos-drop P] [--chaos-dup P]
-//!            [--chaos-corrupt P] [--oracle] [--chaos-shrink]
-//!            [--checkpoint-every K] [--ckpt-dir D] [--resume]
-//! norush compare <benchmark> [--cores N] [--instr N] [--seed S] [--jobs N]
-//! norush soak [--phases N] [--policies P,Q] [--kernel K] [--seed S] [...]
-//! norush fuzz [--policy P] [--kernel K] [--budget N] [--seed S] [--jobs N]
-//!             [--inject-early-unblock] [--resume] [--replay HEX] [...]
-//! norush litmus [--test T,U] [--policies P,Q] [--samples N] [--seed S] [--jobs N]
-//! norush explore [--test T,U] [--policy P] [--depth N] [--delays N] [--jobs N]
-//!                [--require-witness] [--inject-early-unblock] [--replay HEX]
-//! norush microbench [--iters N] [--fenced]
-//! norush record <benchmark> <file> [--instr N] [--tid T] [--threads N]
-//! norush replay <file> [--policy P]
-//! ```
+//! `norush` command-line interface: `list`, `table1`, `run`, `profile`,
+//! `compare`, `soak`, `fuzz`, `litmus`, `explore`, `microbench`, `record`
+//! and `replay`. Each subcommand's entry in [`COMMANDS`] lists the flags it
+//! accepts; `norush <command> --help` prints that list, and any other flag
+//! is rejected before the command runs.
 //!
 //! Policies: `eager` (default), `lazy`, `row`, `row-fwd`, `far`.
 //!
@@ -786,14 +770,28 @@ fn explore_opts(args: &Args) -> Result<norush::sim::ExploreOptions, Box<dyn std:
     Ok(opts)
 }
 
+/// Splits a comma-separated `--{flag}` selection, rejecting an empty one
+/// (`--test ,`, or `--test ""` from an unset shell variable) so it cannot
+/// pass conformance by running nothing.
+fn selection<'a>(flag: &str, v: &'a str) -> Result<Vec<&'a str>, String> {
+    let names: Vec<&str> = v
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .collect();
+    if names.is_empty() {
+        return Err(format!("--{flag}: `{v}` selects nothing"));
+    }
+    Ok(names)
+}
+
 /// Parses `--test T[,U,...]`; absent means the whole suite.
 fn litmus_tests_from(args: &Args) -> Result<Vec<LitmusTest>, Box<dyn std::error::Error>> {
     let Some(v) = args.flags.get("test") else {
         return Ok(LitmusTest::all());
     };
-    v.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
+    selection("test", v)?
+        .into_iter()
         .map(|name| {
             LitmusTest::by_name(name).ok_or_else(|| {
                 format!(
@@ -829,10 +827,9 @@ fn cmd_litmus(args: &Args) -> CliResult {
     use norush::sim::explore;
     let base = explore_opts(args)?;
     let policies: Vec<String> = match args.flags.get("policies").or(args.flags.get("policy")) {
-        Some(v) => v
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
+        Some(v) => selection("policies", v)?
+            .into_iter()
+            .map(str::to_string)
             .collect(),
         None => vec!["eager".into(), "lazy".into(), "row".into()],
     };
@@ -1051,7 +1048,7 @@ fn cmd_compare(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn cmd_list() -> CliResult {
+fn cmd_list(_: &Args) -> CliResult {
     println!(
         "{:15} {:>12} {:>10} {:>9} {:>9}",
         "benchmark", "atomics/10k", "contended", "locality", "hot-lines"
@@ -1152,7 +1149,7 @@ fn cmd_replay(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn cmd_table1() -> CliResult {
+fn cmd_table1(_: &Args) -> CliResult {
     let cfg = SystemConfig::alder_lake_32c();
     println!(
         "cores {}, widths {}/{}/{}, ROB {}, LQ {}, SB {}, AQ {}",
@@ -1203,50 +1200,36 @@ fn usage() -> CliResult {
     println!("  record <bench> <file> [...]        capture a trace file");
     println!("  replay <file> [--policy P]         replay a trace file");
     println!();
-    println!("common flags: --cores N --instr N --seed S --cycles LIMIT");
-    println!("robustness:   --check [K]   invariant sweep every K cycles + deadlock watchdog");
-    println!("              --watchdog N  watchdog window in cycles (default 5000000)");
-    println!("              --rewind K    in-memory checkpoint every K cycles; on a");
-    println!("                            violation, replay from it and report the first");
-    println!("                            offending cycle");
-    println!("              --chaos SEED  seeded message-delivery perturbation");
-    println!("              --chaos-latency N  cap on injected delivery jitter (cycles)");
-    println!("              --chaos-drop P     drop each message with probability P (<= 0.05)");
-    println!("              --chaos-dup P      duplicate each message with probability P");
-    println!("              --chaos-corrupt P  corrupt payloads with probability P;");
-    println!("                                 lossy faults engage the recoverable transport");
-    println!("                                 (sequencing, dedup, checksums, retransmission)");
-    println!("              --oracle      differentially check the finished run against a");
-    println!("                            sequential golden model (journal replay)");
-    println!("              --chaos-shrink     on failure, minimize the chaos config while");
-    println!("                                 the failure persists; writes chaos_repro.txt");
-    println!("              --repro-dir D      where shrunk repros / triage bundles land");
-    println!("                                 (run: cwd; soak: soak_repro; fuzz: fuzz_repro;");
-    println!("                                 litmus/explore: explore_repro)");
-    println!("soak flags:   --phases N --policies P,Q --kernel K|rotate --cores N --seed S");
-    println!("              --ops N --shards N --keys N --zipf-theta T --read-frac F");
-    println!("              --mean-gap G --burst-epoch N --burst-factor B");
-    println!("              --chaos SEED --chaos-latency N --chaos-drop/-dup/-corrupt P");
-    println!("              --chaos-escalation F   per-phase multiplier on the lossy rates");
-    println!("              --phase-cycles N --wall-secs S --checkpoint-every K");
-    println!("              --watchdog N --out FILE --inject-net-zero-faa N (test bug)");
-    println!("fuzz flags:   --policy P --kernel K --budget N --seed S --jobs N --cores N");
-    println!("              --ops N --cycles LIMIT --watchdog N --state FILE --out FILE");
-    println!("              --repro-dir D (default fuzz_repro)");
-    println!("              --inject-early-unblock   arm the planted directory bug (test bug)");
-    println!("              --resume                 continue a campaign from --state");
-    println!("              --replay HEX             re-execute one schedule from its genome");
-    println!("litmus flags: --test T[,U] --policies P,Q --samples N --seed S --jobs N");
-    println!("              --cycles LIMIT --out FILE --repro-dir D (default explore_repro)");
-    println!("explore flags: --test T[,U] --policy P --depth N --delays N --max-runs N");
-    println!("              --cycles LIMIT --jobs N --out FILE --repro-dir D");
-    println!("              --require-witness        also fail when an allowed outcome went");
-    println!("                                       unwitnessed within the bounds");
-    println!("              --inject-early-unblock   arm the planted directory bug (test bug)");
-    println!(
-        "              --replay HEX             re-execute one decision vector (needs --test)"
-    );
-    println!("checkpointing (run): --checkpoint-every K --ckpt-dir D --resume");
+    println!("`norush <command> --help` lists the flags a command accepts; any other");
+    println!("flag is an error. What the less obvious ones do:");
+    println!("  --check [K]         invariant sweep every K cycles + deadlock watchdog");
+    println!("  --watchdog N        watchdog window in cycles (run default 5000000)");
+    println!("  --rewind K          in-memory checkpoint every K cycles; on a violation,");
+    println!("                      replay from it and report the first offending cycle");
+    println!("  --chaos SEED        seeded message-delivery perturbation");
+    println!("  --chaos-latency N   cap on injected delivery jitter (cycles)");
+    println!("  --chaos-drop P      drop each message with probability P (<= 0.05)");
+    println!("  --chaos-dup P       duplicate each message with probability P");
+    println!("  --chaos-corrupt P   corrupt payloads with probability P; lossy faults");
+    println!("                      engage the recoverable transport (sequencing, dedup,");
+    println!("                      checksums, retransmission)");
+    println!("  --chaos-escalation F  soak: per-phase multiplier on the lossy rates");
+    println!("  --oracle            differentially check the finished run against a");
+    println!("                      sequential golden model (journal replay)");
+    println!("  --chaos-shrink      on failure, minimize the chaos config while the");
+    println!("                      failure persists; writes chaos_repro.txt");
+    println!("  --repro-dir D       where shrunk repros / triage bundles land (run: cwd;");
+    println!("                      soak: soak_repro; fuzz: fuzz_repro; litmus/explore:");
+    println!("                      explore_repro)");
+    println!("  --checkpoint-every K  checkpoint every K cycles (run: into --ckpt-dir D;");
+    println!("                      --resume continues from it)");
+    println!("  --resume            fuzz: continue a campaign from --state FILE");
+    println!("  --replay HEX        fuzz/explore: re-execute one schedule (explore needs");
+    println!("                      --test)");
+    println!("  --require-witness   explore: also fail when an allowed outcome went");
+    println!("                      unwitnessed within the bounds");
+    println!("  --inject-early-unblock   fuzz/litmus/explore: arm the planted directory bug");
+    println!("  --inject-net-zero-faa N  soak: lose the Nth FAA and double-apply the next");
     println!("policies: eager lazy row row-fwd far");
     println!("litmus tests: {}", LitmusTest::names().join(" "));
     println!();
@@ -1255,112 +1238,252 @@ fn usage() -> CliResult {
     Ok(())
 }
 
-/// Focused `--help` text for one subcommand: the command line from the
-/// header plus the flag groups that apply to it. `norush <cmd> --help`.
-fn sub_help(cmd: &str) -> CliResult {
-    let text = match cmd {
-        "list" => "norush list\n  Print the calibrated benchmark models (no flags).",
-        "table1" => "norush table1\n  Print the Table I system parameters (no flags).",
-        "run" => {
-            "norush run <benchmark> [--cores N] [--instr N] [--seed S] [--policy P]\n\
-             \x20          [--check [K]] [--watchdog N] [--rewind K] [--chaos SEED]\n\
-             \x20          [--chaos-latency N] [--chaos-drop P] [--chaos-dup P]\n\
-             \x20          [--chaos-corrupt P] [--oracle] [--chaos-shrink] [--repro-dir D]\n\
-             \x20          [--checkpoint-every K] [--ckpt-dir D] [--resume]\n\
-             \x20 One simulation with stats; exits 1 on an invariant/oracle violation."
-        }
-        "profile" => {
-            "norush profile <benchmark> [--cores N] [--instr N] [--seed S] [--policy P]\n\
-             \x20          [--check [K]] [--chaos SEED] [...]\n\
-             \x20 One simulation timed by hot-loop component: cycles/sec plus the\n\
-             \x20 memory-tick / core-step / invariant-sweep wall-clock split."
-        }
-        "compare" => {
-            "norush compare <benchmark> [--cores N] [--instr N] [--seed S] [--jobs N]\n\
-             \x20 The eager/lazy/row/row-fwd/far table for one benchmark."
-        }
-        "soak" => {
-            "norush soak [--phases N] [--policies P,Q] [--kernel K|rotate] [--cores N]\n\
-             \x20          [--seed S] [--ops N] [--shards N] [--keys N] [--zipf-theta T]\n\
-             \x20          [--read-frac F] [--mean-gap G] [--burst-epoch N] [--burst-factor B]\n\
-             \x20          [--chaos SEED] [--chaos-latency N] [--chaos-drop/-dup/-corrupt P]\n\
-             \x20          [--chaos-escalation F] [--phase-cycles N] [--wall-secs S]\n\
-             \x20          [--checkpoint-every K] [--watchdog N] [--out FILE] [--repro-dir D]\n\
-             \x20          [--inject-net-zero-faa N]\n\
-             \x20 Phased lock-service soak with the online linearizability checker;\n\
-             \x20 exits 1 on a violation (triage bundle in --repro-dir, default soak_repro)."
-        }
-        "fuzz" => {
-            "norush fuzz [--policy P] [--kernel counter|mpmc-queue|mw-register] [--cores N]\n\
-             \x20          [--ops N] [--seed S] [--budget N] [--jobs N] [--cycles LIMIT]\n\
-             \x20          [--watchdog N] [--state FILE] [--out FILE] [--repro-dir D]\n\
-             \x20          [--inject-early-unblock] [--resume] [--replay HEX]\n\
-             \x20 Coverage-guided protocol-schedule fuzzing; exits 1 on a finding\n\
-             \x20 (minimized repro + triage bundle in --repro-dir, default fuzz_repro)."
-        }
-        "litmus" => {
-            "norush litmus [--test T[,U]] [--policies P,Q] [--samples N] [--seed S]\n\
-             \x20          [--jobs N] [--cycles LIMIT] [--out FILE] [--repro-dir D]\n\
-             \x20 TSO litmus conformance in sampling mode: each (test x policy) cell runs\n\
-             \x20 the default schedule plus seeded pseudo-random delay vectors, recording\n\
-             \x20 outcome frequencies. Default: whole suite x eager,lazy,row. Writes a\n\
-             \x20 norush-litmus-v1 report (default litmus_report.json); exits 1 on any\n\
-             \x20 forbidden/unlisted outcome or structural violation."
-        }
-        "explore" => {
-            "norush explore [--test T[,U]] [--policy P] [--depth N] [--delays N]\n\
-             \x20          [--max-runs N] [--cycles LIMIT] [--jobs N] [--out FILE]\n\
-             \x20          [--repro-dir D] [--require-witness] [--inject-early-unblock]\n\
-             \x20          [--replay HEX]\n\
-             \x20 Bounded-exhaustive exploration: DFS over message-delivery and\n\
-             \x20 atomic-commit decision points (first --depth points, at most --delays\n\
-             \x20 deviations per schedule) with partial-order reduction and frontier\n\
-             \x20 state dedup. Asserts declared-forbidden outcomes unreachable; with\n\
-             \x20 --require-witness also that every allowed outcome was observed.\n\
-             \x20 Violations are minimized and written to --repro-dir with a --replay\n\
-             \x20 repro command; exits 1 on a violation."
-        }
-        "microbench" => {
-            "norush microbench [--iters N] [--fenced]\n\x20 Fig. 2 cycles/iteration table."
-        }
-        "record" => {
-            "norush record <benchmark> <file> [--instr N] [--tid T] [--threads N] [--seed S]\n\
-             \x20 Capture a trace file for later replay."
-        }
-        "replay" => "norush replay <file> [--policy P]\n\x20 Replay a recorded trace file.",
-        _ => return usage(),
-    };
-    println!("{text}");
-    Ok(())
+/// The flags [`exp_from`] reads (`run`, `profile`, `compare`).
+const EXP_FLAGS: &str = "--cores N --instr N --seed S --cycles LIMIT --check [K] --watchdog N \
+                         --rewind K --chaos [SEED] --chaos-latency N --chaos-drop P \
+                         --chaos-dup P --chaos-corrupt P --oracle";
+
+/// One subcommand. Its `--help` text and the flag check before dispatch
+/// both read `flags`, so the two cannot drift apart.
+struct Command {
+    name: &'static str,
+    /// Positional arguments, e.g. ` <benchmark>`.
+    args: &'static str,
+    /// Accepted flags, in groups: each `--name` followed by the value it
+    /// takes (`[K]` when the value is optional), or by nothing for a switch.
+    flags: &'static [&'static str],
+    /// The `--help` description.
+    about: &'static str,
+    run: fn(&Args) -> CliResult,
 }
+
+impl Command {
+    /// Every accepted flag as `(name, value)`, `value` empty for a switch.
+    fn flags(&self) -> impl Iterator<Item = (&'static str, &'static str)> {
+        self.flags.iter().flat_map(|group| {
+            let mut words = group.split_whitespace().peekable();
+            std::iter::from_fn(move || {
+                let name = words
+                    .next()?
+                    .strip_prefix("--")
+                    .expect("flag lists name --flags");
+                Some((name, words.next_if(|w| !w.starts_with("--")).unwrap_or("")))
+            })
+        })
+    }
+
+    /// `norush <cmd> --help`: the synopsis built from the flag list,
+    /// wrapped, then the description.
+    fn help(&self) -> String {
+        let mut lines = vec![format!("norush {}{}", self.name, self.args)];
+        for (name, value) in self.flags() {
+            let sep = if value.is_empty() { "" } else { " " };
+            let item = format!("[--{name}{sep}{value}]");
+            let line = lines.last_mut().expect("synopsis line");
+            if line.len() + 1 + item.len() > 80 {
+                lines.push(format!("{:10} {item}", ""));
+            } else {
+                line.push(' ');
+                line.push_str(&item);
+            }
+        }
+        lines.extend(self.about.lines().map(|l| format!("  {l}")));
+        lines.join("\n")
+    }
+
+    /// Rejects a flag the command does not list, a switch given a value,
+    /// and a flag missing its required value.
+    fn check_flags(&self, args: &Args) -> Result<(), String> {
+        let given = args.flags.keys().map(|k| (k, true));
+        let mut errors: Vec<String> = given
+            .chain(args.switches.iter().map(|k| (k, false)))
+            .filter_map(|(name, has_value)| {
+                match self.flags().find(|(f, _)| f == name).map(|(_, v)| v) {
+                    None => Some(format!("unknown flag --{name}")),
+                    Some("") if has_value => Some(format!("--{name} takes no value")),
+                    Some(v) if !has_value && !v.is_empty() && !v.starts_with('[') => {
+                        Some(format!("--{name} needs a value ({v})"))
+                    }
+                    _ => None,
+                }
+            })
+            .collect();
+        errors.sort();
+        if errors.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
+            "{}: {} (see `norush {} --help`)",
+            self.name,
+            errors.join("; "),
+            self.name
+        ))
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "list",
+        args: "",
+        flags: &[],
+        about: "Print the calibrated benchmark models (no flags).",
+        run: cmd_list,
+    },
+    Command {
+        name: "table1",
+        args: "",
+        flags: &[],
+        about: "Print the Table I system parameters (no flags).",
+        run: cmd_table1,
+    },
+    Command {
+        name: "run",
+        args: " <benchmark>",
+        flags: &[
+            "--policy P",
+            EXP_FLAGS,
+            "--chaos-shrink --repro-dir D --checkpoint-every K --ckpt-dir D --resume",
+        ],
+        about: "One simulation with stats; exits 1 on an invariant/oracle violation.",
+        run: cmd_run,
+    },
+    Command {
+        name: "profile",
+        args: " <benchmark>",
+        flags: &["--policy P", EXP_FLAGS],
+        about: "One simulation timed by hot-loop component: cycles/sec plus the\n\
+                memory-tick / core-step / invariant-sweep wall-clock split.",
+        run: cmd_profile,
+    },
+    Command {
+        name: "compare",
+        args: " <benchmark>",
+        flags: &["--jobs N", EXP_FLAGS],
+        about: "The eager/lazy/row/row-fwd/far table for one benchmark.",
+        run: cmd_compare,
+    },
+    Command {
+        name: "soak",
+        args: "",
+        flags: &[
+            "--phases N --policies P,Q --kernel K|rotate --cores N --seed S --ops N \
+                  --shards N --keys N --zipf-theta T --read-frac F --mean-gap G \
+                  --burst-epoch N --burst-factor B --chaos SEED --chaos-latency N \
+                  --chaos-drop P --chaos-dup P --chaos-corrupt P --chaos-escalation F \
+                  --phase-cycles N --wall-secs S --checkpoint-every K --watchdog N \
+                  --out FILE --repro-dir D --inject-net-zero-faa N",
+        ],
+        about: "Phased lock-service soak with the online linearizability checker;\n\
+                exits 1 on a violation (triage bundle in --repro-dir, default soak_repro).",
+        run: cmd_soak,
+    },
+    Command {
+        name: "fuzz",
+        args: "",
+        flags: &[
+            "--policy P --kernel counter|mpmc-queue|mw-register --cores N --ops N \
+                  --seed S --budget N --jobs N --cycles LIMIT --watchdog N --state FILE \
+                  --out FILE --repro-dir D --inject-early-unblock --resume --replay HEX",
+        ],
+        about: "Coverage-guided protocol-schedule fuzzing; exits 1 on a finding\n\
+                (minimized repro + triage bundle in --repro-dir, default fuzz_repro).",
+        run: cmd_fuzz,
+    },
+    Command {
+        name: "litmus",
+        args: "",
+        flags: &[
+            "--test T[,U] --policies P,Q --policy P --samples N --seed S --jobs N \
+                  --cycles LIMIT --out FILE --repro-dir D --inject-early-unblock",
+        ],
+        about: "TSO litmus conformance in sampling mode: each (test x policy) cell runs\n\
+                the default schedule plus seeded pseudo-random delay vectors, recording\n\
+                outcome frequencies. Default: whole suite x eager,lazy,row; --policy P\n\
+                is short for --policies P. Writes a norush-litmus-v1 report (default\n\
+                litmus_report.json); exits 1 on any forbidden/unlisted outcome or\n\
+                structural violation.",
+        run: cmd_litmus,
+    },
+    Command {
+        name: "explore",
+        args: "",
+        flags: &[
+            "--test T[,U] --policy P --depth N --delays N --max-runs N --cycles LIMIT \
+                  --jobs N --out FILE --repro-dir D --require-witness --inject-early-unblock \
+                  --replay HEX",
+        ],
+        about: "Bounded-exhaustive exploration: DFS over message-delivery and\n\
+                atomic-commit decision points (first --depth points, at most --delays\n\
+                deviations per schedule) with partial-order reduction and frontier\n\
+                state dedup. Asserts declared-forbidden outcomes unreachable; with\n\
+                --require-witness also that every allowed outcome was observed.\n\
+                Violations are minimized and written to --repro-dir with a --replay\n\
+                repro command; exits 1 on a violation.",
+        run: cmd_explore,
+    },
+    Command {
+        name: "microbench",
+        args: "",
+        flags: &["--iters N --fenced"],
+        about: "Fig. 2 cycles/iteration table.",
+        run: cmd_microbench,
+    },
+    Command {
+        name: "record",
+        args: " <benchmark> <file>",
+        flags: &["--instr N --tid T --threads N --seed S"],
+        about: "Capture a trace file for later replay.",
+        run: cmd_record,
+    },
+    Command {
+        name: "replay",
+        args: " <file>",
+        flags: &["--policy P"],
+        about: "Replay a recorded trace file.",
+        run: cmd_replay,
+    },
+];
 
 fn main() -> CliResult {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() {
         return usage();
     }
-    let cmd = raw.remove(0);
+    let name = raw.remove(0);
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        if matches!(name.as_str(), "help" | "--help" | "-h") {
+            return usage();
+        }
+        eprintln!("unknown command `{name}`\n");
+        usage()?;
+        std::process::exit(1);
+    };
     let args = parse_args(raw);
     if args.switches.contains("help") || args.flags.contains_key("help") {
-        return sub_help(&cmd);
+        println!("{}", cmd.help());
+        return Ok(());
     }
-    match cmd.as_str() {
-        "list" => cmd_list(),
-        "table1" => cmd_table1(),
-        "run" => cmd_run(&args),
-        "profile" => cmd_profile(&args),
-        "compare" => cmd_compare(&args),
-        "soak" => cmd_soak(&args),
-        "fuzz" => cmd_fuzz(&args),
-        "litmus" => cmd_litmus(&args),
-        "explore" => cmd_explore(&args),
-        "microbench" => cmd_microbench(&args),
-        "record" => cmd_record(&args),
-        "replay" => cmd_replay(&args),
-        "help" | "--help" | "-h" => usage(),
-        other => {
-            eprintln!("unknown command `{other}`\n");
-            usage()
+    cmd.check_flags(&args)?;
+    (cmd.run)(&args)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn help_names_every_flag_a_command_accepts() {
+        for cmd in COMMANDS {
+            let help = cmd.help();
+            for (name, _) in cmd.flags() {
+                let flag = format!("--{name}");
+                assert!(
+                    help.split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+                        .any(|w| w == flag),
+                    "`norush {} --help` omits {flag}:\n{help}",
+                    cmd.name
+                );
+            }
         }
     }
 }

@@ -75,6 +75,18 @@ fn config_errors_exit_nonzero_with_stderr() {
         &["profile", "pc", "--cores", "0"],
         &["compare", "pc", "--cores", "0"],
         &["record", "pc", "t.trace", "--tid", "4", "--threads", "4"],
+        // A misspelt flag is an error, not silently ignored; so is a flag
+        // missing its value or a switch given one.
+        &["run", "pc", "--polcy", "row"],
+        &["compare", "pc", "--samples", "8"],
+        &["run", "pc", "--policy"],
+        &["run", "pc", "--oracle", "1"],
+        &["nonesuch"],
+        // An empty selection must not pass conformance by running nothing.
+        &["litmus", "--test", ","],
+        &["litmus", "--test", ""],
+        &["litmus", "--test", "sb", "--policies", ","],
+        &["explore", "--test", ","],
     ];
     for args in cases {
         let out = Command::new(BIN)
@@ -93,6 +105,17 @@ fn config_errors_exit_nonzero_with_stderr() {
             args.join(" ")
         );
     }
+}
+
+#[test]
+fn unknown_flag_error_names_the_flag() {
+    let out = Command::new(BIN)
+        .args(["run", "pc", "--polcy", "row"])
+        .output()
+        .expect("spawn norush");
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.contains("--polcy"), "error must name the flag: {err}");
+    assert!(out.stdout.is_empty(), "nothing may run: {:?}", out.stdout);
 }
 
 #[test]

@@ -112,12 +112,16 @@ fn litmus_report_is_byte_identical_across_jobs() {
     let dir = std::env::temp_dir();
     let out1 = dir.join(format!("norush_litmus_j1_{}.json", std::process::id()));
     let out4 = dir.join(format!("norush_litmus_j4_{}.json", std::process::id()));
+    // A clean run still creates its repro dir; keep it out of the checkout.
+    let repro = dir.join(format!("norush_litmus_repro_{}", std::process::id()));
     for (jobs, out) in [("1", &out1), ("4", &out4)] {
         let status = Command::new(BIN)
             .args(["litmus", "--test", "sb,mp", "--policies", "eager,row"])
             .args(["--samples", "40", "--seed", "7", "--jobs", jobs])
             .arg("--out")
             .arg(out)
+            .arg("--repro-dir")
+            .arg(&repro)
             .status()
             .expect("spawn norush litmus");
         assert!(status.success(), "litmus --jobs {jobs} failed");
@@ -126,6 +130,7 @@ fn litmus_report_is_byte_identical_across_jobs() {
     let r4 = std::fs::read(&out4).expect("read jobs-4 report");
     let _ = std::fs::remove_file(&out1);
     let _ = std::fs::remove_file(&out4);
+    let _ = std::fs::remove_dir_all(&repro);
     assert_eq!(
         r1, r4,
         "litmus report differs between --jobs 1 and --jobs 4"
