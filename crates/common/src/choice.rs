@@ -14,18 +14,16 @@
 //!   commit stage) — the paper's "no rush" knob turned into an enumerable
 //!   choice.
 //!
-//! Instrumented components ask through the thread-local controller
-//! ([`install`]/[`choose`]/[`take`]), mirroring [`crate::coverage`]'s sink
-//! idiom: when no controller is installed (every non-explore run) [`choose`]
-//! returns alternative 0 — the undelayed default — after one thread-local
-//! read, so normal simulations are bit-for-bit unaffected.
+//! A [`Schedule`] is a plain value the explorer hands to the machine it
+//! runs (`row_mem`'s `MemorySystem` holds it; cores ask through the memory
+//! system). A machine without one takes alternative 0 — the undelayed
+//! default — at every point, so normal simulations are bit-for-bit
+//! unaffected.
 //!
-//! The controller replays a *forced prefix* of alternatives (the explorer's
+//! The schedule replays a *forced prefix* of alternatives (the explorer's
 //! DFS path) and records every decision point encountered, with enough
 //! metadata (kind, endpoints, line, cycle) for dynamic partial-order
 //! reduction to decide which alternatives commute.
-
-use std::cell::RefCell;
 
 /// Base delay unit, in cycles, for [`ChoiceKind::Delivery`] decision points.
 /// Sized to a round trip through a couple of mesh hops so one quantum
@@ -72,7 +70,7 @@ pub enum ChoiceKind {
     Commit,
 }
 
-/// One decision point the controller encountered, with the alternative that
+/// One decision point a [`Schedule`] encountered, with the alternative that
 /// was taken and the metadata partial-order reduction needs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DecisionRecord {
@@ -92,67 +90,49 @@ pub struct DecisionRecord {
     pub chosen: u8,
 }
 
-struct Controller {
+/// An explorer schedule: the forced decision vector and the log of every
+/// decision point taken so far. Not part of a machine checkpoint (the same
+/// derived-state rule as sleep/wake): a restore leaves it as it was.
+#[derive(Clone, Debug)]
+pub struct Schedule {
     forced: Vec<u8>,
     taken: Vec<DecisionRecord>,
 }
 
-thread_local! {
-    static CTRL: RefCell<Option<Controller>> = const { RefCell::new(None) };
-}
-
-/// Installs a decision controller on this thread. The first
-/// `forced.len()` decision points replay the given alternatives (clamped to
-/// each point's arity); every later point takes alternative 0. Collection
-/// ends at [`take`].
-pub fn install(forced: Vec<u8>) {
-    CTRL.with(|c| {
-        *c.borrow_mut() = Some(Controller {
+impl Schedule {
+    /// A schedule whose first `forced.len()` decision points replay the
+    /// given alternatives (clamped to [`N_ALTS`]); every later point takes
+    /// alternative 0.
+    pub fn new(forced: Vec<u8>) -> Self {
+        Schedule {
             forced,
             taken: Vec::new(),
-        })
-    });
-}
-
-/// Removes this thread's controller and returns the decision points it saw,
-/// in encounter order. `None` when no controller was installed.
-pub fn take() -> Option<Vec<DecisionRecord>> {
-    CTRL.with(|c| c.borrow_mut().take().map(|ctrl| ctrl.taken))
-}
-
-/// Number of decision points consumed so far on this thread (0 when no
-/// controller is installed). The explorer polls this between machine steps
-/// to learn when to snapshot for state-hash deduplication.
-pub fn consumed() -> usize {
-    CTRL.with(|c| c.borrow().as_ref().map_or(0, |ctrl| ctrl.taken.len()))
-}
-
-/// Asks the controller for the alternative to take at one decision point.
-/// Returns 0 — the undelayed default — when no controller is installed.
-pub fn choose(kind: ChoiceKind, src: u16, dst: u16, line: u64, cycle: u64, n_alts: u8) -> u8 {
-    debug_assert!(n_alts >= 1);
-    CTRL.with(|c| match c.borrow_mut().as_mut() {
-        None => 0,
-        Some(ctrl) => {
-            let idx = ctrl.taken.len();
-            let chosen = ctrl
-                .forced
-                .get(idx)
-                .copied()
-                .unwrap_or(0)
-                .min(n_alts.saturating_sub(1));
-            ctrl.taken.push(DecisionRecord {
-                kind,
-                src,
-                dst,
-                line,
-                cycle,
-                n_alts,
-                chosen,
-            });
-            chosen
         }
-    })
+    }
+
+    /// Takes the alternative for the next decision point (one of
+    /// [`N_ALTS`]) and logs it.
+    pub fn decide(&mut self, kind: ChoiceKind, src: u16, dst: u16, line: u64, cycle: u64) -> u8 {
+        let idx = self.taken.len();
+        let chosen = self.forced.get(idx).copied().unwrap_or(0).min(N_ALTS - 1);
+        self.taken.push(DecisionRecord {
+            kind,
+            src,
+            dst,
+            line,
+            cycle,
+            n_alts: N_ALTS,
+            chosen,
+        });
+        chosen
+    }
+
+    /// Every decision point taken so far, in encounter order. The explorer
+    /// polls its length between machine steps to learn when to snapshot
+    /// for state-hash deduplication.
+    pub fn decisions(&self) -> &[DecisionRecord] {
+        &self.taken
+    }
 }
 
 #[cfg(test)]
@@ -160,35 +140,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uninstalled_is_default_and_records_nothing() {
-        assert!(take().is_none());
-        assert_eq!(choose(ChoiceKind::Delivery, 0, 1, 64, 10, 2), 0);
-        assert_eq!(consumed(), 0);
-        assert!(take().is_none());
-    }
-
-    #[test]
     fn forced_prefix_then_defaults() {
-        install(vec![1, 0, 1]);
-        assert_eq!(choose(ChoiceKind::Delivery, 0, 1, 64, 10, 2), 1);
-        assert_eq!(choose(ChoiceKind::Commit, 1, 1, 64, 20, 2), 0);
-        assert_eq!(choose(ChoiceKind::Delivery, 1, 0, 128, 30, 2), 1);
-        assert_eq!(choose(ChoiceKind::Delivery, 0, 1, 64, 40, 2), 0);
-        assert_eq!(consumed(), 4);
-        let recs = take().unwrap();
+        let mut s = Schedule::new(vec![1, 0, 2]);
+        assert_eq!(s.decide(ChoiceKind::Delivery, 0, 1, 64, 10), 1);
+        assert_eq!(s.decide(ChoiceKind::Commit, 1, 1, 64, 20), 0);
+        assert_eq!(s.decide(ChoiceKind::Delivery, 1, 0, 128, 30), 2);
+        assert_eq!(s.decide(ChoiceKind::Delivery, 0, 1, 64, 40), 0);
+        let recs = s.decisions();
         assert_eq!(recs.len(), 4);
         assert_eq!(recs[0].chosen, 1);
+        assert_eq!(recs[1].kind, ChoiceKind::Commit);
         assert_eq!(recs[2].line, 128);
         assert_eq!(recs[3].chosen, 0);
-        assert!(take().is_none());
     }
 
     #[test]
     fn forced_alternative_clamps_to_arity() {
-        install(vec![200]);
-        assert_eq!(choose(ChoiceKind::Delivery, 0, 1, 64, 10, 2), 1);
-        let recs = take().unwrap();
-        assert_eq!(recs[0].chosen, 1);
+        let mut s = Schedule::new(vec![200]);
+        assert_eq!(s.decide(ChoiceKind::Delivery, 0, 1, 64, 10), N_ALTS - 1);
+        assert_eq!(s.decisions()[0].n_alts, N_ALTS);
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //! hashing the fuzzer uses for corpus dedup is computed over this bitmap via
 //! [`CoverageMap::fingerprint`].
 //!
-//! Instrumented components record through the thread-local sink
-//! ([`install`]/[`record`]/[`take`]) so hot-path handlers need no extra
-//! plumbing; when no sink is installed (every non-fuzz run) [`record`] is a
-//! cheap no-op and simulation results are unaffected.
+//! Counting is always on: each instrumented component (directory bank,
+//! private cache, transport, core) keeps [`DomainCounts`] for its own domain
+//! beside its statistics, and the machine merges them into a [`CoverageMap`]
+//! on demand. The counters are derived state — never checkpointed, and left
+//! untouched by a restore — so they cannot change simulated time.
 
 use crate::persist::{Codec, PersistError, Reader, Writer};
-use std::cell::RefCell;
 
 /// Directory states a message can encounter (index into [`DIR_STATES`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -257,6 +257,35 @@ pub const DOMAINS: &[(&str, usize, usize)] = &[
     ("cpu", CPU_BASE, CPU_COUNT),
 ];
 
+/// One component's hit counters: one per slot of the domain
+/// `[BASE, BASE + N)` it records into. A fixed array, so building a machine
+/// allocates nothing for coverage; [`CoverageMap::add`] merges it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DomainCounts<const BASE: usize, const N: usize>([u64; N]);
+
+impl<const BASE: usize, const N: usize> Default for DomainCounts<BASE, N> {
+    fn default() -> Self {
+        DomainCounts([0; N])
+    }
+}
+
+impl<const BASE: usize, const N: usize> DomainCounts<BASE, N> {
+    /// Records one hit on `slot`, a slot of this domain.
+    pub fn record(&mut self, slot: usize) {
+        let h = &mut self.0[slot - BASE];
+        *h = h.saturating_add(1);
+    }
+}
+
+/// A directory bank's counters.
+pub type DirCounts = DomainCounts<DIR_BASE, DIR_COUNT>;
+/// A private cache's counters.
+pub type PrivCounts = DomainCounts<PRIV_BASE, PRIV_COUNT>;
+/// The transport's counters.
+pub type TransportCounts = DomainCounts<TRANSPORT_BASE, TRANSPORT_COUNT>;
+/// A core's counters.
+pub type CpuCounts = DomainCounts<CPU_BASE, CPU_COUNT>;
+
 /// The transition-coverage map: a hit counter per slot.
 ///
 /// The hit *bit* (count > 0) drives corpus-keeping decisions and the dead-arm
@@ -301,6 +330,13 @@ impl CoverageMap {
     /// Adds `other`'s hit counts into this map (saturating).
     pub fn merge(&mut self, other: &CoverageMap) {
         for (a, b) in self.hits.iter_mut().zip(&other.hits) {
+            *a = a.saturating_add(*b);
+        }
+    }
+
+    /// Adds one component's counters into this map (saturating).
+    pub fn add<const BASE: usize, const N: usize>(&mut self, counts: &DomainCounts<BASE, N>) {
+        for (a, b) in self.hits[BASE..BASE + N].iter_mut().zip(&counts.0) {
             *a = a.saturating_add(*b);
         }
     }
@@ -367,31 +403,6 @@ impl Codec for CoverageMap {
     }
 }
 
-thread_local! {
-    static SINK: RefCell<Option<CoverageMap>> = const { RefCell::new(None) };
-}
-
-/// Installs a fresh coverage sink on this thread. Subsequent [`record`] calls
-/// accumulate into it until [`take`].
-pub fn install() {
-    SINK.with(|s| *s.borrow_mut() = Some(CoverageMap::new()));
-}
-
-/// Records a hit on `slot` into this thread's sink, if one is installed.
-/// A no-op (one thread-local read) otherwise.
-pub fn record(slot: usize) {
-    SINK.with(|s| {
-        if let Some(map) = s.borrow_mut().as_mut() {
-            map.record(slot);
-        }
-    });
-}
-
-/// Removes and returns this thread's sink, ending collection.
-pub fn take() -> Option<CoverageMap> {
-    SINK.with(|s| s.borrow_mut().take())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,6 +449,22 @@ mod tests {
     }
 
     #[test]
+    fn domain_counts_add_at_their_base() {
+        let mut dir = DirCounts::default();
+        let mut cpu = CpuCounts::default();
+        dir.record(dir_slot(DirState::Shared, DirEvent::GetX));
+        dir.record(dir_slot(DirState::Shared, DirEvent::GetX));
+        cpu.record(cpu_slot(CpuEvent::SbDrain));
+        let mut m = CoverageMap::new();
+        m.add(&dir);
+        m.add(&cpu);
+        m.add(&cpu);
+        assert_eq!(m.hits(dir_slot(DirState::Shared, DirEvent::GetX)), 2);
+        assert_eq!(m.hits(cpu_slot(CpuEvent::SbDrain)), 2);
+        assert_eq!(m.covered(), 2);
+    }
+
+    #[test]
     fn fingerprint_ignores_counts() {
         let mut a = CoverageMap::new();
         let mut b = CoverageMap::new();
@@ -460,18 +487,6 @@ mod tests {
         let mut r = Reader::new(&bytes);
         let back = CoverageMap::decode(&mut r).unwrap();
         assert_eq!(back, m);
-    }
-
-    #[test]
-    fn thread_local_sink() {
-        assert!(take().is_none());
-        record(1); // no sink installed: no-op
-        install();
-        record(1);
-        record(2);
-        let map = take().unwrap();
-        assert_eq!(map.covered(), 2);
-        assert!(take().is_none());
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!   resume reads results files back with it.
 //! * [`coverage`] — the protocol transition-coverage map driving the
 //!   schedule fuzzer (`norush fuzz`) and its dead-protocol-arm report.
-//! * [`choice`] — thread-local decision-point hooks (message delivery,
-//!   atomic commit timing) behind the bounded-exhaustive schedule explorer
-//!   (`norush explore`).
+//! * [`choice`] — the explorer's [`Schedule`][choice::Schedule] of
+//!   decision points (message delivery, atomic commit timing) behind the
+//!   bounded-exhaustive schedule explorer (`norush explore`).
 //!
 //! # Example
 //!

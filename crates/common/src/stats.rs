@@ -64,94 +64,6 @@ impl RunningMean {
     }
 }
 
-/// A power-of-two-bucketed latency histogram.
-///
-/// Bucket `i` holds samples in `[2^i, 2^(i+1))` (bucket 0 holds 0 and 1).
-///
-/// # Example
-/// ```
-/// use row_common::stats::Histogram;
-/// let mut h = Histogram::new();
-/// h.add(5);
-/// h.add(300);
-/// assert_eq!(h.count(), 2);
-/// assert!(h.percentile(0.5) <= 300);
-/// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u128,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 64],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn add(&mut self, sample: u64) {
-        let b = (64 - sample.max(1).leading_zeros() - 1) as usize;
-        self.buckets[b] += 1;
-        self.count += 1;
-        self.sum += sample as u128;
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples.
-    pub const fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all samples, or 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Largest sample seen.
-    pub const fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Upper bound of the bucket containing the `q` quantile (`q` in \[0,1\]).
-    /// Returns 0 for an empty histogram.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target.max(1) {
-                return 1u64 << (i + 1);
-            }
-        }
-        self.max
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-}
-
 /// Sub-buckets per power-of-two octave in a [`LogHistogram`].
 const LOG_HIST_SUBS: usize = 4;
 
@@ -161,12 +73,12 @@ const LOG_HIST_BUCKETS: usize = LOG_HIST_SUBS + 62 * LOG_HIST_SUBS;
 
 /// A log-bucketed latency histogram with sub-buckets per octave.
 ///
-/// The plain [`Histogram`] has power-of-two buckets, so a p999 read off it
-/// can be up to 2x away from the true sample. This variant splits every
-/// octave `[2^m, 2^(m+1))` into 4 linear sub-buckets, bounding the relative
-/// quantization error to ~25% while staying a fixed 252-slot array — small
-/// enough to sit in per-core stats and cheap enough for the commit path.
-/// Values 0..=3 get exact buckets.
+/// Plain power-of-two buckets would put a p999 up to 2x away from the true
+/// sample. This histogram splits every octave `[2^m, 2^(m+1))` into 4
+/// linear sub-buckets, bounding the relative quantization error to ~25%
+/// while staying a fixed 252-slot array — small enough to sit in per-core
+/// stats and cheap enough for the commit path. Values 0..=3 get exact
+/// buckets.
 ///
 /// # Example
 /// ```
@@ -515,23 +427,6 @@ impl Codec for RunningMean {
     }
 }
 
-impl Codec for Histogram {
-    fn encode(&self, w: &mut Writer) {
-        self.buckets.encode(w);
-        w.put_u64(self.count);
-        w.put_u128(self.sum);
-        w.put_u64(self.max);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Histogram {
-            buckets: Vec::<u64>::decode(r)?,
-            count: r.get_u64()?,
-            sum: r.get_u128()?,
-            max: r.get_u64()?,
-        })
-    }
-}
-
 impl Codec for AtomicLatencyBreakdown {
     fn encode(&self, w: &mut Writer) {
         self.dispatch_to_issue.encode(w);
@@ -797,47 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_moments() {
-        let mut h = Histogram::new();
-        for v in [1u64, 2, 3, 100, 1000] {
-            h.add(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.max(), 1000);
-        assert!((h.mean() - 221.2).abs() < 0.01);
-    }
-
-    #[test]
-    fn histogram_zero_sample_is_accepted() {
-        let mut h = Histogram::new();
-        h.add(0);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn histogram_percentile_monotone() {
-        let mut h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.add(v);
-        }
-        assert!(h.percentile(0.1) <= h.percentile(0.5));
-        assert!(h.percentile(0.5) <= h.percentile(0.99));
-        assert_eq!(Histogram::new().percentile(0.5), 0);
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = Histogram::new();
-        a.add(10);
-        let mut b = Histogram::new();
-        b.add(20);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), 20);
-    }
-
-    #[test]
     fn log_histogram_buckets_are_contiguous_and_ordered() {
         // Every sample must land in a bucket whose bounds contain it, and
         // bucket indices must be monotone in the sample value.
@@ -857,7 +711,7 @@ mod tests {
         for v in 1..=1000u64 {
             h.add(v);
         }
-        // Sub-bucketing bounds relative error to ~25%; the pow2 Histogram
+        // Sub-bucketing bounds relative error to ~25%; power-of-two buckets
         // would report up to 2x here.
         let p50 = h.percentile(0.5);
         assert!((500..=640).contains(&p50), "p50 {p50}");

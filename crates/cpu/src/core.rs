@@ -25,9 +25,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use row_common::choice;
+use row_common::choice::{self, ChoiceKind};
 use row_common::config::{AtomicPlacement, AtomicPolicy, CoreConfig, DetectorKind, FenceModel};
-use row_common::coverage::{self, CpuEvent};
+use row_common::coverage::{cpu_slot, CpuCounts, CpuEvent};
 use row_common::fastmap::FastMap;
 use row_common::ids::{Addr, CoreId, LineAddr, Pc};
 use row_common::persist::{Codec, Persist, PersistError, Reader, Writer};
@@ -178,11 +178,14 @@ pub struct Core {
 
     last_commit: Cycle,
     stats: CoreStats,
+    /// Atomic-queue and store-buffer edges this core has taken. Derived
+    /// state: never persisted, and a restore leaves it as it was.
+    coverage: CpuCounts,
     load_log: Option<Vec<LoadObservation>>,
     /// Explorer commit-timing decision for the atomic at the ROB head:
-    /// `(uid, release cycle)` chosen via [`row_common::choice`] when the RMW
-    /// first became commit-ready. `None` between atomics. With no controller
-    /// installed the release is the ready cycle itself (no behaviour change).
+    /// `(uid, release cycle)` chosen via [`MemorySystem::decide`] when the
+    /// RMW first became commit-ready. `None` between atomics. Without an
+    /// explorer schedule the release is the ready cycle itself.
     commit_release: Option<(u64, Cycle)>,
     /// ROB-head uid known to still be incomplete (`completed_at == None`),
     /// so `commit` can break without a map lookup on stalled cycles. Cleared
@@ -235,6 +238,7 @@ impl Core {
             force_lazy: BTreeSet::new(),
             last_commit: Cycle::ZERO,
             stats: CoreStats::default(),
+            coverage: CpuCounts::default(),
             load_log: None,
             commit_release: None,
             head_wait: None,
@@ -249,6 +253,12 @@ impl Core {
     /// Statistics gathered so far.
     pub fn stats(&self) -> &CoreStats {
         &self.stats
+    }
+
+    /// Transition coverage (atomic-queue and store-buffer edges) counted so
+    /// far.
+    pub fn coverage(&self) -> &CpuCounts {
+        &self.coverage
     }
 
     /// Moves the statistics out of the core, leaving zeroed counters.
@@ -458,7 +468,7 @@ impl Core {
     /// Advances the core by one cycle.
     pub fn cycle(&mut self, now: Cycle, mem: &mut MemorySystem) {
         self.completions(now, mem);
-        self.commit(now);
+        self.commit(now, mem);
         self.drain_sb(now, mem);
         self.issue(now, mem);
         self.dispatch(now);
@@ -743,12 +753,12 @@ impl Core {
             .is_some_and(|r| r.locality_override() && self.cfg.forward_to_atomics);
         if override_on && self.sb_forward_match(self.aq[pos].order, addr) {
             self.stats.locality_overrides += 1;
-            coverage::record(coverage::cpu_slot(CpuEvent::LocalityOverride));
+            self.coverage.record(cpu_slot(CpuEvent::LocalityOverride));
             self.aq[pos].mode = ExecMode::Eager;
             self.atomic_mem_request(uid, addr, now, mem);
             return;
         }
-        coverage::record(coverage::cpu_slot(CpuEvent::LazyWait));
+        self.coverage.record(cpu_slot(CpuEvent::LazyWait));
         let order = self.entries[&uid].order;
         self.lazy_wait.insert(order, uid);
     }
@@ -793,10 +803,10 @@ impl Core {
         }
         if fwd {
             self.stats.atomics_forwarded += 1;
-            coverage::record(coverage::cpu_slot(CpuEvent::Forwarded));
+            self.coverage.record(cpu_slot(CpuEvent::Forwarded));
         }
         let mode = self.aq.iter().find(|a| a.uid == uid).map(|a| a.mode);
-        coverage::record(coverage::cpu_slot(match (self.far(), mode) {
+        self.coverage.record(cpu_slot(match (self.far(), mode) {
             (true, _) => CpuEvent::FarIssue,
             (false, Some(ExecMode::Lazy)) => CpuEvent::LazyIssue,
             (false, _) => CpuEvent::EagerIssue,
@@ -852,7 +862,7 @@ impl Core {
             self.aq[pos].fill_pending = false;
             if mem.owns(self.id, line) {
                 mem.lock(self.id, line);
-                coverage::record(coverage::cpu_slot(CpuEvent::LockAcquire));
+                self.coverage.record(cpu_slot(CpuEvent::LockAcquire));
                 let a = &mut self.aq[pos];
                 a.locked = true;
                 a.locked_at = Some(now);
@@ -860,7 +870,7 @@ impl Core {
             }
             // The line was stolen while we waited our turn: re-request.
             self.stats.lock_reacquires += 1;
-            coverage::record(coverage::cpu_slot(CpuEvent::LockReacquire));
+            self.coverage.record(cpu_slot(CpuEvent::LockReacquire));
             let a = &mut self.aq[pos];
             a.issued14 = now.timestamp14();
             mem.access(
@@ -888,7 +898,7 @@ impl Core {
     // Commit
     // ------------------------------------------------------------------
 
-    fn commit(&mut self, now: Cycle) {
+    fn commit(&mut self, now: Cycle, mem: &mut MemorySystem) {
         for _ in 0..self.cfg.commit_width {
             let Some(&uid) = self.rob.front() else { break };
             // Memoized stall: the head is known incomplete and nothing has
@@ -916,22 +926,17 @@ impl Core {
                     let sb_drained = self.sb.front().is_none_or(|s| s.order >= order);
                     let ready = e.completed_at.is_some_and(|c| c <= now) && a.locked && sb_drained;
                     // Explorer decision point, asked exactly once when the
-                    // RMW first becomes commit-ready: the controller may hold
+                    // RMW first becomes commit-ready: the schedule may hold
                     // the commit for whole quanta (the paper's "no rush" knob
                     // as an enumerable choice). Alternative 0 — every run
-                    // without a controller — releases at the ready cycle.
+                    // without a schedule — releases at the ready cycle.
                     if ready {
                         let release = match self.commit_release {
                             Some((u, rel)) if u == uid => rel,
                             _ => {
-                                let alt = choice::choose(
-                                    choice::ChoiceKind::Commit,
-                                    self.id.index() as u16,
-                                    self.id.index() as u16,
-                                    a.addr.line().raw(),
-                                    now.raw(),
-                                    choice::N_ALTS,
-                                );
+                                let core = self.id.index() as u16;
+                                let alt =
+                                    mem.decide(ChoiceKind::Commit, core, core, a.addr.line(), now);
                                 let rel = now + choice::commit_delay(alt);
                                 self.commit_release = Some((uid, rel));
                                 rel
@@ -1045,7 +1050,7 @@ impl Core {
         let s = self.sb.remove(pos).expect("present");
         self.sb_miss_inflight = false;
         if self.sb.is_empty() && !self.lazy_wait.is_empty() {
-            coverage::record(coverage::cpu_slot(CpuEvent::SbDrain));
+            self.coverage.record(cpu_slot(CpuEvent::SbDrain));
         }
         if s.atomic {
             self.finish_atomic(uid, now, mem);
@@ -1520,7 +1525,7 @@ impl Core {
             .map(|a| a.order);
         if let Some(order) = victim {
             self.stats.deadlock_breaks += 1;
-            coverage::record(coverage::cpu_slot(CpuEvent::DeadlockBreak));
+            self.coverage.record(cpu_slot(CpuEvent::DeadlockBreak));
             self.force_lazy.insert(order);
             self.head_wait = None;
             self.squash_from(order, now, mem);

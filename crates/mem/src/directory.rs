@@ -43,7 +43,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use row_common::config::CacheConfig;
-use row_common::coverage;
+use row_common::coverage::{self, DirCounts};
 use row_common::fastmap::FastMap;
 use row_common::ids::{CoreId, LineAddr};
 use row_common::persist::{Codec, Persist, PersistError, Reader, Writer};
@@ -162,6 +162,9 @@ pub struct DirBank {
     mem_lat: u64,
     entries: FastMap<LineAddr, Entry>,
     stats: DirStats,
+    /// `(state, event)` transitions this bank has handled. Derived state:
+    /// never persisted, and a restore leaves it as it was.
+    pub(crate) coverage: DirCounts,
     /// Armed test-only planted bug: serve GetS-on-Shared *without* blocking
     /// (the seed-era race PR 6 fixed). See
     /// [`DirBank::inject_early_unblock_for_test`].
@@ -178,6 +181,7 @@ impl DirBank {
             mem_lat,
             entries: FastMap::new(),
             stats: DirStats::default(),
+            coverage: DirCounts::default(),
             early_unblock_bug: false,
         }
     }
@@ -289,9 +293,8 @@ impl DirBank {
         }
     }
 
-    /// Records the `(state, event)` transition-coverage pair for the fuzzer.
-    /// A no-op unless a coverage sink is installed on this thread.
-    fn record_coverage(&self, line: LineAddr, msg: &Msg) {
+    /// Counts the `(state, event)` transition-coverage pair for the fuzzer.
+    fn record_coverage(&mut self, line: LineAddr, msg: &Msg) {
         use coverage::{DirEvent, DirState as CovState};
         let state = match self.entries.get(&line) {
             None => CovState::Uncached,
@@ -311,7 +314,7 @@ impl DirBank {
             Msg::InvAck { .. } => DirEvent::InvAck,
             _ => DirEvent::Other,
         };
-        coverage::record(coverage::dir_slot(state, event));
+        self.coverage.record(coverage::dir_slot(state, event));
     }
 
     /// Cycle at which the L3 slice can supply data for `line` when accessed

@@ -17,7 +17,7 @@
 use std::collections::VecDeque;
 
 use row_common::config::MemoryConfig;
-use row_common::coverage;
+use row_common::coverage::{self, PrivCounts};
 use row_common::fastmap::FastMap;
 use row_common::ids::{CoreId, LineAddr};
 use row_common::persist::{Codec, Persist, PersistError, Reader, Writer};
@@ -137,6 +137,9 @@ pub struct PrivateCache {
     stalled_ext: FastMap<LineAddr, VecDeque<Msg>>,
     prefetcher: Option<IpStridePrefetcher>,
     stats: PrivStats,
+    /// `(state, event)` transitions this controller has handled. Derived
+    /// state: never persisted, and a restore leaves it as it was.
+    pub(crate) coverage: PrivCounts,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -172,6 +175,7 @@ impl PrivateCache {
                 .prefetcher
                 .then(|| IpStridePrefetcher::new(64, cfg.prefetch_degree)),
             stats: PrivStats::default(),
+            coverage: PrivCounts::default(),
         }
     }
 
@@ -553,9 +557,9 @@ impl PrivateCache {
         Ok(())
     }
 
-    /// Records the `(state-before, event)` transition-coverage slot for an
-    /// incoming message. A no-op unless a fuzz coverage sink is installed.
-    fn record_coverage(&self, msg: &Msg) {
+    /// Counts the `(state-before, event)` transition-coverage slot for an
+    /// incoming message.
+    fn record_coverage(&mut self, msg: &Msg) {
         use coverage::{PrivEvent as Ev, PrivState as St};
         let (line, event) = match msg {
             Msg::Inv { line } => (Some(*line), Ev::Inv),
@@ -574,7 +578,7 @@ impl PrivateCache {
             Some(PrivState::M) => St::M,
             Some(PrivState::Evicting) => St::Evicting,
         };
-        coverage::record(coverage::priv_slot(state, event));
+        self.coverage.record(coverage::priv_slot(state, event));
     }
 
     fn apply_external(

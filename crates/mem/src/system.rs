@@ -21,8 +21,9 @@
 
 use std::collections::HashMap;
 
-use row_common::choice;
-use row_common::config::{PerturbConfig, SystemConfig};
+use row_common::choice::{self, ChoiceKind, Schedule};
+use row_common::config::SystemConfig;
+use row_common::coverage::CoverageMap;
 use row_common::fastmap::FastMap;
 use row_common::ids::{Addr, CoreId, LineAddr};
 use row_common::persist::{Codec, Persist, PersistError, Reader, Writer};
@@ -71,10 +72,10 @@ pub struct MemorySystem {
     /// Chaos-mode fault injection plus, when lossy faults are enabled, the
     /// recoverable transport (sequencing, ACK/NACK, retransmission).
     transport: Option<Transport>,
-    /// Schedule-perturbation bursts from the config; kept here (not only in
-    /// the transport) so a checkpoint restore can re-inject them — the burst
-    /// table is configuration, not persisted state.
-    perturb: Option<PerturbConfig>,
+    /// The explorer's schedule (`litmus`/`explore` runs only), asked at
+    /// every message delivery and atomic commit; see [`MemorySystem::decide`].
+    /// Not persisted: a restore leaves it as it was.
+    schedule: Option<Schedule>,
     /// Apply-order journal of architectural writes for the differential
     /// oracle (`CheckConfig::oracle` or `CheckConfig::oracle_online`);
     /// `None` when both are off. In online mode the simulation loop drains
@@ -152,7 +153,7 @@ impl MemorySystem {
                 }
                 t
             },
-            perturb: cfg.check.perturb,
+            schedule: None,
             journal: (cfg.check.oracle || cfg.check.oracle_online).then(Vec::new),
             bug: None,
             err: None,
@@ -430,17 +431,14 @@ impl MemorySystem {
             MsgClass::Control
         };
         let deliver = self.mesh.send(src, dst, class, at);
-        // Explorer decision point: the controller may hold this message for
-        // whole delivery quanta past its mesh-computed cycle. Alternative 0 —
-        // what every run without an installed controller gets — is the
-        // undelayed schedule, bit-for-bit.
-        let alt = choice::choose(
-            choice::ChoiceKind::Delivery,
+        // Explorer decision point: the schedule may hold this message for
+        // whole delivery quanta past its mesh-computed cycle.
+        let alt = self.decide(
+            ChoiceKind::Delivery,
             src.index() as u16,
             dst.index() as u16,
-            msg.line().raw(),
-            at.raw(),
-            choice::N_ALTS,
+            msg.line(),
+            at,
         );
         let deliver = deliver + choice::delivery_delay(alt);
         match self.transport.as_mut() {
@@ -457,6 +455,51 @@ impl MemorySystem {
                 }
             }
         }
+    }
+
+    /// Hands this memory system an explorer schedule: from now on every
+    /// message delivery and atomic commit is a decision point it forces and
+    /// logs.
+    pub fn set_schedule(&mut self, schedule: Schedule) {
+        self.schedule = Some(schedule);
+    }
+
+    /// The explorer schedule, when one was handed in.
+    pub fn schedule(&self) -> Option<&Schedule> {
+        self.schedule.as_ref()
+    }
+
+    /// Asks the schedule for the alternative to take at one decision point
+    /// (`src`/`dst` are mesh nodes for a delivery, the core for a commit).
+    /// Without a schedule this is alternative 0 — the undelayed default,
+    /// bit-for-bit.
+    pub fn decide(
+        &mut self,
+        kind: ChoiceKind,
+        src: u16,
+        dst: u16,
+        line: LineAddr,
+        at: Cycle,
+    ) -> u8 {
+        self.schedule
+            .as_mut()
+            .map_or(0, |s| s.decide(kind, src, dst, line.raw(), at.raw()))
+    }
+
+    /// Transition coverage this memory system's directory banks, private
+    /// caches and transport have counted so far.
+    pub fn coverage(&self) -> CoverageMap {
+        let mut map = CoverageMap::new();
+        for d in &self.dirs {
+            map.add(&d.coverage);
+        }
+        for c in &self.caches {
+            map.add(&c.coverage);
+        }
+        if let Some(t) = &self.transport {
+            map.add(&t.coverage);
+        }
+        map
     }
 
     /// Executes and drains `actions`, leaving the buffer empty for reuse.
@@ -791,15 +834,14 @@ impl Persist for MemorySystem {
         self.words = HashMap::decode(r)?;
         self.starts = FastMap::decode(r)?;
         self.stats = MemStats::decode(r)?;
-        let transport = Option::<Transport>::decode(r)?;
+        let mut transport = Option::<Transport>::decode(r)?;
         if transport.is_some() != self.transport.is_some() {
             return Err(PersistError::Corrupt("chaos-mode presence mismatch"));
         }
-        self.transport = transport;
-        if let Some(t) = self.transport.as_mut() {
-            // The burst table is configuration, not state: re-inject it.
-            t.set_perturb(self.perturb);
+        if let (Some(t), Some(old)) = (transport.as_mut(), self.transport.take()) {
+            t.inherit(old);
         }
+        self.transport = transport;
         let journal = Option::<Vec<OpRecord>>::decode(r)?;
         if journal.is_some() != self.journal.is_some() {
             return Err(PersistError::Corrupt("oracle-journal presence mismatch"));
@@ -864,6 +906,35 @@ mod tests {
         // First touch pays memory latency.
         assert!(at.raw() > 160, "fill at {at}");
         assert_eq!(m.priv_state(CoreId::new(0), line), Some(PrivState::E));
+    }
+
+    #[test]
+    fn missing_schedule_is_default_and_a_forced_one_holds_delivery() {
+        let fill = |schedule: Option<Schedule>| {
+            let mut m = sys(2);
+            if let Some(s) = schedule {
+                m.set_schedule(s);
+            }
+            m.access(
+                CoreId::new(0),
+                LineAddr::new(100),
+                meta(1, AccessKind::Read),
+                Cycle::ZERO,
+            );
+            let (at, ()) = run_until(&mut m, Cycle::ZERO, 2000, |ev| {
+                matches!(ev, MemEvent::Fill { req_id: 1, .. }).then_some(())
+            });
+            (at, m.schedule().map(|s| s.decisions().to_vec()))
+        };
+        let (plain, log) = fill(None);
+        assert!(log.is_none());
+        let (default, log) = fill(Some(Schedule::new(Vec::new())));
+        assert_eq!(default, plain);
+        assert!(log.unwrap().iter().all(|d| d.chosen == 0));
+        let (held, log) = fill(Some(Schedule::new(vec![2])));
+        let first = log.unwrap()[0];
+        assert_eq!((first.kind, first.chosen), (ChoiceKind::Delivery, 2));
+        assert_eq!(held, plain + choice::delivery_delay(2));
     }
 
     #[test]

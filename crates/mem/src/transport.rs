@@ -30,7 +30,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use row_common::config::{FaultConfig, PerturbConfig};
-use row_common::coverage::{self, TransportEvent};
+use row_common::coverage::{transport_slot, TransportCounts, TransportEvent as Ev};
 use row_common::persist::{Codec, PersistError, Reader, Writer};
 use row_common::rng::SplitMix64;
 use row_common::sched::EventQueue;
@@ -124,6 +124,9 @@ pub(crate) struct Transport {
     /// a NACK retransmission) are recognized and skipped on expiry.
     timeouts: EventQueue<(ChanId, u64, u32)>,
     stats: TransportStats,
+    /// Transport events seen. Derived state: not encoded, and carried over
+    /// a restore by [`Transport::inherit`].
+    pub(crate) coverage: TransportCounts,
 }
 
 impl Transport {
@@ -138,6 +141,7 @@ impl Transport {
             rx: BTreeMap::new(),
             timeouts: EventQueue::new(),
             stats: TransportStats::default(),
+            coverage: TransportCounts::default(),
         }
     }
 
@@ -153,11 +157,17 @@ impl Transport {
         })
     }
 
-    /// Installs (or clears) the schedule-perturbation burst table. Called at
-    /// construction and again after a checkpoint restore, since the table is
-    /// configuration, not state.
+    /// Installs (or clears) the schedule-perturbation burst table.
     pub fn set_perturb(&mut self, p: Option<PerturbConfig>) {
         self.perturb_cfg = p;
+    }
+
+    /// Takes over what a checkpoint does not hold from `old`, the transport
+    /// this decoded one replaces on restore: the burst table (configuration)
+    /// and the coverage counter (derived state).
+    pub fn inherit(&mut self, old: Transport) {
+        self.perturb_cfg = old.perturb_cfg;
+        self.coverage = old.coverage;
     }
 
     /// Whether the lossy machinery (sequencing, ACKs, retransmission) is
@@ -211,7 +221,7 @@ impl Transport {
         if let Some(p) = &self.perturb_cfg {
             let extra = p.extra_delay(deliver.raw(), key.0, key.1);
             if extra > 0 {
-                coverage::record(coverage::transport_slot(TransportEvent::BurstDelay));
+                self.coverage.record(transport_slot(Ev::BurstDelay));
                 at += extra;
             }
         }
@@ -247,7 +257,7 @@ impl Transport {
             v
         };
         self.stats.sent += 1;
-        coverage::record(coverage::transport_slot(TransportEvent::Send));
+        self.coverage.record(transport_slot(Ev::Send));
         self.inflight.entry(chan).or_default().insert(
             seq,
             InFlight {
@@ -282,10 +292,10 @@ impl Transport {
             check ^= CORRUPT_MASK;
         }
         if dropped {
-            coverage::record(coverage::transport_slot(TransportEvent::Drop));
+            self.coverage.record(transport_slot(Ev::Drop));
         }
         if duplicated {
-            coverage::record(coverage::transport_slot(TransportEvent::Dup));
+            self.coverage.record(transport_slot(Ev::Dup));
         }
         let frame = Frame::Seq {
             src: chan.0,
@@ -337,7 +347,7 @@ impl Transport {
         let chan = (src_ep, dst_ep);
         if msg_checksum(&msg) != check {
             self.stats.corrupt_dropped += 1;
-            coverage::record(coverage::transport_slot(TransportEvent::CorruptNack));
+            self.coverage.record(transport_slot(Ev::CorruptNack));
             let at = self.control_at(dst_ep, src_ep, now, mesh);
             out.push((
                 at,
@@ -352,21 +362,21 @@ impl Transport {
         let rx = self.rx.entry(chan).or_default();
         if seq < rx.next_expected || rx.buffered.contains_key(&seq) {
             self.stats.dup_dropped += 1;
-            coverage::record(coverage::transport_slot(TransportEvent::Dedup));
+            self.coverage.record(transport_slot(Ev::Dedup));
         } else if seq == rx.next_expected {
             rx.next_expected += 1;
             deliver.push((dst_ep, msg));
             self.stats.delivered += 1;
-            coverage::record(coverage::transport_slot(TransportEvent::Deliver));
+            self.coverage.record(transport_slot(Ev::Deliver));
             while let Some(m) = rx.buffered.remove(&rx.next_expected) {
                 rx.next_expected += 1;
                 deliver.push((dst_ep, m));
                 self.stats.delivered += 1;
-                coverage::record(coverage::transport_slot(TransportEvent::Deliver));
+                self.coverage.record(transport_slot(Ev::Deliver));
             }
         } else {
             rx.buffered.insert(seq, msg);
-            coverage::record(coverage::transport_slot(TransportEvent::ReorderBuffered));
+            self.coverage.record(transport_slot(Ev::ReorderBuffered));
         }
         // ACK every structurally intact arrival — re-ACKing a duplicate
         // covers the lost-ACK case.
@@ -387,7 +397,7 @@ impl Transport {
     pub fn on_ack(&mut self, chan: ChanId, seq: u64) {
         if let Some(msgs) = self.inflight.get_mut(&chan) {
             if msgs.remove(&seq).is_some() {
-                coverage::record(coverage::transport_slot(TransportEvent::Ack));
+                self.coverage.record(transport_slot(Ev::Ack));
             }
             if msgs.is_empty() {
                 self.inflight.remove(&chan);
@@ -410,7 +420,7 @@ impl Transport {
         inf.attempts += 1;
         let (msg, attempts) = (inf.msg, inf.attempts);
         self.stats.nack_retransmits += 1;
-        coverage::record(coverage::transport_slot(TransportEvent::Nack));
+        self.coverage.record(transport_slot(Ev::Nack));
         // Re-arm the timer for the new attempt; the old timer goes stale.
         self.timeouts
             .push(now + Self::timeout_after(attempts), (chan, seq, attempts));
@@ -443,7 +453,7 @@ impl Transport {
             let msg = inf.msg;
             if inf.attempts >= MAX_ATTEMPTS {
                 self.stats.giveups += 1;
-                coverage::record(coverage::transport_slot(TransportEvent::GiveUp));
+                self.coverage.record(transport_slot(Ev::GiveUp));
                 self.on_ack(chan, seq); // Drop it so the error fires once.
                 let e = ProtocolError::TransportGiveUp {
                     src: chan.0,
@@ -462,7 +472,7 @@ impl Transport {
                 inf.attempts = attempts;
             }
             self.stats.retries += 1;
-            coverage::record(coverage::transport_slot(TransportEvent::Retransmit));
+            self.coverage.record(transport_slot(Ev::Retransmit));
             self.timeouts
                 .push(now + Self::timeout_after(attempts), (chan, seq, attempts));
             let class = if msg.carries_data() {
@@ -532,7 +542,7 @@ impl Codec for Transport {
         };
         Ok(Transport {
             cfg,
-            // Config-derived; the owning system re-injects after restore.
+            // Not state: the owning system carries both over on restore.
             perturb_cfg: None,
             rng: SplitMix64::decode(r)?,
             last: HashMap::decode(r)?,
@@ -541,6 +551,7 @@ impl Codec for Transport {
             rx: BTreeMap::decode(r)?,
             timeouts: EventQueue::decode(r)?,
             stats: TransportStats::decode(r)?,
+            coverage: TransportCounts::default(),
         })
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * [`run_litmus`] — the `norush litmus` backend: runs one test under one
 //!   policy `samples` times (sample 0 is the undelayed default schedule,
-//!   later samples force pseudo-random decision vectors through
-//!   [`row_common::choice`]) and histograms the observed outcomes.
+//!   later samples force pseudo-random decision vectors through a
+//!   [`Schedule`]) and histograms the observed outcomes.
 //! * [`explore`] — the `norush explore` backend: depth-first,
 //!   *delay-bounded* enumeration of every schedule deviating from the
 //!   default at no more than [`ExploreOptions::max_delays`] of its first
@@ -38,9 +38,9 @@
 use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 
-use row_common::choice::{self, ChoiceKind, DecisionRecord};
+use row_common::choice::{self, ChoiceKind, DecisionRecord, Schedule};
 use row_common::config::SystemConfig;
-use row_common::coverage::{self, CoverageMap, SLOT_COUNT};
+use row_common::coverage::{CoverageMap, SLOT_COUNT};
 use row_common::json::{self, Value};
 use row_common::object;
 use row_common::persist::fnv1a;
@@ -159,8 +159,7 @@ pub fn run_schedule_full(
     for c in 0..test.cores() {
         m.core_mut(c).record_loads();
     }
-    coverage::install();
-    choice::install(forced.to_vec());
+    m.memory_mut().set_schedule(Schedule::new(forced.to_vec()));
     // Step cycle-by-cycle until the forced prefix is consumed (so the
     // frontier snapshot lands exactly at the end of the consuming cycle),
     // then in coarse strides to completion.
@@ -184,7 +183,8 @@ pub fn run_schedule_full(
                 break;
             }
             Ok(done) => {
-                if frontier_hash.is_none() && choice::consumed() >= forced.len() {
+                let consumed = m.memory().schedule().map_or(0, |s| s.decisions().len());
+                if frontier_hash.is_none() && consumed >= forced.len() {
                     frontier_hash = m.checkpoint().ok().map(|b| fnv1a(&b));
                 }
                 if done.is_some() {
@@ -194,16 +194,17 @@ pub fn run_schedule_full(
             }
         }
     }
-    let decisions = choice::take().unwrap_or_default();
-    let cov = coverage::take().unwrap_or_default();
     Ok((
         ScheduleRun {
             outcome,
             error,
             timed_out,
-            decisions,
+            decisions: m
+                .memory()
+                .schedule()
+                .map_or_else(Vec::new, |s| s.decisions().to_vec()),
             frontier_hash,
-            coverage: cov,
+            coverage: m.coverage(),
         },
         m,
     ))

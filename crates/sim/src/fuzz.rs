@@ -37,7 +37,7 @@
 use std::path::Path;
 
 use row_common::config::{DelayBurst, FaultConfig, PerturbConfig, MAX_BURST_EXTRA};
-use row_common::coverage::{self, CoverageMap, SLOT_COUNT};
+use row_common::coverage::{CoverageMap, SLOT_COUNT};
 use row_common::json::{self, Value};
 use row_common::object;
 use row_common::persist::{fnv1a, write_atomic, Codec, PersistError, Reader, Writer};
@@ -323,14 +323,12 @@ pub struct RunOutcome {
     pub violation: Option<SimError>,
 }
 
-/// Executes one schedule, collecting transition coverage on this thread.
+/// Executes one schedule and reads off the transition coverage it lit.
 pub fn run_one(opts: &FuzzOptions, genome: &ScheduleGenome) -> Result<RunOutcome, String> {
     let mut m = opts.machine(genome)?;
-    coverage::install();
     let res = m.run(opts.cycle_limit);
-    let cov = coverage::take().unwrap_or_default();
     Ok(RunOutcome {
-        coverage: cov,
+        coverage: m.coverage(),
         violation: res.err().filter(|e| violation_kind(e).is_some()),
     })
 }

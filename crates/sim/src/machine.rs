@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 
 use row_check::{check_coherence, IncrementalSweep, StallReport};
 use row_common::config::CheckConfig;
+use row_common::coverage::CoverageMap;
 use row_common::ids::CoreId;
 use row_common::persist::{fnv1a, Codec, Persist, PersistError, Reader, Writer};
 use row_common::stats::{AccuracyCounter, RunningMean, TransportStats};
@@ -346,6 +347,17 @@ impl Machine {
     /// Read access to a core (e.g. to enable load recording before running).
     pub fn core_mut(&mut self, i: usize) -> &mut Core {
         &mut self.cores[i]
+    }
+
+    /// Transition coverage the run has exercised so far: the memory
+    /// system's counters merged with every core's. Not part of a checkpoint;
+    /// a restore leaves it as it was.
+    pub fn coverage(&self) -> CoverageMap {
+        let mut map = self.mem.coverage();
+        for c in &self.cores {
+            map.add(c.coverage());
+        }
+        map
     }
 
     /// Read access to the memory system (tests inspect functional state).

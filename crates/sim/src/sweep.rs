@@ -335,82 +335,67 @@ impl Sweep {
             .filter(|&i| slots[i].lock().expect("poisoned").is_none())
             .collect();
         let workers = opts.workers.clamp(1, pending.len().max(1));
-        let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         let persist_guard = Mutex::new(());
-        let errors: Vec<Mutex<Option<SimError>>> =
-            self.jobs.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= pending.len() {
-                        break;
-                    }
-                    let i = pending[k];
-                    let job = &self.jobs[i];
-                    let started = Instant::now();
-                    let ckpt = opts.checkpoint.as_ref().map(|c| {
-                        (
-                            c.every,
-                            c.dir
-                                .join(format!("{}_{:016x}.ckpt", self.figure, fingerprints[i])),
-                        )
-                    });
-                    let (outcome, retried) = run_with_retry(&job.spec, &ckpt);
-                    match outcome {
-                        Ok(result) => {
-                            let record = JobRecord {
-                                label: job.label.clone(),
-                                fingerprint: fingerprints[i],
-                                stats: JobStats::from(&result),
-                                wall_s: started.elapsed().as_secs_f64(),
-                                retried,
-                            };
-                            let wall_s = record.wall_s;
-                            *slots[i].lock().expect("poisoned") = Some(record);
-                            if let Some(cb) = opts.progress {
-                                cb(&SweepEvent::Finished {
-                                    label: &job.label,
-                                    wall_s,
-                                    retried,
-                                });
-                            }
-                            if let Some(path) = &opts.results_path {
-                                let _g = persist_guard.lock().expect("poisoned");
-                                let partial = assemble(
-                                    self,
-                                    config_fingerprint,
-                                    workers,
-                                    t0.elapsed().as_secs_f64(),
-                                    &slots,
-                                );
-                                // Persist best-effort: an unwritable partial
-                                // file must not kill the sweep mid-flight;
-                                // the final save reports the error.
-                                let _ = partial.save(path);
-                            }
-                        }
-                        Err(e) => {
-                            *errors[i].lock().expect("poisoned") = Some(e);
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                    }
+        let errors = parallel_map(&pending, workers, |_, &i| {
+            if abort.load(Ordering::Relaxed) {
+                return None;
+            }
+            let job = &self.jobs[i];
+            let started = Instant::now();
+            let ckpt = opts.checkpoint.as_ref().map(|c| {
+                (
+                    c.every,
+                    c.dir
+                        .join(format!("{}_{:016x}.ckpt", self.figure, fingerprints[i])),
+                )
+            });
+            let (outcome, retried) = run_with_retry(&job.spec, &ckpt);
+            let result = match outcome {
+                Ok(result) => result,
+                Err(e) => {
+                    abort.store(true, Ordering::Relaxed);
+                    return Some((i, e));
+                }
+            };
+            let record = JobRecord {
+                label: job.label.clone(),
+                fingerprint: fingerprints[i],
+                stats: JobStats::from(&result),
+                wall_s: started.elapsed().as_secs_f64(),
+                retried,
+            };
+            let wall_s = record.wall_s;
+            *slots[i].lock().expect("poisoned") = Some(record);
+            if let Some(cb) = opts.progress {
+                cb(&SweepEvent::Finished {
+                    label: &job.label,
+                    wall_s,
+                    retried,
                 });
             }
+            if let Some(path) = &opts.results_path {
+                let _g = persist_guard.lock().expect("poisoned");
+                let partial = assemble(
+                    self,
+                    config_fingerprint,
+                    workers,
+                    t0.elapsed().as_secs_f64(),
+                    &slots,
+                );
+                // Persist best-effort: an unwritable partial file must not
+                // kill the sweep mid-flight; the final save reports the error.
+                let _ = partial.save(path);
+            }
+            None
         });
 
-        for (i, e) in errors.iter().enumerate() {
-            if let Some(err) = e.lock().expect("poisoned").take() {
-                return Err(SweepError::Job {
-                    label: self.jobs[i].label.clone(),
-                    error: Box::new(err),
-                });
-            }
+        // `pending` is in declaration order, and so are the results.
+        if let Some((i, err)) = errors.into_iter().flatten().next() {
+            return Err(SweepError::Job {
+                label: self.jobs[i].label.clone(),
+                error: Box::new(err),
+            });
         }
         let results = assemble(
             self,
@@ -614,10 +599,10 @@ pub fn parse_workers(source: &str, v: &str) -> Result<usize, String> {
 }
 
 /// Runs `f` over every item on a scoped-thread worker pool and returns the
-/// results **in item order regardless of completion order** — the same
-/// discipline [`Sweep::run`] uses, factored out for callers (the fuzzer)
-/// whose work items are not figure jobs. `workers` is clamped to
-/// `[1, items.len()]`; the callback receives `(index, item)`.
+/// results **in item order regardless of completion order** — the one pool
+/// behind [`Sweep::run`], the fuzzer's generations and the CLI's litmus and
+/// explore cells. `workers` is clamped to `[1, items.len()]`; the callback
+/// receives `(index, item)`.
 pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,

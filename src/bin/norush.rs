@@ -207,18 +207,20 @@ fn exp_from(args: &Args) -> Result<ExperimentConfig, Box<dyn std::error::Error>>
     // sets the watchdog window (and enables the watchdog on its own);
     // `--rewind K` keeps an in-memory checkpoint every K cycles and replays
     // from it on a violation; `--chaos S` turns on delivery perturbation.
-    let watchdog = args.num("watchdog", 5_000_000)?.max(1);
+    let watchdog = args.num_in("watchdog", 5_000_000, 1, u64::MAX, "watchdog window")?;
     if args.switches.contains("check") {
         exp.check.invariant_every = Some(2_048);
         exp.check.watchdog_window = Some(watchdog);
     } else if args.flags.contains_key("check") {
-        exp.check.invariant_every = Some(args.num("check", 2_048)?.max(1));
+        exp.check.invariant_every =
+            Some(args.num_in("check", 2_048, 1, u64::MAX, "sweep interval")?);
         exp.check.watchdog_window = Some(watchdog);
     } else if args.flags.contains_key("watchdog") {
         exp.check.watchdog_window = Some(watchdog);
     }
     if args.flags.contains_key("rewind") {
-        exp.check.rewind_every = Some(args.num("rewind", 65_536)?.max(1));
+        exp.check.rewind_every =
+            Some(args.num_in("rewind", 65_536, 1, u64::MAX, "checkpoint interval")?);
     }
     if args.switches.contains("chaos") {
         exp.check.chaos = Some(FaultConfig::with_seed(1));
@@ -1068,7 +1070,7 @@ fn cmd_list(_: &Args) -> CliResult {
 }
 
 fn cmd_microbench(args: &Args) -> CliResult {
-    let iters = args.num("iters", 500)?;
+    let iters = args.num_in("iters", 500, 1, u64::MAX, "iterations per run")?;
     let model = if args.switches.contains("fenced") {
         FenceModel::Fenced
     } else {

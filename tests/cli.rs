@@ -74,6 +74,11 @@ fn config_errors_exit_nonzero_with_stderr() {
         &["run", "pc", "--cores", "0"],
         &["profile", "pc", "--cores", "0"],
         &["compare", "pc", "--cores", "0"],
+        // So is a zero interval or iteration count.
+        &["run", "pc", "--check", "0"],
+        &["run", "pc", "--watchdog", "0"],
+        &["run", "pc", "--rewind", "0"],
+        &["microbench", "--iters", "0"],
         &["record", "pc", "t.trace", "--tid", "4", "--threads", "4"],
         // A misspelt flag is an error, not silently ignored; so is a flag
         // missing its value or a switch given one.
