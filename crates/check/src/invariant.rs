@@ -18,8 +18,6 @@
 //!   dropped silently on eviction and the directory only learns at the next
 //!   invalidation round (stale `InvAck`s are tolerated by design).
 
-use std::collections::HashMap;
-
 use row_common::config::CheckConfig;
 use row_common::ids::{CoreId, LineAddr};
 use row_mem::{DirState, MemorySystem, PrivState, ProtocolError};
@@ -50,26 +48,33 @@ pub fn default_queue_bound(cores: usize) -> usize {
 pub fn check_coherence(mem: &MemorySystem, cfg: &CheckConfig) -> Result<(), ProtocolError> {
     let cores = mem.cores();
 
-    // Gather every privately held line once.
-    let mut holders: HashMap<LineAddr, Vec<(CoreId, PrivState)>> = HashMap::new();
+    // Gather every privately held line once, in line order (core order
+    // within a line), so a sweep that finds several violations always
+    // reports the lowest line.
+    let mut held: Vec<(LineAddr, CoreId, PrivState)> = Vec::new();
     for i in 0..cores {
         let core = CoreId::new(i as u16);
-        for (line, state) in mem.private_lines(core) {
-            holders.entry(line).or_default().push((core, state));
-        }
+        held.extend(
+            mem.private_lines(core)
+                .into_iter()
+                .map(|(l, s)| (l, core, s)),
+        );
     }
+    held.sort_by_key(|&(line, ..)| line);
+    let holders = || held.chunk_by(|a, b| a.0 == b.0);
 
     // 1. SWMR.
-    for (&line, hs) in &holders {
+    for hs in holders() {
         let owners: Vec<CoreId> = hs
             .iter()
-            .filter(|(_, s)| matches!(s, PrivState::M | PrivState::E))
-            .map(|&(c, _)| c)
+            .filter(|(_, _, s)| matches!(s, PrivState::M | PrivState::E))
+            .map(|&(_, c, _)| c)
             .collect();
         if owners.len() > 1 {
-            let mut owners = owners;
-            owners.sort_by_key(|c| c.index());
-            return Err(ProtocolError::MultipleOwners { line, owners });
+            return Err(ProtocolError::MultipleOwners {
+                line: hs[0].0,
+                owners,
+            });
         }
     }
 
@@ -84,21 +89,15 @@ pub fn check_coherence(mem: &MemorySystem, cfg: &CheckConfig) -> Result<(), Prot
         }
     }
 
-    // 3. Directory agreement over the union of tracked and held lines.
-    let mut lines: Vec<LineAddr> = holders.keys().copied().collect();
-    for (line, _) in mem.dir_lines() {
-        if !holders.contains_key(&line) {
-            lines.push(line);
-        }
-    }
-    for line in lines {
+    // 3. Directory agreement: every held copy must be legal under its
+    //    line's home entry (only a held copy can disagree with it).
+    for hs in holders() {
+        let line = hs[0].0;
         let dir = mem.dir_state(line);
         if dir == DirState::Blocked {
             continue; // mid-transaction: stable view not meaningful
         }
-        let empty = Vec::new();
-        let hs = holders.get(&line).unwrap_or(&empty);
-        for &(core, state) in hs {
+        for &(_, core, state) in hs {
             if state == PrivState::Evicting {
                 continue; // PutM in flight; WbStale races are legal
             }
@@ -324,6 +323,39 @@ mod tests {
             matches!(err, ProtocolError::DirectoryMismatch { core, .. } if core == CoreId::new(0)),
             "got {err}"
         );
+    }
+
+    /// With several lines violating SWMR, every sweep names the lowest one
+    /// (the holders are gathered in line order, not hash order).
+    #[test]
+    fn several_violations_always_report_the_lowest_line() {
+        let sys = SystemConfig::small(2);
+        let mut mem = MemorySystem::new(&sys);
+        let lines = [41u64, 23, 57, 9, 30, 16].map(LineAddr::new);
+        for (id, &line) in lines.iter().enumerate() {
+            mem.access(
+                CoreId::new(0),
+                line,
+                meta(id as u64 + 1, AccessKind::Write),
+                Cycle::ZERO,
+            );
+        }
+        for c in 0..3000u64 {
+            let _ = mem.tick(Cycle::new(c));
+        }
+        for &line in &lines {
+            assert_eq!(mem.priv_state(CoreId::new(0), line), Some(PrivState::M));
+            mem.corrupt_private_state_for_test(CoreId::new(1), line, Some(PrivState::M));
+        }
+        for _ in 0..200 {
+            match check_coherence(&mem, &sys.check).unwrap_err() {
+                ProtocolError::MultipleOwners { line, owners } => {
+                    assert_eq!(line, LineAddr::new(9));
+                    assert_eq!(owners, vec![CoreId::new(0), CoreId::new(1)]);
+                }
+                other => panic!("expected MultipleOwners, got {other}"),
+            }
+        }
     }
 
     /// The queue bound flags a Blocked entry that accretes too many waiters.

@@ -551,10 +551,12 @@ pub struct CheckConfig {
     /// and either alone routes messages through the transport's
     /// perturbation path.
     pub perturb: Option<PerturbConfig>,
-    /// Record every architectural memory write in an apply-order journal and,
-    /// when a run drains, replay it through a sequential golden model
-    /// (`row-oracle`): per-atomic RMW return values and the final memory
-    /// state must match, or the run fails with a structured mismatch.
+    /// Record every architectural memory write in an apply-order journal,
+    /// kept for the whole run, and when the run drains feed it through the
+    /// same checks the online mode runs (`row-oracle`, against a sequential
+    /// golden model): per-atomic RMW return values, per-core atomic counts
+    /// and the final memory state must match, or the run fails with a
+    /// structured mismatch.
     pub oracle: bool,
     /// Stream the apply-order journal through an *online* per-operation
     /// linearizability checker as the run executes (`row-oracle`): each

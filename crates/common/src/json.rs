@@ -1,8 +1,9 @@
 //! A minimal, dependency-free JSON reader and writer — the one place in the
 //! workspace that produces JSON text.
 //!
-//! Results files and reports are [`Value`] trees built with [`object!`] and
-//! laid out by [`render`]; sweep resume reads them back with [`parse`].
+//! Results files and reports are [`Value`] trees built with
+//! [`object!`](crate::object!) and laid out by [`render`]; sweep resume reads
+//! them back with [`parse`].
 //! Objects keep insertion order, so a builder's field order is the file's.
 //! Integers stay exact (`u64`/`u128` counters round-trip) and floats use
 //! Rust's shortest round-trip `Display`, so parsing a file and writing it

@@ -488,8 +488,9 @@ impl Core {
     /// mirror the phases one-to-one:
     ///
     /// * completions — the event wheel's next entry is in the future;
-    /// * commit — the ROB head is memoized incomplete ([`Core::head_wait`]),
-    ///   and completion only happens via the wheel or a memory event;
+    /// * commit — the ROB head is memoized incomplete (the private
+    ///   `head_wait` field), and completion only happens via the wheel or a
+    ///   memory event;
     /// * SB drain — serialized on a miss, or the front entry is not
     ///   drainable (uncommitted, or already in flight);
     /// * issue — nothing ready, nothing lazily waiting;

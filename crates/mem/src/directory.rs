@@ -219,12 +219,6 @@ impl DirBank {
         }
     }
 
-    /// Every line this bank tracks, with its externally visible state
-    /// (iteration order is insertion-stable, not sorted).
-    pub fn lines(&self) -> impl Iterator<Item = (LineAddr, DirState)> + '_ {
-        self.entries.keys().map(|l| (l, self.state(l)))
-    }
-
     /// Queue depth of `line`'s entry when it is Blocked, `None` otherwise
     /// (the incremental invariant sweep's per-line queue-bound probe).
     pub fn blocked_depth(&self, line: LineAddr) -> Option<usize> {

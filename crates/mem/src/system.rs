@@ -728,12 +728,6 @@ impl MemorySystem {
         self.caches[core.index()].locked_lines()
     }
 
-    /// Every line tracked by any directory bank, with its externally
-    /// visible state (order unspecified).
-    pub fn dir_lines(&self) -> Vec<(LineAddr, DirState)> {
-        self.dirs.iter().flat_map(|d| d.lines()).collect()
-    }
-
     /// Snapshots of all Blocked directory entries across banks, tagged with
     /// their bank's tile, sorted by line address.
     pub fn blocked_dir_entries(&self) -> Vec<(usize, BlockedEntrySnapshot)> {

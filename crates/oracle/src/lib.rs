@@ -1,28 +1,35 @@
-//! Differential end-state oracle for the timing simulator.
+//! Differential linearizability oracle for the timing simulator.
 //!
-//! The memory system, when `CheckConfig::oracle` is on, journals every
-//! architectural write (atomic RMW application and committed store) in the
-//! order it hits the functional word store. That order is a linearization
-//! witness. This crate replays the journal through a trivially-correct
-//! *sequential* golden model ([`SequentialMachine`]) and cross-checks three
-//! things against the timing machine:
+//! The memory system journals every architectural write (atomic RMW
+//! application and committed store) in the order it hits the functional word
+//! store. That order is a linearization witness. This crate applies it to a
+//! trivially-correct *sequential* golden model ([`SequentialMachine`]) and
+//! cross-checks three things against the timing machine:
 //!
 //! 1. **RMW return values** — each journaled RMW records the old value the
-//!    machine observed; the replay must observe the same value at the same
-//!    point in the order. A lost or duplicated atomic application shifts
-//!    every later observation on that address.
+//!    machine observed; the golden model must observe the same value at the
+//!    same point in the order. A lost or duplicated atomic application
+//!    shifts every later observation on that address.
 //! 2. **Atomic counts** — the number of journaled RMW applications per core
 //!    must equal the core's retired-atomic count. A duplicate delivery that
 //!    applies an atomic twice journals twice but retires once.
 //! 3. **Final memory state** — for every word the journal touches, the
-//!    machine's final functional store must equal the replayed value.
-//!    (Words only ever written by raw pre-seeding are outside the journal
-//!    and deliberately not checked.)
+//!    machine's final functional store must equal the golden value. (Words
+//!    only ever written by raw pre-seeding are outside the journal and
+//!    deliberately not checked.)
+//!
+//! The two oracle modes run this one set of checks, all of it in
+//! [`OnlineChecker`]: check 1 per record ([`OnlineChecker::observe`]), checks
+//! 2 and 3 once the run drains ([`OnlineChecker::finish`]). They differ only
+//! in when the checks run and in journal memory. Online mode
+//! (`CheckConfig::oracle_online`) feeds the checker every cycle and keeps no
+//! journal; the end-state mode (`CheckConfig::oracle`) keeps the whole
+//! journal and [`check`] feeds it to a fresh checker at the end of the run.
 //!
 //! None of these checks involve timing, so the oracle is valid for any
 //! scheduling policy (eager, lazy, RoW, far) and — the point of this crate —
 //! under lossy chaos, where the recoverable transport must deliver every
-//! protocol message *exactly once* for the journal to replay cleanly.
+//! protocol message *exactly once* for the journal to check cleanly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -180,8 +187,8 @@ impl std::fmt::Display for OracleMismatch {
 
 impl std::error::Error for OracleMismatch {}
 
-/// Replays `journal` through the golden model and cross-checks it against
-/// the timing machine's final state.
+/// Checks a retained `journal` after the run: a fresh [`OnlineChecker`] fed
+/// every record, then [`OnlineChecker::finish`].
 ///
 /// * `machine_words` — the machine's functional word store at end of run
 ///   (word base address → value; absent words read as zero).
@@ -193,56 +200,11 @@ pub fn check(
     machine_words: &HashMap<u64, u64>,
     retired_atomics: &[u64],
 ) -> Result<OracleReport, OracleMismatch> {
-    let mut golden = SequentialMachine::new();
-    let mut report = OracleReport::default();
-    let mut journaled = vec![0u64; retired_atomics.len()];
-    for (index, rec) in journal.iter().enumerate() {
-        let replayed_old = golden.apply(rec);
-        match rec.kind {
-            OpKind::Rmw {
-                addr, observed_old, ..
-            } => {
-                report.rmws += 1;
-                if let Some(n) = journaled.get_mut(rec.core.index()) {
-                    *n += 1;
-                }
-                if observed_old != replayed_old {
-                    return Err(OracleMismatch::RmwReturn {
-                        index,
-                        core: rec.core,
-                        addr,
-                        expected: replayed_old,
-                        observed: observed_old,
-                    });
-                }
-            }
-            OpKind::Store { .. } => report.stores += 1,
-        }
+    let mut checker = OnlineChecker::new(retired_atomics.len());
+    for rec in journal {
+        checker.observe(rec)?;
     }
-    for (i, (&j, &r)) in journaled.iter().zip(retired_atomics).enumerate() {
-        if j != r {
-            return Err(OracleMismatch::AtomicCount {
-                core: CoreId::new(i as u16),
-                journaled: j,
-                retired: r,
-            });
-        }
-    }
-    // Deterministic order so a failing run always names the same word first.
-    let mut touched: Vec<(&u64, &u64)> = golden.words().iter().collect();
-    touched.sort_unstable();
-    for (&addr, &expected) in touched {
-        let actual = machine_words.get(&addr).copied().unwrap_or(0);
-        if actual != expected {
-            return Err(OracleMismatch::FinalState {
-                addr,
-                expected,
-                actual,
-            });
-        }
-        report.words_checked += 1;
-    }
-    Ok(report)
+    checker.finish(machine_words, retired_atomics)
 }
 
 #[cfg(test)]

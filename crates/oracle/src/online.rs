@@ -1,25 +1,25 @@
-//! Online per-operation linearizability checking.
+//! Per-operation linearizability checking: the crate's only checks.
 //!
-//! The end-state oracle in the crate root replays the *whole* journal after
-//! the run drains, which has two costs: the journal grows without bound
-//! (hundreds of millions of records over a soak), and a violation surfaces
-//! only at the end, far from the operation that caused it. The
-//! [`OnlineChecker`] here removes both: the simulation loop drains the
-//! journal every cycle and feeds each record to [`OnlineChecker::observe`],
-//! which checks it against the sequential golden model *at the moment it is
-//! journaled* and then discards it. State is O(live words) — the golden
-//! word store, per-core counters, and a short tail of recent records kept
-//! for failure triage.
+//! Both oracle modes run the same checks through [`OnlineChecker`]; they
+//! differ only in when the checks run and in journal memory. In online mode
+//! the simulation loop drains the journal every cycle and feeds each record
+//! to [`OnlineChecker::observe`], which checks it against the sequential
+//! golden model *at the moment it is journaled* and then discards it, so a
+//! violation surfaces at the operation that caused it and state stays
+//! O(live words) — the golden word store, per-core counters, and a short
+//! tail of recent records kept for failure triage. The end-state
+//! [`crate::check`] feeds a journal retained for the whole run (hundreds of
+//! millions of records over a soak) to a fresh checker after the run drains.
 //!
-//! Per-record checking covers the strongest property the end-state oracle
-//! has — monotone FAA return-value chains and CAS/Swap witness ordering per
-//! key (check 1 in the crate docs) — and catches bugs the end-state checks
+//! Per-record checking covers the strongest property the oracle has —
+//! monotone FAA return-value chains and CAS/Swap witness ordering per key
+//! (check 1 in the crate docs) — and catches bugs the end-of-run checks
 //! provably cannot: a lost FAA later compensated by a duplicated one nets
 //! to zero in the final state and in per-core counts, but the first
 //! operation to read the word between the two halves observes a value the
 //! golden model can refute. [`OnlineChecker::finish`] then performs the
-//! remaining end-of-run checks (exactly-once application per core, final
-//! memory state) without any journal replay.
+//! end-of-run checks (exactly-once application per core, final memory
+//! state) without any journal replay.
 //!
 //! The checker implements [`Codec`], so a mid-soak checkpoint carries the
 //! checker's exact state and a restored run resumes checking bit-exactly.
@@ -122,7 +122,7 @@ impl OnlineChecker {
     }
 
     /// End-of-run checks: exactly-once application per core and final
-    /// memory state, mirroring the end-state oracle but without a replay.
+    /// memory state, without a replay.
     ///
     /// # Errors
     /// [`OracleMismatch::AtomicCount`] or [`OracleMismatch::FinalState`].
@@ -146,7 +146,7 @@ impl OnlineChecker {
             words_checked: 0,
         };
         // Deterministic order so a failing run always names the same word
-        // first, matching the end-state oracle.
+        // first.
         let mut touched: Vec<(&u64, &u64)> = self.golden.words().iter().collect();
         touched.sort_unstable();
         for (&addr, &expected) in touched {

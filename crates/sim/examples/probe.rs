@@ -24,11 +24,12 @@ fn main() {
         "bench", "lazy", "rowUD", "rowSat", "rowUD+F", "cont%"
     );
     for b in Benchmark::all() {
-        let e = run_eager(*b, &exp).unwrap();
-        let l = run_lazy(*b, &exp).unwrap();
-        let ud = run_row(*b, RowVariant::RwDirUd, &exp).unwrap();
-        let sat = run_row(*b, RowVariant::RwDirSat, &exp).unwrap();
-        let udf = run_row_fwd(*b, RowVariant::RwDirUd, &exp).unwrap();
+        let run = |v: Variant| run_benchmark(&v.apply(exp.system()), *b, &exp).unwrap();
+        let e = run(Variant::eager());
+        let l = run(Variant::lazy());
+        let ud = run(Variant::row(RowVariant::RwDirUd));
+        let sat = run(Variant::row(RowVariant::RwDirSat));
+        let udf = run(Variant::row_fwd(RowVariant::RwDirUd));
         println!(
             "{:14} {:6.3} {:7.3} {:7.3} {:7.3} {:5.0}",
             b.name(),

@@ -1,13 +1,12 @@
-//! Experiment runner: one function per knob the paper sweeps.
+//! Experiment runner.
 //!
-//! Every figure in the evaluation reduces to "run benchmark B under policy P
-//! (± forwarding) and read metric M". This module provides those runs with a
+//! Every figure in the evaluation reduces to "run benchmark B under a
+//! [`Variant`](crate::sweep::Variant) (policy, forwarding, placement) and
+//! read metric M". This module provides that run, [`run_benchmark`], with an
 //! [`ExperimentConfig`] that scales between `quick` (CI-sized) and `paper`
 //! (32 cores, Table I caches) fidelity.
 
-use row_common::config::{
-    AtomicPolicy, CheckConfig, DetectorKind, FenceModel, PredictorKind, RowConfig,
-};
+use row_common::config::{CheckConfig, DetectorKind, FenceModel, PredictorKind, RowConfig};
 use row_common::SystemConfig;
 use row_cpu::instr::InstrStream;
 use row_workloads::{
@@ -15,7 +14,6 @@ use row_workloads::{
 };
 
 use crate::machine::{Machine, RunResult, SimError};
-use crate::sweep::Variant;
 
 /// Scale of an experiment run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -156,21 +154,18 @@ pub fn bench_streams(bench: Benchmark, exp: &ExperimentConfig) -> Vec<Box<dyn In
         .collect()
 }
 
-/// Runs `bench` under `policy`, with or without store→atomic forwarding.
+/// Runs `bench` at scale `exp` on `sys` to completion — typically
+/// `variant.apply(exp.system())` for a [`Variant`](crate::sweep::Variant)
+/// naming the policy.
 ///
 /// # Errors
 /// Propagates any [`SimError`] (cycle-budget timeout, watchdog stall, or protocol violation).
 pub fn run_benchmark(
+    sys: &SystemConfig,
     bench: Benchmark,
-    policy: AtomicPolicy,
-    forwarding: bool,
     exp: &ExperimentConfig,
 ) -> Result<RunResult, SimError> {
-    let sys = exp
-        .system()
-        .with_policy(policy)
-        .with_forward_to_atomics(forwarding);
-    Machine::new(&sys, bench_streams(bench, exp)).run(exp.cycle_limit)
+    Machine::new(sys, bench_streams(bench, exp)).run(exp.cycle_limit)
 }
 
 /// Runs `bench` on `sys` crash-resiliently: a checkpoint file is written to
@@ -249,48 +244,10 @@ pub fn run_microbench(
     Ok(r.cycles as f64 / iterations as f64)
 }
 
-/// Far atomics (Section VII's alternative placement): the RMW executes at
-/// the home directory bank.
-///
-/// # Errors
-/// Propagates any [`SimError`] (cycle-budget timeout, watchdog stall, or protocol violation).
-pub fn run_far(bench: Benchmark, exp: &ExperimentConfig) -> Result<RunResult, SimError> {
-    let sys = Variant::far().apply(exp.system());
-    Machine::new(&sys, bench_streams(bench, exp)).run(exp.cycle_limit)
-}
-
-/// Convenience: eager baseline for normalization.
-pub fn run_eager(bench: Benchmark, exp: &ExperimentConfig) -> Result<RunResult, SimError> {
-    run_benchmark(bench, AtomicPolicy::Eager, false, exp)
-}
-
-/// Convenience: lazy execution.
-pub fn run_lazy(bench: Benchmark, exp: &ExperimentConfig) -> Result<RunResult, SimError> {
-    run_benchmark(bench, AtomicPolicy::Lazy, false, exp)
-}
-
-/// Convenience: a RoW variant (Fig. 9: no forwarding).
-pub fn run_row(
-    bench: Benchmark,
-    variant: RowVariant,
-    exp: &ExperimentConfig,
-) -> Result<RunResult, SimError> {
-    run_benchmark(bench, AtomicPolicy::Row(variant.config()), false, exp)
-}
-
-/// RoW with the locality override and forwarding enabled (Fig. 13).
-pub fn run_row_fwd(
-    bench: Benchmark,
-    variant: RowVariant,
-    exp: &ExperimentConfig,
-) -> Result<RunResult, SimError> {
-    let cfg = variant.config().with_locality_override(true);
-    run_benchmark(bench, AtomicPolicy::Row(cfg), true, exp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::Variant;
 
     fn tiny() -> ExperimentConfig {
         ExperimentConfig {
@@ -306,8 +263,10 @@ mod tests {
     #[test]
     fn eager_and_lazy_complete_on_pc() {
         let exp = tiny();
-        let e = run_eager(Benchmark::Pc, &exp).expect("eager finishes");
-        let l = run_lazy(Benchmark::Pc, &exp).expect("lazy finishes");
+        let e = run_benchmark(&Variant::eager().apply(exp.system()), Benchmark::Pc, &exp)
+            .expect("eager finishes");
+        let l = run_benchmark(&Variant::lazy().apply(exp.system()), Benchmark::Pc, &exp)
+            .expect("lazy finishes");
         assert!(e.total.atomics > 0);
         assert!(l.total.atomics > 0);
         assert_eq!(e.total.committed, l.total.committed, "same trace");
@@ -329,7 +288,12 @@ mod tests {
     #[test]
     fn row_runs_and_tracks_accuracy() {
         let exp = tiny();
-        let r = run_row(Benchmark::Sps, RowVariant::RwDirUd, &exp).expect("finishes");
+        let r = run_benchmark(
+            &Variant::row(RowVariant::RwDirUd).apply(exp.system()),
+            Benchmark::Sps,
+            &exp,
+        )
+        .expect("finishes");
         let acc = r.accuracy.expect("RoW records accuracy");
         assert!(acc.total() > 0);
     }
@@ -391,6 +355,7 @@ mod tests {
 #[cfg(test)]
 mod far_tests {
     use super::*;
+    use crate::sweep::Variant;
 
     fn tiny() -> ExperimentConfig {
         ExperimentConfig {
@@ -406,8 +371,10 @@ mod far_tests {
     #[test]
     fn far_runs_and_counts_every_atomic() {
         let exp = tiny();
-        let near = run_eager(Benchmark::Sps, &exp).expect("near");
-        let far = run_far(Benchmark::Sps, &exp).expect("far");
+        let near = run_benchmark(&Variant::eager().apply(exp.system()), Benchmark::Sps, &exp)
+            .expect("near");
+        let far =
+            run_benchmark(&Variant::far().apply(exp.system()), Benchmark::Sps, &exp).expect("far");
         assert_eq!(near.total.atomics, far.total.atomics, "same trace");
         assert_eq!(
             far.total.atomics_lazy, far.total.atomics,
@@ -418,7 +385,8 @@ mod far_tests {
     #[test]
     fn per_core_stats_sum_to_total() {
         let exp = tiny();
-        let r = run_eager(Benchmark::Tpcc, &exp).expect("runs");
+        let r = run_benchmark(&Variant::eager().apply(exp.system()), Benchmark::Tpcc, &exp)
+            .expect("runs");
         let committed: u64 = r.per_core.iter().map(|c| c.committed).sum();
         assert_eq!(committed, r.total.committed);
         let atomics: u64 = r.per_core.iter().map(|c| c.atomics).sum();
@@ -429,12 +397,15 @@ mod far_tests {
     #[test]
     fn same_seed_same_cycles_different_seed_differs() {
         let exp = tiny();
-        let a = run_eager(Benchmark::Pc, &exp).expect("runs");
-        let b = run_eager(Benchmark::Pc, &exp).expect("runs");
+        let a = run_benchmark(&Variant::eager().apply(exp.system()), Benchmark::Pc, &exp)
+            .expect("runs");
+        let b = run_benchmark(&Variant::eager().apply(exp.system()), Benchmark::Pc, &exp)
+            .expect("runs");
         assert_eq!(a.cycles, b.cycles);
         let mut exp2 = exp;
         exp2.seed = 8;
-        let c = run_eager(Benchmark::Pc, &exp2).expect("runs");
+        let c = run_benchmark(&Variant::eager().apply(exp2.system()), Benchmark::Pc, &exp2)
+            .expect("runs");
         assert_ne!(a.cycles, c.cycles);
     }
 }

@@ -28,8 +28,9 @@
 //! Every run is classified against the test's declared sets: a **forbidden**
 //! (or unlisted) outcome, any structural [`SimError`], or a cycle-budget
 //! exhaustion (livelock) is a violation; the triggering decision vector is
-//! then greedily minimized ([`minimize_schedule`]) into a deterministically
-//! replayable repro (`--replay`, hex-coded by [`schedule_to_hex`]).
+//! then minimized — alternatives zeroed greedily by [`crate::shrink`], then
+//! trailing zeros dropped — into a deterministically replayable repro
+//! (`--replay`, hex-coded by [`schedule_to_hex`]).
 //! Completeness runs the other way: [`ExploreReport::unwitnessed`] lists
 //! allowed outcomes no enumerated schedule produced. [`report_json`]
 //! renders both modes' `norush-litmus-v1` report and [`write_triage`] the
@@ -50,6 +51,7 @@ use row_workloads::litmus::{LitmusTest, OutcomeClass, Probe};
 
 use crate::fuzz::violation_kind;
 use crate::machine::{Machine, SimError};
+use crate::shrink::zero_knobs;
 use crate::sweep::Variant;
 use crate::triage;
 
@@ -462,45 +464,35 @@ pub fn explore(test: &LitmusTest, opts: &ExploreOptions) -> Result<ExploreReport
     Ok(report)
 }
 
-/// Minimizes the violating schedule in `report` (greedy alternative zeroing
-/// to fixpoint, then trailing-zero truncation) and records the replayed
+/// Minimizes the violating schedule in `report` and records the replayed
 /// minimized detail.
 fn finalize_violation(test: &LitmusTest, opts: &ExploreOptions, report: &mut ExploreReport) {
     let Some(v) = report.violation.as_mut() else {
         return;
     };
-    let same_fails = |s: &[u8]| -> bool {
+    v.minimized = minimize_schedule(&v.schedule, |s| {
         run_schedule(test, opts, s)
             .map(|r| violation_of(test, &r).is_some())
             .unwrap_or(false)
-    };
-    let mut cur = v.schedule.clone();
-    loop {
-        let mut progress = false;
-        for i in 0..cur.len() {
-            if cur[i] == 0 {
-                continue;
-            }
-            let mut cand = cur.clone();
-            cand[i] = 0;
-            if same_fails(&cand) {
-                cur = cand;
-                progress = true;
-            }
-        }
-        if !progress {
-            break;
-        }
-    }
-    while cur.last() == Some(&0) {
-        cur.pop();
-    }
-    v.minimized = cur;
+    });
     v.minimized_detail = run_schedule(test, opts, &v.minimized)
         .ok()
         .and_then(|r| violation_of(test, &r))
         .map(|(kind, detail)| format!("{kind}: {detail}"))
         .unwrap_or_else(|| "violation did not reproduce on minimized schedule".to_string());
+}
+
+/// Zeroes alternatives greedily to fixpoint (`zero_knobs`; no bisection,
+/// since an alternative is only 0–2), then truncates trailing zeros.
+fn minimize_schedule(schedule: &[u8], mut fails: impl FnMut(&[u8]) -> bool) -> Vec<u8> {
+    let bytes = |k: &[u64]| k.iter().map(|&a| a as u8).collect::<Vec<u8>>();
+    let mut alts: Vec<u64> = schedule.iter().map(|&a| u64::from(a)).collect();
+    zero_knobs(&mut alts, |k| fails(&bytes(k)));
+    let mut cur = bytes(&alts);
+    while cur.last() == Some(&0) {
+        cur.pop();
+    }
+    cur
 }
 
 /// Hex-codes a decision vector for `--replay` (one byte per decision).
@@ -664,6 +656,25 @@ mod tests {
         let again = run_schedule(&test, &opts, &[1]).unwrap();
         assert_eq!(delayed.outcome, again.outcome);
         assert_eq!(delayed.frontier_hash, again.frontier_hash);
+    }
+
+    /// Pins every schedule the minimizer asks the predicate about, in
+    /// order: the probe count, the fnv1a of the recorded probes, and the
+    /// result.
+    #[test]
+    fn minimizer_probe_sequence_is_pinned() {
+        let mut seen = String::new();
+        let min = minimize_schedule(&[2, 1, 0, 2, 1, 1, 0, 2, 0, 0], |s| {
+            seen.push_str(&schedule_to_hex(s));
+            seen.push(';');
+            s[3] >= 1 && s.iter().filter(|&&a| a != 0).count() >= 2
+        });
+        assert_eq!(seen.matches(';').count(), 8);
+        assert_eq!(
+            format!("{:016x}", fnv1a(seen.as_bytes())),
+            "9ebb80e44d32c633"
+        );
+        assert_eq!(min, [0, 0, 0, 2, 0, 0, 0, 2]);
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //!   fuzz resumed with `--resume` continues bit-exactly.
 //! * A violation (online linearizability mismatch, invariant sweep failure,
 //!   watchdog stall, cycle-budget livelock, rewind report) stops the
-//!   campaign; the failing schedule
-//!   is **minimized** — bursts greedily dropped, surviving windows
-//!   binary-searched, then the chaos knobs shrunk via [`shrink_chaos`] — and
-//!   a soak-style triage bundle (repro command, journal tail, pre-violation
+//!   campaign; the failing schedule is **minimized** by the one minimizer,
+//!   [`crate::shrink`] — bursts greedily dropped, surviving windows
+//!   bisected, then the chaos knobs shrunk via [`shrink_chaos`] — and a
+//!   soak-style triage bundle (repro command, journal tail, pre-violation
 //!   checkpoint) lands in the repro directory.
 //!
 //! The report (`norush-fuzz-v1`, schema in `results/README.md`) carries the
@@ -48,7 +48,7 @@ use row_mem::ProtocolError;
 use row_workloads::{LockServiceConfig, LockServiceStream, ServiceKernel};
 
 use crate::machine::{Machine, SimError};
-use crate::shrink::shrink_chaos;
+use crate::shrink::{bisect_knobs, shrink_chaos, zero_knobs};
 use crate::sweep::{parallel_map, Variant};
 
 /// Schema tag of the machine-readable fuzz report.
@@ -488,11 +488,12 @@ pub struct FuzzOutcome {
 // Mutation and the power schedule
 // ---------------------------------------------------------------------------
 
-/// Removes burst `idx` from a perturb table (compacting the array).
-fn remove_burst(p: &PerturbConfig, idx: usize) -> PerturbConfig {
+/// The bursts of `p` whose index passes `keep`, compacted into a fresh
+/// table (unused slots zeroed: the hex genome encodes all four).
+fn keep_bursts(p: &PerturbConfig, keep: impl Fn(usize) -> bool) -> PerturbConfig {
     let mut out = PerturbConfig::default();
     for (i, b) in p.active().iter().enumerate() {
-        if i != idx {
+        if keep(i) {
             out.push(*b);
         }
     }
@@ -526,7 +527,7 @@ fn mutate(genome: &ScheduleGenome, rng: &mut SplitMix64) -> ScheduleGenome {
             1 => {
                 if g.perturb.n > 0 {
                     let idx = rng.below(g.perturb.n as u64) as usize;
-                    g.perturb = remove_burst(&g.perturb, idx);
+                    g.perturb = keep_bursts(&g.perturb, |i| i != idx);
                 }
             }
             // Tweak one field of one burst.
@@ -708,71 +709,53 @@ pub fn fuzz(
 // Schedule minimization
 // ---------------------------------------------------------------------------
 
-/// Minimizes a failing schedule while the violation keeps reproducing,
-/// extending the chaos shrinker to the burst genome:
+/// Minimizes a failing schedule while the violation keeps reproducing, with
+/// the [`crate::shrink`] passes:
 ///
-/// 1. greedily drop whole bursts;
-/// 2. binary-search each surviving burst's `len` and `extra` down to the
-///    smallest still-failing values;
+/// 1. greedily drop whole bursts (zeroing burst-presence flags);
+/// 2. binary-search each surviving burst's `len`, then its `extra`, down to
+///    the smallest still-failing values;
 /// 3. shrink the chaos knobs with [`shrink_chaos`] (seed fixed, bursts held).
 ///
 /// The result is guaranteed to still fail (every accepted candidate was
 /// probed). One full simulation runs per probe.
 pub fn minimize(opts: &FuzzOptions, genome: &ScheduleGenome) -> ScheduleGenome {
-    let fails = |g: &ScheduleGenome| {
+    minimize_with(genome, |g| {
         run_one(opts, g)
             .map(|o| o.violation.is_some())
             .unwrap_or(false)
+    })
+}
+
+fn minimize_with(
+    genome: &ScheduleGenome,
+    mut fails: impl FnMut(&ScheduleGenome) -> bool,
+) -> ScheduleGenome {
+    // 1. The knobs are burst-presence flags.
+    let with_bursts = |present: &[u64]| ScheduleGenome {
+        perturb: keep_bursts(&genome.perturb, |i| present[i] != 0),
+        ..*genome
     };
-    let mut cur = *genome;
-    // Phase 1: greedily drop bursts until fixpoint.
-    loop {
-        let mut progress = false;
-        let mut i = 0;
-        while i < cur.perturb.n as usize {
-            let mut cand = cur;
-            cand.perturb = remove_burst(&cur.perturb, i);
-            if fails(&cand) {
-                cur = cand;
-                progress = true;
-            } else {
-                i += 1;
-            }
+    let mut present = vec![1; genome.perturb.active().len()];
+    zero_knobs(&mut present, |k| fails(&with_bursts(k)));
+    // 2. The knobs are the survivors' `(len, extra)` pairs, in table order.
+    let kept = with_bursts(&present);
+    let with_windows = |w: &[u64]| {
+        let mut g = kept;
+        for (b, lx) in g.perturb.bursts.iter_mut().zip(w.chunks(2)) {
+            (b.len, b.extra) = (lx[0], lx[1]);
         }
-        if !progress {
-            break;
-        }
-    }
-    // Phase 2: binary-search each surviving burst's window and magnitude.
-    for i in 0..cur.perturb.n as usize {
-        for field in 0..2 {
-            let get = |g: &ScheduleGenome| match field {
-                0 => g.perturb.bursts[i].len,
-                _ => g.perturb.bursts[i].extra,
-            };
-            let set = |g: &mut ScheduleGenome, v: u64| match field {
-                0 => g.perturb.bursts[i].len = v,
-                _ => g.perturb.bursts[i].extra = v,
-            };
-            let mut hi = get(&cur);
-            if hi == 0 {
-                continue;
-            }
-            let mut lo = 0u64;
-            while hi - lo > 1 {
-                let mid = lo + (hi - lo) / 2;
-                let mut cand = cur;
-                set(&mut cand, mid);
-                if fails(&cand) {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            set(&mut cur, hi);
-        }
-    }
-    // Phase 3: shrink the chaos knobs, bursts held fixed.
+        g
+    };
+    let mut windows: Vec<u64> = kept
+        .perturb
+        .active()
+        .iter()
+        .flat_map(|b| [b.len, b.extra])
+        .collect();
+    bisect_knobs(&mut windows, |w| fails(&with_windows(w)));
+    // 3. The chaos knobs, bursts held.
+    let mut cur = with_windows(&windows);
     if cur.chaos_active() {
         let perturb = cur.perturb;
         cur.fault = shrink_chaos(cur.fault, |f| fails(&ScheduleGenome { fault: *f, perturb }));
@@ -1029,6 +1012,55 @@ mod tests {
         assert!(
             w[1] > w[0],
             "rare-covering entry must get more energy: {w:?}"
+        );
+    }
+
+    /// Pins every candidate the minimizer asks the predicate about, in
+    /// order: the probe count, the fnv1a of the recorded probes, and the
+    /// result.
+    #[test]
+    fn minimizer_probe_sequence_is_pinned() {
+        let mut g = ScheduleGenome::neutral();
+        g.fault = FaultConfig {
+            seed: 9,
+            max_extra_latency: 40,
+            drop_ppm: 1500,
+            dup_ppm: 800,
+            corrupt_ppm: 300,
+        };
+        for (start, len, extra, salt) in [
+            (1000, 5000, 300, 0xa),
+            (2000, 9000, 200, 0xb),
+            (50, 700, 4000, 0xc),
+            (7, 64, 1, 0xd),
+        ] {
+            g.perturb.push(DelayBurst {
+                start,
+                len,
+                extra,
+                salt,
+            });
+        }
+        let mut seen = String::new();
+        let min = minimize_with(&g, |c| {
+            seen.push_str(&c.to_hex());
+            seen.push(';');
+            let bursts = c.perturb.active();
+            bursts
+                .iter()
+                .any(|b| b.salt == 0xb && b.len >= 1234 && b.extra >= 77)
+                && bursts.iter().any(|b| b.salt == 0xc && b.extra >= 999)
+                && (c.fault.drop_ppm >= 321 || c.fault.dup_ppm >= 500)
+        });
+        assert_eq!(seen.matches(';').count(), 63);
+        assert_eq!(
+            format!("{:016x}", fnv1a(seen.as_bytes())),
+            "e635441aa1b334f0"
+        );
+        assert_eq!(
+            min.describe(),
+            "chaos(seed 9 latency 0 drop 0ppm dup 500ppm corrupt 0ppm) \
+             burst(@2000+1234 extra 77 salt 0xb) burst(@50+1 extra 999 salt 0xc)"
         );
     }
 

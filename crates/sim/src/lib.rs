@@ -3,26 +3,28 @@
 //! * [`machine`] — [`Machine`]: N cores + the shared memory system stepped
 //!   to completion, producing a [`RunResult`] with every metric the paper's
 //!   figures need.
-//! * [`experiment`] — the per-figure knobs: benchmarks × policies ×
-//!   detectors × predictors × forwarding, plus the Fig. 2 microbenchmark
-//!   runner and [`ExperimentConfig`] scaling (`quick` vs `paper`).
+//! * [`experiment`] — the benchmark runner ([`run_benchmark`] on a
+//!   [`Variant`]'s system, plus its checkpointed form), the RoW
+//!   detector × predictor variants, the Fig. 2 microbenchmark runner and
+//!   [`ExperimentConfig`] scaling (`quick` vs `paper`).
 //! * [`checkpoint`] — the on-disk checkpoint container (atomic writes,
 //!   magic/version/config-hash/checksum validation) backing
 //!   [`Machine::checkpoint`](machine::Machine::checkpoint) and crash-resilient
 //!   sweeps.
-//! * [`shrink`] — the failing-chaos-config shrinker: greedy knob
-//!   elimination plus per-knob binary search, for minimal fault repros.
+//! * [`shrink`] — the one failing-case minimizer: a greedy knob-zeroing
+//!   pass and a per-knob binary search over integer knobs, used by the
+//!   chaos shrinker, the fuzzer and the explorer for minimal repros.
 //! * [`sweep`] — the declarative sweep engine: each figure as a
 //!   [`Sweep`] of `(benchmark × variant × seed)` [`Job`]s executed by a
 //!   scoped-thread worker pool with deterministic job-order aggregation,
 //!   timeout retry, incremental `BENCH_<figure>.json` persistence
 //!   ([`FigureResults`]) and fingerprint-matched resume.
-//! * [`fuzz`] — the coverage-guided protocol-schedule fuzzer behind
+//! * [`fuzz`](mod@fuzz) — the coverage-guided protocol-schedule fuzzer behind
 //!   `norush fuzz`: delay-burst/chaos genomes mutated against the
 //!   transition-coverage map, deterministic generation batches over the
 //!   sweep worker pool, schedule minimization and soak-style triage on any
 //!   violation, and the `norush-fuzz-v1` report.
-//! * [`explore`] — the litmus conformance runner and bounded-exhaustive
+//! * [`explore`](mod@explore) — the litmus conformance runner and bounded-exhaustive
 //!   schedule explorer behind `norush litmus`/`norush explore`: DFS over
 //!   message-delivery and atomic-commit decision points with partial-order
 //!   reduction and state-hash dedup, checking declared forbidden outcomes
@@ -43,12 +45,12 @@
 //! # Example
 //!
 //! ```no_run
-//! use row_sim::{run_eager, run_lazy, ExperimentConfig};
+//! use row_sim::{run_benchmark, ExperimentConfig, Variant};
 //! use row_workloads::Benchmark;
 //!
 //! let exp = ExperimentConfig::quick();
-//! let eager = run_eager(Benchmark::Pc, &exp)?;
-//! let lazy = run_lazy(Benchmark::Pc, &exp)?;
+//! let eager = run_benchmark(&Variant::eager().apply(exp.system()), Benchmark::Pc, &exp)?;
+//! let lazy = run_benchmark(&Variant::lazy().apply(exp.system()), Benchmark::Pc, &exp)?;
 //! println!("pc: lazy/eager = {:.2}", lazy.cycles as f64 / eager.cycles as f64);
 //! # Ok::<(), row_sim::SimError>(())
 //! ```
@@ -67,9 +69,8 @@ pub mod sweep;
 pub mod triage;
 
 pub use experiment::{
-    bench_streams, microbench_cycle_limit, run_benchmark, run_benchmark_checkpointed, run_eager,
-    run_far, run_lazy, run_microbench, run_microbench_result, run_row, run_row_fwd,
-    ExperimentConfig, RowVariant,
+    bench_streams, microbench_cycle_limit, run_benchmark, run_benchmark_checkpointed,
+    run_microbench, run_microbench_result, ExperimentConfig, RowVariant,
 };
 pub use explore::{
     explore, fmt_outcome, run_litmus, run_schedule, run_schedule_full, schedule_from_hex,

@@ -69,9 +69,10 @@ pub enum SimError {
     /// checkpoint with per-cycle checking (`CheckConfig::rewind_every`); the
     /// report localizes the first offending cycle.
     Rewind(Box<RewindReport>),
-    /// The differential end-state oracle (`CheckConfig::oracle`) found the
-    /// run's journal inconsistent with a sequential replay — an atomic was
-    /// lost, duplicated, or mis-applied even though the run completed.
+    /// The linearizability oracle (`CheckConfig::oracle` or
+    /// `oracle_online`) found the run's journal inconsistent with the
+    /// sequential golden model — an atomic was lost, duplicated, or
+    /// mis-applied even though the timing looked healthy.
     Oracle(Box<OracleMismatch>),
 }
 
@@ -626,9 +627,8 @@ impl Machine {
     /// End-of-run differential check. In online mode
     /// (`CheckConfig::oracle_online`), the per-operation stream has already
     /// been validated; only the finish pass (exactly-once per core, final
-    /// memory state) remains. Otherwise (`CheckConfig::oracle`), replay the
-    /// retained journal through `row-oracle`'s sequential golden model and
-    /// compare RMW return values, per-core atomic counts, and final state.
+    /// memory state) remains. Otherwise (`CheckConfig::oracle`), the retained
+    /// journal goes through the same checks at once ([`row_oracle::check`]).
     fn check_oracle(&mut self) -> Result<(), SimError> {
         let retired: Vec<u64> = self.cores.iter().map(|c| c.stats().atomics).collect();
         if self.online.is_some() {

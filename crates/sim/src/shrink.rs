@@ -1,96 +1,97 @@
-//! Failing-seed shrinker for chaos configurations.
+//! The failing-case minimizer: the codebase's one greedy-zeroing pass and
+//! one bisection pass.
 //!
-//! When a chaos run fails (watchdog stall, protocol violation, oracle
-//! mismatch), the raw failing [`FaultConfig`] usually has every knob turned
-//! up, which makes the repro noisy: most of the injected faults are
-//! irrelevant to the bug. [`shrink_chaos`] minimizes the configuration while
-//! preserving the failure, the way property-testing shrinkers do:
+//! A failing run (watchdog stall, protocol violation, oracle mismatch,
+//! forbidden litmus outcome) usually arrives with far more perturbation
+//! than the bug needs, which makes the repro noisy. Each triage path turns
+//! its failing input into a slice of integer knobs and shrinks it while the
+//! failure predicate keeps holding, the way property-testing shrinkers do:
 //!
-//! 1. **Greedy elimination** — try zeroing each knob (extra latency, drop,
-//!    duplicate, corrupt) outright, keeping any zeroing that still fails,
-//!    and repeat until no knob can be removed.
-//! 2. **Binary search** — for each surviving knob, binary-search the
-//!    smallest value that still fails.
+//! 1. **Greedy elimination** (`zero_knobs`) — try zeroing each knob
+//!    outright, keeping any zeroing that still fails, and repeat until no
+//!    knob can be removed.
+//! 2. **Binary search** (`bisect_knobs`) — for each surviving knob,
+//!    binary-search the smallest value that still fails.
 //!
-//! The predicate runs a full simulation per probe, so the driver should use
-//! a workload that fails quickly. Total probes are bounded by
-//! `O(knobs² + knobs·log(max value))` — a few dozen runs in practice.
+//! The callers differ only in their knobs: [`shrink_chaos`] runs both passes
+//! over a [`FaultConfig`]'s four intensities; `fuzz::minimize` zeroes
+//! burst-presence flags, then bisects each survivor's window and magnitude,
+//! then shrinks its chaos knobs here; explore zeroes decision-vector
+//! alternatives. The predicate runs a full simulation per probe, so total
+//! probes — `O(knobs² + knobs·log(max value))` — are a few dozen runs in
+//! practice. Every result satisfies the predicate: knobs only ever move to
+//! probed-and-failing values.
 
 use row_common::config::FaultConfig;
 
-/// The tunable fault knobs, in shrink order.
-const KNOBS: usize = 4;
-
-fn get(cfg: &FaultConfig, k: usize) -> u64 {
-    match k {
-        0 => cfg.max_extra_latency,
-        1 => u64::from(cfg.drop_ppm),
-        2 => u64::from(cfg.dup_ppm),
-        3 => u64::from(cfg.corrupt_ppm),
-        _ => unreachable!("knob index"),
-    }
-}
-
-fn set(cfg: &mut FaultConfig, k: usize, v: u64) {
-    match k {
-        0 => cfg.max_extra_latency = v,
-        1 => cfg.drop_ppm = v as u32,
-        2 => cfg.dup_ppm = v as u32,
-        3 => cfg.corrupt_ppm = v as u32,
-        _ => unreachable!("knob index"),
-    }
-}
-
-/// Minimizes `initial` — which must fail — under the failure predicate
-/// `fails`, returning the smallest configuration found that still fails.
-/// The RNG seed is never changed; only fault intensities shrink.
-///
-/// The returned configuration is guaranteed to satisfy `fails` (it is only
-/// ever moved to probed-and-failing candidates).
-pub fn shrink_chaos(
-    initial: FaultConfig,
-    mut fails: impl FnMut(&FaultConfig) -> bool,
-) -> FaultConfig {
-    let mut cur = initial;
-    // Phase 1: greedily zero whole knobs until fixpoint.
+/// Greedy elimination: zeroes each nonzero knob in turn, keeping the zero
+/// whenever `fails` still holds for the whole slice, and repeats until a
+/// pass zeroes nothing.
+pub(crate) fn zero_knobs(knobs: &mut [u64], mut fails: impl FnMut(&[u64]) -> bool) {
     loop {
         let mut progress = false;
-        for k in 0..KNOBS {
-            if get(&cur, k) == 0 {
+        for k in 0..knobs.len() {
+            let was = knobs[k];
+            if was == 0 {
                 continue;
             }
-            let mut cand = cur;
-            set(&mut cand, k, 0);
-            if fails(&cand) {
-                cur = cand;
+            knobs[k] = 0;
+            if fails(knobs) {
                 progress = true;
+            } else {
+                knobs[k] = was;
             }
         }
         if !progress {
             break;
         }
     }
-    // Phase 2: binary-search each surviving knob down to its minimal
-    // failing value. `hi` always names a probed-and-failing value.
-    for k in 0..KNOBS {
-        let mut hi = get(&cur, k);
-        if hi == 0 {
-            continue;
-        }
+}
+
+/// Binary search: lowers each nonzero knob, in slice order, to the smallest
+/// value for which `fails` still holds (the knobs before it already
+/// lowered, those after it as given).
+pub(crate) fn bisect_knobs(knobs: &mut [u64], mut fails: impl FnMut(&[u64]) -> bool) {
+    for k in 0..knobs.len() {
+        // `hi` always names a probed-and-failing value.
+        let mut hi = knobs[k];
         let mut lo = 0u64;
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            let mut cand = cur;
-            set(&mut cand, k, mid);
-            if fails(&cand) {
+            knobs[k] = mid;
+            if fails(knobs) {
                 hi = mid;
             } else {
                 lo = mid;
             }
         }
-        set(&mut cur, k, hi);
+        knobs[k] = hi;
     }
-    cur
+}
+
+/// Minimizes `initial` — which must fail — under the failure predicate
+/// `fails`: both passes over `[extra latency, drop, dup, corrupt]`. The RNG
+/// seed is never changed; only fault intensities shrink.
+pub fn shrink_chaos(
+    initial: FaultConfig,
+    mut fails: impl FnMut(&FaultConfig) -> bool,
+) -> FaultConfig {
+    let with = |k: &[u64]| FaultConfig {
+        max_extra_latency: k[0],
+        drop_ppm: k[1] as u32,
+        dup_ppm: k[2] as u32,
+        corrupt_ppm: k[3] as u32,
+        ..initial
+    };
+    let mut knobs = [
+        initial.max_extra_latency,
+        u64::from(initial.drop_ppm),
+        u64::from(initial.dup_ppm),
+        u64::from(initial.corrupt_ppm),
+    ];
+    zero_knobs(&mut knobs, |k| fails(&with(k)));
+    bisect_knobs(&mut knobs, |k| fails(&with(k)));
+    with(&knobs)
 }
 
 #[cfg(test)]
@@ -141,6 +142,50 @@ mod tests {
         assert!(pred(&cfg));
         let min = shrink_chaos(cfg, pred);
         assert!(pred(&min), "shrunk config no longer fails: {min:?}");
+    }
+
+    /// Pins every candidate each predicate is asked about, in order: the
+    /// probe count, the fnv1a of the recorded probes, and the result.
+    #[test]
+    fn probe_sequences_are_pinned() {
+        type Pred = fn(&FaultConfig) -> bool;
+        let cases: [(Pred, usize, &str, &str); 3] = [
+            (
+                |c| c.drop_ppm >= 137,
+                18,
+                "b2b092b65d9dcc66",
+                "7,0,137,0,0;",
+            ),
+            (
+                |c| c.dup_ppm > 0 && c.max_extra_latency >= 5,
+                25,
+                "28e63590f058e259",
+                "7,5,0,1,0;",
+            ),
+            (
+                |c| (c.drop_ppm >= 321 || c.dup_ppm >= 500) && c.corrupt_ppm >= 3,
+                32,
+                "d8d311917fabc16d",
+                "7,0,0,500,3;",
+            ),
+        ];
+        let show = |c: &FaultConfig| {
+            format!(
+                "{},{},{},{},{};",
+                c.seed, c.max_extra_latency, c.drop_ppm, c.dup_ppm, c.corrupt_ppm
+            )
+        };
+        for (pred, probes, hash, result) in cases {
+            let mut seen = String::new();
+            let min = shrink_chaos(full(), |c| {
+                seen.push_str(&show(c));
+                pred(c)
+            });
+            assert_eq!(seen.matches(';').count(), probes, "{result}");
+            let h = row_common::persist::fnv1a(seen.as_bytes());
+            assert_eq!(format!("{h:016x}"), hash, "{result}");
+            assert_eq!(show(&min), result);
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Each evaluation figure is a grid of `(benchmark × variant ×
 //! config-override)` cells, and every cell is one deterministic,
-//! state-sharing-free [`Machine`] run — so the sweep layer is embarrassingly
-//! parallel at the host level. Every figure of the `figure` driver runs
-//! through this one engine:
+//! state-sharing-free [`Machine`](crate::Machine) run — so the sweep layer
+//! is embarrassingly parallel at the host level. Every figure of the
+//! `figure` driver runs through this one engine:
 //!
 //! * [`Job`] / [`JobSpec`] / [`Variant`] — one declarative cell: which
 //!   benchmark, which policy knobs, which scale, which seed.
@@ -41,10 +41,10 @@ use row_common::SystemConfig;
 use row_workloads::{Benchmark, MicroRmw, MicroVariant};
 
 use crate::experiment::{
-    bench_streams, microbench_cycle_limit, run_benchmark_checkpointed, run_microbench_result,
+    microbench_cycle_limit, run_benchmark, run_benchmark_checkpointed, run_microbench_result,
     ExperimentConfig, RowVariant,
 };
-use crate::machine::{Machine, RunResult, SimError};
+use crate::machine::{RunResult, SimError};
 
 /// Schema identifier stamped into every `BENCH_<figure>.json`.
 pub const FIGURE_SCHEMA: &str = "norush-figure-v1";
@@ -468,7 +468,7 @@ fn execute(
                 ..*exp
             };
             match ckpt {
-                None => Machine::new(&sys, bench_streams(*bench, &exp)).run(exp.cycle_limit),
+                None => run_benchmark(&sys, *bench, &exp),
                 Some((every, path)) => {
                     run_benchmark_checkpointed(&sys, *bench, &exp, *every, path, true, |_| {})
                 }

@@ -6,10 +6,10 @@
 //! copy-pasteable repro command, a `journal_tail.txt` with the online
 //! checker's last records, optionally a pre-violation `.ckpt`, and (for
 //! chaos failures) a shrunk `chaos_repro.txt`. This module owns the pieces
-//! the four modes ([`crate::soak`], [`crate::fuzz`], [`crate::explore`] and
-//! the CLI's `run`) share: marker naming, stale-bundle rotation, the
-//! journal-tail/checkpoint writers, and the chaos shrink-and-report step
-//! ([`shrink_and_report`]).
+//! the four modes ([`crate::soak`], [`crate::fuzz`](mod@crate::fuzz),
+//! [`crate::explore`](mod@crate::explore) and the CLI's `run`) share: marker
+//! naming, stale-bundle rotation, the journal-tail/checkpoint writers, and
+//! the chaos shrink-and-report step ([`shrink_and_report`]).
 
 use std::io;
 use std::path::{Path, PathBuf};

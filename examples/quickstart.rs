@@ -5,8 +5,7 @@
 //! cargo run --release --example quickstart [benchmark] [cores]
 //! ```
 
-use norush::common::config::AtomicPolicy;
-use norush::sim::{run_benchmark, run_row_fwd, ExperimentConfig, RowVariant};
+use norush::sim::{run_benchmark, ExperimentConfig, RowVariant, Variant};
 use norush::workloads::Benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,9 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         exp.instructions
     );
 
-    let eager = run_benchmark(bench, AtomicPolicy::Eager, false, &exp)?;
-    let lazy = run_benchmark(bench, AtomicPolicy::Lazy, false, &exp)?;
-    let row = run_row_fwd(bench, RowVariant::RwDirUd, &exp)?;
+    let run = |v: Variant| run_benchmark(&v.apply(exp.system()), bench, &exp);
+    let eager = run(Variant::eager())?;
+    let lazy = run(Variant::lazy())?;
+    let row = run(Variant::row_fwd(RowVariant::RwDirUd))?;
 
     println!("policy              cycles   vs eager   IPC");
     for (name, r) in [

@@ -1,8 +1,9 @@
-//! `norush` command-line interface: `list`, `table1`, `run`, `profile`,
-//! `compare`, `soak`, `fuzz`, `litmus`, `explore`, `microbench`, `record`
-//! and `replay`. Each subcommand's entry in [`COMMANDS`] lists the flags it
-//! accepts; `norush <command> --help` prints that list, and any other flag
-//! is rejected before the command runs.
+//! `norush` command-line interface: `list`, `run`, `profile`, `compare`,
+//! `soak`, `fuzz`, `litmus`, `explore`, `record` and `replay`. Each
+//! subcommand's entry in [`COMMANDS`] lists the flags it accepts; `norush
+//! <command> --help` prints that list, and any other flag is rejected before
+//! the command runs. The paper's tables and figures are ids of the separate
+//! `figure` binary.
 //!
 //! Policies: `eager` (default), `lazy`, `row`, `row-fwd`, `far`.
 //!
@@ -11,18 +12,15 @@
 
 use std::path::PathBuf;
 
-use norush::common::config::{FaultConfig, FenceModel};
+use norush::common::config::FaultConfig;
 use norush::common::persist::write_atomic;
 use norush::cpu::instr::InstrStream;
 use norush::sim::soak::{self, SoakEvent, SoakOptions};
 use norush::sim::{
-    bench_streams, run_microbench, triage, ExperimentConfig, Machine, RunResult, SimError, Sweep,
-    SweepOptions, Variant,
+    bench_streams, run_benchmark, triage, ExperimentConfig, Machine, Sweep, SweepOptions, Variant,
 };
 use norush::workloads::litmus::{LitmusTest, OutcomeClass};
-use norush::workloads::{
-    Benchmark, LockServiceConfig, MicroRmw, MicroVariant, ServiceKernel, TraceFileStream,
-};
+use norush::workloads::{Benchmark, LockServiceConfig, ServiceKernel, TraceFileStream};
 use norush::SystemConfig;
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
@@ -163,14 +161,6 @@ fn system_for(policy: &str, exp: &ExperimentConfig) -> Result<SystemConfig, Stri
     Ok(Variant::by_name(policy)?.apply(exp.system()))
 }
 
-fn try_run_with(
-    sys: &SystemConfig,
-    bench: Benchmark,
-    exp: &ExperimentConfig,
-) -> Result<RunResult, SimError> {
-    Machine::new(sys, bench_streams(bench, exp)).run(exp.cycle_limit)
-}
-
 /// Parses `--repro-dir` (where shrunk repros and triage bundles land),
 /// creating the directory and rotating any leftover bundle aside (the
 /// shared [`norush::sim::triage`] plumbing). `run` defaults to the working
@@ -292,7 +282,7 @@ fn cmd_run(args: &Args) -> CliResult {
             res => res,
         }
     } else {
-        try_run_with(&sys, bench, &exp)
+        run_benchmark(&sys, bench, &exp)
     };
     let r = match res {
         Ok(r) => r,
@@ -325,7 +315,7 @@ fn cmd_run(args: &Args) -> CliResult {
                             probe.check.chaos = Some(*cand);
                             let mut s = sys;
                             s.check = probe.check;
-                            try_run_with(&s, bench, &probe).is_err()
+                            run_benchmark(&s, bench, &probe).is_err()
                         },
                     );
                 } else {
@@ -1069,32 +1059,6 @@ fn cmd_list(_: &Args) -> CliResult {
     Ok(())
 }
 
-fn cmd_microbench(args: &Args) -> CliResult {
-    let iters = args.num_in("iters", 500, 1, u64::MAX, "iterations per run")?;
-    let model = if args.switches.contains("fenced") {
-        FenceModel::Fenced
-    } else {
-        FenceModel::Unfenced
-    };
-    println!(
-        "{:6} {:>9} {:>14} {:>9} {:>13}",
-        "rmw", "plain", "plain+mfence", "lock", "lock+mfence"
-    );
-    for rmw in MicroRmw::ALL {
-        print!("{:6}", rmw.name());
-        for variant in MicroVariant::ALL {
-            let cpi = run_microbench(rmw, variant, model, iters)?;
-            let w = [9, 14, 9, 13][MicroVariant::ALL
-                .iter()
-                .position(|v| *v == variant)
-                .expect("member")];
-            print!(" {cpi:>w$.1}", w = w);
-        }
-        println!();
-    }
-    Ok(())
-}
-
 fn cmd_record(args: &Args) -> CliResult {
     let bench = bench_by_name(
         args.positional
@@ -1151,41 +1115,11 @@ fn cmd_replay(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn cmd_table1(_: &Args) -> CliResult {
-    let cfg = SystemConfig::alder_lake_32c();
-    println!(
-        "cores {}, widths {}/{}/{}, ROB {}, LQ {}, SB {}, AQ {}",
-        cfg.cores,
-        cfg.core.fetch_width,
-        cfg.core.issue_width,
-        cfg.core.commit_width,
-        cfg.core.rob_entries,
-        cfg.core.lq_entries,
-        cfg.core.sb_entries,
-        cfg.core.aq_entries
-    );
-    println!(
-        "L1D {}KB/{}w/{}cyc, L2 {}KB/{}w/{}cyc, L3 {}KB/{}w/{}cyc per bank, mem {}cyc",
-        cfg.mem.l1d.size_bytes / 1024,
-        cfg.mem.l1d.ways,
-        cfg.mem.l1d.hit_latency,
-        cfg.mem.l2.size_bytes / 1024,
-        cfg.mem.l2.ways,
-        cfg.mem.l2.hit_latency,
-        cfg.mem.l3_bank.size_bytes / 1024,
-        cfg.mem.l3_bank.ways,
-        cfg.mem.l3_bank.hit_latency,
-        cfg.mem.mem_latency
-    );
-    Ok(())
-}
-
 fn usage() -> CliResult {
     println!("norush — Rush-or-Wait atomic-scheduling simulator");
     println!();
     println!("commands:");
     println!("  list                               calibrated benchmark models");
-    println!("  table1                             Table I system parameters");
     println!("  run <bench> [--policy P] [...]     one simulation with stats");
     println!("  profile <bench> [--policy P] [...] one simulation with a cycles/sec +");
     println!("                                     per-component wall-clock breakdown");
@@ -1198,9 +1132,12 @@ fn usage() -> CliResult {
     println!("                                     mode) across one or more policies");
     println!("  explore [--test T,U] [...]         bounded-exhaustive schedule exploration");
     println!("                                     of litmus cells (DPOR + state dedup)");
-    println!("  microbench [--iters N] [--fenced]  Fig. 2 cycles/iteration");
     println!("  record <bench> <file> [...]        capture a trace file");
     println!("  replay <file> [--policy P]         replay a trace file");
+    println!();
+    println!("Tables and figures (Table I, the Fig. 2 microbenchmark, ...) are ids of");
+    println!("the `figure` binary: `figure table1 fig02 [--jobs N]`; `figure` alone lists");
+    println!("them.");
     println!();
     println!("`norush <command> --help` lists the flags a command accepts; any other");
     println!("flag is an error. What the less obvious ones do:");
@@ -1332,13 +1269,6 @@ const COMMANDS: &[Command] = &[
         run: cmd_list,
     },
     Command {
-        name: "table1",
-        args: "",
-        flags: &[],
-        about: "Print the Table I system parameters (no flags).",
-        run: cmd_table1,
-    },
-    Command {
         name: "run",
         args: " <benchmark>",
         flags: &[
@@ -1422,13 +1352,6 @@ const COMMANDS: &[Command] = &[
                 Violations are minimized and written to --repro-dir with a --replay\n\
                 repro command; exits 1 on a violation.",
         run: cmd_explore,
-    },
-    Command {
-        name: "microbench",
-        args: "",
-        flags: &["--iters N --fenced"],
-        about: "Fig. 2 cycles/iteration table.",
-        run: cmd_microbench,
     },
     Command {
         name: "record",

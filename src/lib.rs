@@ -19,19 +19,20 @@
 //! | [`workloads`] | `row-workloads` | benchmark models + the Fig. 2 microbenchmark |
 //! | [`sim`] | `row-sim` | the multicore machine and per-figure experiment runner |
 //! | [`check`] | `row-check` | robustness layer: invariant sweep + stall diagnostics |
-//! | [`oracle`] | `row-oracle` | differential end-state oracle (sequential golden model) |
+//! | [`oracle`] | `row-oracle` | linearizability oracle (sequential golden model), online or end-state |
 //!
 //! # Quickstart
 //!
 //! ```
-//! use norush::sim::{run_eager, run_lazy, ExperimentConfig};
+//! use norush::sim::{run_benchmark, ExperimentConfig, Variant};
 //! use norush::workloads::Benchmark;
 //!
 //! let mut exp = ExperimentConfig::quick();
 //! exp.cores = 4;
 //! exp.instructions = 2_000;
-//! let eager = run_eager(Benchmark::Pc, &exp).expect("simulates");
-//! let lazy = run_lazy(Benchmark::Pc, &exp).expect("simulates");
+//! let run = |v: Variant| run_benchmark(&v.apply(exp.system()), Benchmark::Pc, &exp);
+//! let eager = run(Variant::eager()).expect("simulates");
+//! let lazy = run(Variant::lazy()).expect("simulates");
 //! // `pc` is highly contended: waiting beats rushing.
 //! assert!(lazy.cycles < eager.cycles);
 //! ```

@@ -4,10 +4,14 @@
 
 use norush::common::config::{AtomicPolicy, DetectorKind, FenceModel, PredictorKind, RowConfig};
 use norush::sim::{
-    run_benchmark, run_eager, run_lazy, run_microbench, run_row, run_row_fwd, ExperimentConfig,
-    RowVariant,
+    run_benchmark, run_microbench, ExperimentConfig, RowVariant, RunResult, SimError, Variant,
 };
 use norush::workloads::{Benchmark, MicroRmw, MicroVariant};
+
+/// `bench` under `variant` at scale `e`.
+fn run(bench: Benchmark, variant: Variant, e: &ExperimentConfig) -> Result<RunResult, SimError> {
+    run_benchmark(&variant.apply(e.system()), bench, e)
+}
 
 fn exp() -> ExperimentConfig {
     ExperimentConfig {
@@ -22,8 +26,8 @@ fn exp() -> ExperimentConfig {
 
 #[test]
 fn fig1_eager_wins_on_noncontended_canneal() {
-    let e = run_eager(Benchmark::Canneal, &exp()).unwrap();
-    let l = run_lazy(Benchmark::Canneal, &exp()).unwrap();
+    let e = run(Benchmark::Canneal, Variant::eager(), &exp()).unwrap();
+    let l = run(Benchmark::Canneal, Variant::lazy(), &exp()).unwrap();
     assert!(
         (l.cycles as f64) > 1.10 * e.cycles as f64,
         "canneal: lazy {} must clearly lose to eager {}",
@@ -34,8 +38,8 @@ fn fig1_eager_wins_on_noncontended_canneal() {
 
 #[test]
 fn fig1_lazy_wins_on_contended_pc() {
-    let e = run_eager(Benchmark::Pc, &exp()).unwrap();
-    let l = run_lazy(Benchmark::Pc, &exp()).unwrap();
+    let e = run(Benchmark::Pc, Variant::eager(), &exp()).unwrap();
+    let l = run(Benchmark::Pc, Variant::lazy(), &exp()).unwrap();
     assert!(
         (l.cycles as f64) < 0.90 * e.cycles as f64,
         "pc: lazy {} must clearly beat eager {}",
@@ -47,9 +51,9 @@ fn fig1_lazy_wins_on_contended_pc() {
 #[test]
 fn fig5_intensity_and_contention_orderings() {
     let e = exp();
-    let pc = run_eager(Benchmark::Pc, &e).unwrap().total;
-    let canneal = run_eager(Benchmark::Canneal, &e).unwrap().total;
-    let fmm = run_eager(Benchmark::Fmm, &e).unwrap().total;
+    let pc = run(Benchmark::Pc, Variant::eager(), &e).unwrap().total;
+    let canneal = run(Benchmark::Canneal, Variant::eager(), &e).unwrap().total;
+    let fmm = run(Benchmark::Fmm, Variant::eager(), &e).unwrap().total;
     assert!(pc.atomics_per_10k() > canneal.atomics_per_10k());
     assert!(canneal.atomics_per_10k() > fmm.atomics_per_10k());
     assert!(pc.contended_fraction() > 0.4);
@@ -60,8 +64,14 @@ fn fig5_intensity_and_contention_orderings() {
 
 #[test]
 fn fig6_lazy_shifts_latency_from_lock_to_issue() {
-    let e = run_eager(Benchmark::Pc, &exp()).unwrap().total.breakdown;
-    let l = run_lazy(Benchmark::Pc, &exp()).unwrap().total.breakdown;
+    let e = run(Benchmark::Pc, Variant::eager(), &exp())
+        .unwrap()
+        .total
+        .breakdown;
+    let l = run(Benchmark::Pc, Variant::lazy(), &exp())
+        .unwrap()
+        .total
+        .breakdown;
     // Lazy waits longer to issue…
     assert!(l.dispatch_to_issue.mean() > e.dispatch_to_issue.mean());
     // …and in exchange acquires the contended line faster.
@@ -72,9 +82,11 @@ fn fig6_lazy_shifts_latency_from_lock_to_issue() {
 fn fig9_row_tracks_the_winner_on_both_extremes() {
     let e = exp();
     for bench in [Benchmark::Canneal, Benchmark::Pc] {
-        let eager = run_eager(bench, &e).unwrap().cycles as f64;
-        let lazy = run_lazy(bench, &e).unwrap().cycles as f64;
-        let row = run_row(bench, RowVariant::RwDirUd, &e).unwrap().cycles as f64;
+        let eager = run(bench, Variant::eager(), &e).unwrap().cycles as f64;
+        let lazy = run(bench, Variant::lazy(), &e).unwrap().cycles as f64;
+        let row = run(bench, Variant::row(RowVariant::RwDirUd), &e)
+            .unwrap()
+            .cycles as f64;
         let best = eager.min(lazy);
         assert!(
             row <= best * 1.10,
@@ -86,8 +98,10 @@ fn fig9_row_tracks_the_winner_on_both_extremes() {
 #[test]
 fn fig9_ew_detector_underperforms_rw_on_contended_apps() {
     let e = exp();
-    let ew = run_row(Benchmark::Pc, RowVariant::EwUd, &e).unwrap().cycles;
-    let rw = run_row(Benchmark::Pc, RowVariant::RwDirUd, &e)
+    let ew = run(Benchmark::Pc, Variant::row(RowVariant::EwUd), &e)
+        .unwrap()
+        .cycles;
+    let rw = run(Benchmark::Pc, Variant::row(RowVariant::RwDirUd), &e)
         .unwrap()
         .cycles;
     // EW misses contention (tiny window under lazy), so it stays eager and
@@ -108,9 +122,13 @@ fn fig10_zero_threshold_hurts_noncontended_apps() {
             },
             PredictorKind::UpDown,
         );
-        run_benchmark(Benchmark::Canneal, AtomicPolicy::Row(cfg), false, &e)
-            .unwrap()
-            .cycles
+        run(
+            Benchmark::Canneal,
+            Variant::custom("row", AtomicPolicy::Row(cfg)),
+            &e,
+        )
+        .unwrap()
+        .cycles
     };
     let t0 = mk(0);
     let t400 = mk(400);
@@ -125,11 +143,11 @@ fn fig10_zero_threshold_hurts_noncontended_apps() {
 #[test]
 fn fig12_predictors_report_accuracy() {
     let e = exp();
-    let ud = run_row(Benchmark::Sps, RowVariant::RwDirUd, &e)
+    let ud = run(Benchmark::Sps, Variant::row(RowVariant::RwDirUd), &e)
         .unwrap()
         .accuracy
         .unwrap();
-    let sat = run_row(Benchmark::Sps, RowVariant::RwDirSat, &e)
+    let sat = run(Benchmark::Sps, Variant::row(RowVariant::RwDirSat), &e)
         .unwrap()
         .accuracy
         .unwrap();
@@ -144,11 +162,11 @@ fn fig12_predictors_report_accuracy() {
 #[test]
 fn fig13_forwarding_recovers_cq() {
     let e = exp();
-    let eager = run_eager(Benchmark::Cq, &e).unwrap().cycles as f64;
-    let no_fwd = run_row(Benchmark::Cq, RowVariant::RwDirUd, &e)
+    let eager = run(Benchmark::Cq, Variant::eager(), &e).unwrap().cycles as f64;
+    let no_fwd = run(Benchmark::Cq, Variant::row(RowVariant::RwDirUd), &e)
         .unwrap()
         .cycles as f64;
-    let fwd = run_row_fwd(Benchmark::Cq, RowVariant::RwDirUd, &e).unwrap();
+    let fwd = run(Benchmark::Cq, Variant::row_fwd(RowVariant::RwDirUd), &e).unwrap();
     assert!(
         (fwd.cycles as f64) <= no_fwd * 1.05,
         "forwarding must not materially hurt cq: {} vs {}",
@@ -250,8 +268,10 @@ fn headline_row_beats_eager_on_average() {
     let e = exp();
     let mut ratios = Vec::new();
     for b in Benchmark::atomic_intensive() {
-        let eager = run_eager(b, &e).unwrap().cycles as f64;
-        let row = run_row_fwd(b, RowVariant::RwDirUd, &e).unwrap().cycles as f64;
+        let eager = run(b, Variant::eager(), &e).unwrap().cycles as f64;
+        let row = run(b, Variant::row_fwd(RowVariant::RwDirUd), &e)
+            .unwrap()
+            .cycles as f64;
         ratios.push(row / eager);
     }
     let gm = norush::common::stats::geomean(&ratios);
