@@ -392,6 +392,14 @@ pub struct FaultConfig {
     pub corrupt_ppm: u32,
 }
 
+crate::codec_struct!(FaultConfig {
+    seed,
+    max_extra_latency,
+    drop_ppm,
+    dup_ppm,
+    corrupt_ppm,
+});
+
 /// Upper bound on each per-transmission fault probability: 0.5, i.e.
 /// 500 000 ppm. Beyond this, retransmission no longer converges in any
 /// reasonable number of attempts.
@@ -447,6 +455,13 @@ pub struct DelayBurst {
     /// Seed of the channel-selection hash.
     pub salt: u64,
 }
+
+crate::codec_struct!(DelayBurst {
+    start,
+    len,
+    extra,
+    salt,
+});
 
 /// Upper bound on a single burst's `extra` latency. Keeps fuzz schedules
 /// inside the same order of magnitude as the watchdog windows, so a burst
@@ -946,5 +961,36 @@ mod tests {
         let row = AtomicPolicy::Row(RowConfig::best());
         assert!(row.row().is_some());
         assert!(AtomicPolicy::Eager.row().is_none());
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use crate::persist::{to_bytes, to_hex};
+        let fault = FaultConfig {
+            seed: 0x11,
+            max_extra_latency: 0x22,
+            drop_ppm: 0x33,
+            dup_ppm: 0x44,
+            corrupt_ppm: 0x55,
+        };
+        let burst = DelayBurst {
+            start: 0x66,
+            len: 0x77,
+            extra: 0x88,
+            salt: 0x99,
+        };
+        let pins = [
+            (
+                to_bytes(&fault),
+                "11000000000000002200000000000000330000004400000055000000",
+            ),
+            (
+                to_bytes(&burst),
+                "6600000000000000770000000000000088000000000000009900000000000000",
+            ),
+        ];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }

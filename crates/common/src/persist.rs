@@ -12,12 +12,27 @@
 //!   (geometry, latencies, function pointers, trait objects) are kept, and
 //!   only the mutable simulation state is overwritten.
 //!
-//! The encoding is a hand-rolled little-endian byte stream — no serde, no
-//! external dependencies — with explicit length prefixes and enum tags so a
+//! The encoding is a little-endian byte stream — no serde, no external
+//! dependencies — with explicit length prefixes and enum tags so a
 //! truncated or corrupted stream surfaces as a structured [`PersistError`]
 //! instead of a panic. Containers with nondeterministic iteration order
 //! (`HashMap`) are encoded in sorted key order so equal states always produce
 //! equal bytes.
+//!
+//! Each layout is declared once. Two macros derive a [`Codec`] from a field
+//! list, so `decode` can never drift from `encode`:
+//!
+//! * [`codec_struct!`](crate::codec_struct) — a struct is its fields, each
+//!   through its own `Codec`, in the listed order.
+//! * [`codec_enum!`](crate::codec_enum) — an enum is one tag byte, then the
+//!   variant's fields the same way; an unknown tag is
+//!   [`PersistError::BadTag`] naming the type.
+//!
+//! Write an impl by hand only when the layout is not a plain field list:
+//! decode validates (a length, a range, a presence byte against the
+//! machine's shape), the wire width differs from the field type, or a field
+//! is not persisted and must be rebuilt. Every [`Persist`] impl is
+//! hand-written for those reasons.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
@@ -107,6 +122,33 @@ pub fn write_atomic(path: &std::path::Path, bytes: impl AsRef<[u8]>) -> std::io:
     tmp.push(".tmp");
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path)
+}
+
+/// Lowercase hex of `bytes`, two digits a byte: the copy-pasteable form of
+/// fuzz genomes and explorer schedules.
+pub fn to_hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Parses [`to_hex`] output, in either case. It reads the string's bytes,
+/// so non-ASCII input is an error, never a panic.
+///
+/// # Errors
+/// An odd number of bytes, or a byte that is not a hex digit.
+pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
+    let s = s.as_bytes();
+    if !s.len().is_multiple_of(2) {
+        return Err("odd-length hex string".into());
+    }
+    let digit = |i: usize| {
+        (s[i] as char)
+            .to_digit(16)
+            .ok_or_else(|| format!("invalid hex digit at byte {i}"))
+    };
+    (0..s.len())
+        .step_by(2)
+        .map(|i| Ok((digit(i)? << 4 | digit(i + 1)?) as u8))
+        .collect()
 }
 
 /// An append-only little-endian byte sink for snapshot encoding.
@@ -291,6 +333,111 @@ pub trait Persist {
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError>;
 }
 
+/// Implements [`Codec`] for a struct from its field list: `encode` writes
+/// each field's `Codec` in the listed order and `decode` reads them back in
+/// the same order. The list must name every field, or `decode` does not
+/// compile.
+///
+/// ```
+/// use row_common::codec_struct;
+/// use row_common::persist::{roundtrip, to_bytes};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span {
+///     start: u64,
+///     len: u32,
+/// }
+/// codec_struct!(Span { len, start });
+///
+/// let s = Span { start: 7, len: 2 };
+/// assert_eq!(to_bytes(&s), [2, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0]);
+/// assert_eq!(roundtrip(&s).unwrap(), s);
+/// ```
+#[macro_export]
+macro_rules! codec_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::persist::Codec for $ty {
+            fn encode(&self, w: &mut $crate::persist::Writer) {
+                $($crate::persist::Codec::encode(&self.$field, w);)*
+            }
+            fn decode(
+                r: &mut $crate::persist::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::persist::PersistError> {
+                ::core::result::Result::Ok($ty {
+                    $($field: $crate::persist::Codec::decode(r)?,)*
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`Codec`] for an enum from its variant list: each variant is
+/// one tag byte, then its fields in the listed order, as in
+/// [`codec_struct!`](crate::codec_struct). Tuple fields take placeholder
+/// names. The list must name every variant, or `encode` does not compile.
+/// A tag with no variant decodes to [`PersistError::BadTag`] with `what`
+/// set to the type's name.
+///
+/// ```
+/// use row_common::codec_enum;
+/// use row_common::persist::{roundtrip, to_bytes, Codec, PersistError, Reader};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Line(u8),
+///     Rect { w: u8, h: u8 },
+/// }
+/// codec_enum!(Shape { 0 => Dot, 1 => Line(len), 2 => Rect { w, h } });
+///
+/// assert_eq!(to_bytes(&Shape::Rect { w: 3, h: 4 }), [2, 3, 4]);
+/// assert_eq!(roundtrip(&Shape::Line(9)).unwrap(), Shape::Line(9));
+/// assert_eq!(
+///     Shape::decode(&mut Reader::new(&[7])),
+///     Err(PersistError::BadTag { what: "Shape", tag: 7 })
+/// );
+/// ```
+#[macro_export]
+macro_rules! codec_enum {
+    ($ty:ident {
+        $($tag:literal => $variant:ident
+            $(($($tf:ident),* $(,)?))?
+            $({ $($nf:ident),* $(,)? })?
+        ),* $(,)?
+    }) => {
+        impl $crate::persist::Codec for $ty {
+            fn encode(&self, w: &mut $crate::persist::Writer) {
+                match self {
+                    $($ty::$variant $(($($tf),*))? $({ $($nf),* })? => {
+                        w.put_u8($tag);
+                        $($($crate::persist::Codec::encode($tf, w);)*)?
+                        $($($crate::persist::Codec::encode($nf, w);)*)?
+                    })*
+                }
+            }
+            fn decode(
+                r: &mut $crate::persist::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::persist::PersistError> {
+                ::core::result::Result::Ok(match r.get_u8()? {
+                    $($tag => {
+                        $($(let $tf = $crate::persist::Codec::decode(r)?;)*)?
+                        $($(let $nf = $crate::persist::Codec::decode(r)?;)*)?
+                        $ty::$variant $(($($tf),*))? $({ $($nf),* })?
+                    })*
+                    tag => {
+                        return ::core::result::Result::Err(
+                            $crate::persist::PersistError::BadTag {
+                                what: ::core::stringify!($ty),
+                                tag,
+                            },
+                        )
+                    }
+                })
+            }
+        }
+    };
+}
+
 macro_rules! codec_prim {
     ($ty:ty, $put:ident, $get:ident) => {
         impl Codec for $ty {
@@ -383,39 +530,18 @@ impl Codec for Pc {
     }
 }
 
-impl Codec for RmwKind {
+crate::codec_enum!(RmwKind {
+    0 => Faa(v),
+    1 => Swap(v),
+    2 => Cas { expected, new },
+});
+
+impl<T: Codec> Codec for Box<T> {
     fn encode(&self, w: &mut Writer) {
-        match self {
-            RmwKind::Faa(v) => {
-                w.put_u8(0);
-                w.put_u64(*v);
-            }
-            RmwKind::Swap(v) => {
-                w.put_u8(1);
-                w.put_u64(*v);
-            }
-            RmwKind::Cas { expected, new } => {
-                w.put_u8(2);
-                w.put_u64(*expected);
-                w.put_u64(*new);
-            }
-        }
+        (**self).encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => RmwKind::Faa(r.get_u64()?),
-            1 => RmwKind::Swap(r.get_u64()?),
-            2 => RmwKind::Cas {
-                expected: r.get_u64()?,
-                new: r.get_u64()?,
-            },
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "RmwKind",
-                    tag,
-                })
-            }
-        })
+        T::decode(r).map(Box::new)
     }
 }
 
@@ -572,11 +698,16 @@ impl<T: Codec, const N: usize> Codec for [T; N] {
     }
 }
 
-/// Round-trips a [`Codec`] value through bytes (test/debug helper).
-pub fn roundtrip<T: Codec>(value: &T) -> Result<T, PersistError> {
+/// The [`Codec`] bytes of `value`.
+pub fn to_bytes<T: Codec>(value: &T) -> Vec<u8> {
     let mut w = Writer::new();
     value.encode(&mut w);
-    let bytes = w.into_bytes();
+    w.into_bytes()
+}
+
+/// Round-trips a [`Codec`] value through bytes (test/debug helper).
+pub fn roundtrip<T: Codec>(value: &T) -> Result<T, PersistError> {
+    let bytes = to_bytes(value);
     let mut r = Reader::new(&bytes);
     let out = T::decode(&mut r)?;
     if !r.is_empty() {
@@ -705,10 +836,43 @@ mod tests {
     }
 
     #[test]
+    fn hex_round_trips_and_rejects_without_panicking() {
+        let bytes = [0x00, 0x7f, 0xa5, 0xff];
+        assert_eq!(to_hex(&bytes), "007fa5ff");
+        assert_eq!(from_hex("007fa5ff").unwrap(), bytes);
+        assert_eq!(from_hex("007FA5FF").unwrap(), bytes);
+        assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
+        assert!(from_hex("0").is_err());
+        assert!(from_hex("zz").is_err());
+        assert!(from_hex("+f").is_err());
+        // 'é' is two bytes: slicing the string at byte offsets would panic.
+        assert!(from_hex("aéa").is_err());
+        assert!(from_hex("aé").is_err());
+    }
+
+    #[test]
     fn fnv1a_is_stable() {
         // Known FNV-1a vectors.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_ne!(fnv1a(b"config-a"), fnv1a(b"config-b"));
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        let pins = [
+            (to_bytes(&RmwKind::Faa(0x11)), "001100000000000000"),
+            (to_bytes(&RmwKind::Swap(0x22)), "012200000000000000"),
+            (
+                to_bytes(&RmwKind::Cas {
+                    expected: 0x33,
+                    new: 0x44,
+                }),
+                "0233000000000000004400000000000000",
+            ),
+        ];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }

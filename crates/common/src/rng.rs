@@ -177,16 +177,7 @@ impl ZipfSampler {
     }
 }
 
-impl crate::persist::Codec for SplitMix64 {
-    fn encode(&self, w: &mut crate::persist::Writer) {
-        w.put_u64(self.state);
-    }
-    fn decode(r: &mut crate::persist::Reader<'_>) -> Result<Self, crate::persist::PersistError> {
-        Ok(SplitMix64 {
-            state: r.get_u64()?,
-        })
-    }
-}
+crate::codec_struct!(SplitMix64 { state });
 
 #[cfg(test)]
 mod tests {
@@ -305,5 +296,19 @@ mod tests {
         let mut c1 = parent.split();
         let mut c2 = parent.split();
         assert_ne!(c1.next_u64(), c2.next_u64());
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use crate::persist::{to_bytes, to_hex};
+        let pins = [(
+            to_bytes(&SplitMix64 {
+                state: 0x0123_4567_89ab_cdef,
+            }),
+            "efcdab8967452301",
+        )];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }

@@ -383,81 +383,34 @@ impl TransportStats {
     }
 }
 
-impl Codec for TransportStats {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.sent);
-        w.put_u64(self.delivered);
-        w.put_u64(self.retries);
-        w.put_u64(self.nack_retransmits);
-        w.put_u64(self.drops_injected);
-        w.put_u64(self.dups_injected);
-        w.put_u64(self.corrupts_injected);
-        w.put_u64(self.dup_dropped);
-        w.put_u64(self.corrupt_dropped);
-        w.put_u64(self.acks_sent);
-        w.put_u64(self.giveups);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(TransportStats {
-            sent: r.get_u64()?,
-            delivered: r.get_u64()?,
-            retries: r.get_u64()?,
-            nack_retransmits: r.get_u64()?,
-            drops_injected: r.get_u64()?,
-            dups_injected: r.get_u64()?,
-            corrupts_injected: r.get_u64()?,
-            dup_dropped: r.get_u64()?,
-            corrupt_dropped: r.get_u64()?,
-            acks_sent: r.get_u64()?,
-            giveups: r.get_u64()?,
-        })
-    }
-}
+crate::codec_struct!(TransportStats {
+    sent,
+    delivered,
+    retries,
+    nack_retransmits,
+    drops_injected,
+    dups_injected,
+    corrupts_injected,
+    dup_dropped,
+    corrupt_dropped,
+    acks_sent,
+    giveups,
+});
 
-impl Codec for RunningMean {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u128(self.sum);
-        w.put_u64(self.count);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(RunningMean {
-            sum: r.get_u128()?,
-            count: r.get_u64()?,
-        })
-    }
-}
+crate::codec_struct!(RunningMean { sum, count });
 
-impl Codec for AtomicLatencyBreakdown {
-    fn encode(&self, w: &mut Writer) {
-        self.dispatch_to_issue.encode(w);
-        self.issue_to_lock.encode(w);
-        self.lock_to_unlock.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(AtomicLatencyBreakdown {
-            dispatch_to_issue: RunningMean::decode(r)?,
-            issue_to_lock: RunningMean::decode(r)?,
-            lock_to_unlock: RunningMean::decode(r)?,
-        })
-    }
-}
+crate::codec_struct!(AtomicLatencyBreakdown {
+    dispatch_to_issue,
+    issue_to_lock,
+    lock_to_unlock,
+});
 
-impl Codec for AccuracyCounter {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.true_contended);
-        w.put_u64(self.true_uncontended);
-        w.put_u64(self.false_contended);
-        w.put_u64(self.false_uncontended);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(AccuracyCounter {
-            true_contended: r.get_u64()?,
-            true_uncontended: r.get_u64()?,
-            false_contended: r.get_u64()?,
-            false_uncontended: r.get_u64()?,
-        })
-    }
-}
+crate::codec_struct!(AccuracyCounter {
+    true_contended,
+    true_uncontended,
+    false_contended,
+    false_uncontended,
+});
 
 /// Every scalar metric one sweep job produces, in a form that serializes
 /// to the per-figure `BENCH_<fig>.json` records and parses back losslessly
@@ -851,5 +804,64 @@ mod tests {
         assert_eq!(geomean(&[]), 1.0);
         // Non-positive entries are ignored, not propagated as NaN.
         assert!((geomean(&[4.0, 0.0]) - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use crate::persist::{to_bytes, to_hex};
+        let pins = [
+            (
+                to_bytes(&TransportStats {
+                    sent: 0x11,
+                    delivered: 0x22,
+                    retries: 0x33,
+                    nack_retransmits: 0x44,
+                    drops_injected: 0x55,
+                    dups_injected: 0x66,
+                    corrupts_injected: 0x77,
+                    dup_dropped: 0x88,
+                    corrupt_dropped: 0x99,
+                    acks_sent: 0xaa,
+                    giveups: 0xbb,
+                }),
+                "110000000000000022000000000000003300000000000000440000000000000055000000000000006600000000000000770000000000000088000000000000009900000000000000aa00000000000000bb00000000000000",
+            ),
+            (
+                to_bytes(&RunningMean {
+                    sum: 0x1122_3344_5566_7788_99aa,
+                    count: 0xbb,
+                }),
+                "aa998877665544332211000000000000bb00000000000000",
+            ),
+            (
+                to_bytes(&AtomicLatencyBreakdown {
+                    dispatch_to_issue: RunningMean {
+                        sum: 0x11,
+                        count: 0x22,
+                    },
+                    issue_to_lock: RunningMean {
+                        sum: 0x33,
+                        count: 0x44,
+                    },
+                    lock_to_unlock: RunningMean {
+                        sum: 0x55,
+                        count: 0x66,
+                    },
+                }),
+                "110000000000000000000000000000002200000000000000330000000000000000000000000000004400000000000000550000000000000000000000000000006600000000000000",
+            ),
+            (
+                to_bytes(&AccuracyCounter {
+                    true_contended: 0x11,
+                    true_uncontended: 0x22,
+                    false_contended: 0x33,
+                    false_uncontended: 0x44,
+                }),
+                "1100000000000000220000000000000033000000000000004400000000000000",
+            ),
+        ];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }

@@ -108,26 +108,10 @@ impl RowEngine {
     }
 }
 
-impl Codec for ExecMode {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            ExecMode::Eager => 0,
-            ExecMode::Lazy => 1,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => ExecMode::Eager,
-            1 => ExecMode::Lazy,
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "ExecMode",
-                    tag,
-                })
-            }
-        })
-    }
-}
+row_common::codec_enum!(ExecMode {
+    0 => Eager,
+    1 => Lazy,
+});
 
 impl Persist for RowEngine {
     fn persist(&self, w: &mut Writer) {
@@ -201,5 +185,17 @@ mod tests {
         assert!(row.locality_override());
         assert_eq!(row.detector(), DetectorKind::rw_dir_default());
         assert_eq!(row.config(), &cfg);
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let pins = [
+            (to_bytes(&ExecMode::Eager), "00"),
+            (to_bytes(&ExecMode::Lazy), "01"),
+        ];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }

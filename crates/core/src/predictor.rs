@@ -166,18 +166,7 @@ impl ContentionPredictor {
     }
 }
 
-impl Codec for SaturatingCounter {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.value);
-        w.put_u8(self.max);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(SaturatingCounter {
-            value: r.get_u8()?,
-            max: r.get_u8()?,
-        })
-    }
-}
+row_common::codec_struct!(SaturatingCounter { value, max });
 
 impl Persist for ContentionPredictor {
     // Kind, threshold, and index width are config-derived; the counters and
@@ -333,5 +322,20 @@ mod tests {
         let p = updown();
         assert_eq!(p.entries(), 64);
         assert_eq!(p.storage_bits(), 256);
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let pins = [(
+            to_bytes(&SaturatingCounter {
+                value: 0x11,
+                max: 0x22,
+            }),
+            "1122",
+        )];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }

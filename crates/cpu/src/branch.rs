@@ -217,33 +217,12 @@ impl Default for TageLite {
     }
 }
 
-impl Codec for TaggedEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u16(self.tag);
-        self.ctr.encode(w);
-        w.put_u8(self.useful);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(TaggedEntry {
-            tag: r.get_u16()?,
-            ctr: i8::decode(r)?,
-            useful: r.get_u8()?,
-        })
-    }
-}
+row_common::codec_struct!(TaggedEntry { tag, ctr, useful });
 
-impl Codec for BranchStats {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.predictions);
-        w.put_u64(self.mispredictions);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(BranchStats {
-            predictions: r.get_u64()?,
-            mispredictions: r.get_u64()?,
-        })
-    }
-}
+row_common::codec_struct!(BranchStats {
+    predictions,
+    mispredictions,
+});
 
 impl Persist for TageLite {
     fn persist(&self, w: &mut Writer) {
@@ -347,5 +326,30 @@ mod tests {
         };
         assert!((s.mpki_rate() - 0.07).abs() < 1e-12);
         assert_eq!(BranchStats::default().mpki_rate(), 0.0);
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let pins = [
+            (
+                to_bytes(&TaggedEntry {
+                    tag: 0x1122,
+                    ctr: -3,
+                    useful: 0x44,
+                }),
+                "2211fd44",
+            ),
+            (
+                to_bytes(&BranchStats {
+                    predictions: 0x11,
+                    mispredictions: 0x22,
+                }),
+                "11000000000000002200000000000000",
+            ),
+        ];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }

@@ -1547,140 +1547,57 @@ impl std::fmt::Debug for Core {
     }
 }
 
-impl Codec for Comp {
-    fn encode(&self, w: &mut Writer) {
-        match *self {
-            Comp::Exec => w.put_u8(0),
-            Comp::AddrCalc => w.put_u8(1),
-            Comp::AtomicAddrOnly => w.put_u8(2),
-            Comp::LoadDone { forwarded } => {
-                w.put_u8(3);
-                w.put_bool(forwarded);
-            }
-            Comp::AtomicValue => w.put_u8(4),
-            Comp::SbWrite => w.put_u8(5),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => Comp::Exec,
-            1 => Comp::AddrCalc,
-            2 => Comp::AtomicAddrOnly,
-            3 => Comp::LoadDone {
-                forwarded: r.get_bool()?,
-            },
-            4 => Comp::AtomicValue,
-            5 => Comp::SbWrite,
-            tag => return Err(PersistError::BadTag { what: "Comp", tag }),
-        })
-    }
-}
+row_common::codec_enum!(Comp {
+    0 => Exec,
+    1 => AddrCalc,
+    2 => AtomicAddrOnly,
+    3 => LoadDone { forwarded },
+    4 => AtomicValue,
+    5 => SbWrite,
+});
 
-impl Codec for RobEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.order);
-        self.instr.encode(w);
-        w.put_u32(self.pending_deps);
-        w.put_bool(self.in_iq);
-        self.issued_at.encode(w);
-        self.completed_at.encode(w);
-        self.forwarded_from.encode(w);
-        w.put_bool(self.mem_outstanding);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(RobEntry {
-            order: r.get_u64()?,
-            instr: Instr::decode(r)?,
-            pending_deps: r.get_u32()?,
-            in_iq: r.get_bool()?,
-            issued_at: Option::<Cycle>::decode(r)?,
-            completed_at: Option::<Cycle>::decode(r)?,
-            forwarded_from: Option::<(u64, u64)>::decode(r)?,
-            mem_outstanding: r.get_bool()?,
-        })
-    }
-}
+row_common::codec_struct!(RobEntry {
+    order,
+    instr,
+    pending_deps,
+    in_iq,
+    issued_at,
+    completed_at,
+    forwarded_from,
+    mem_outstanding,
+});
 
-impl Codec for SbEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.uid);
-        w.put_u64(self.order);
-        self.pc.encode(w);
-        self.addr.encode(w);
-        self.value.encode(w);
-        w.put_bool(self.atomic);
-        w.put_bool(self.committed);
-        w.put_bool(self.inflight);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(SbEntry {
-            uid: r.get_u64()?,
-            order: r.get_u64()?,
-            pc: Pc::decode(r)?,
-            addr: Option::<Addr>::decode(r)?,
-            value: Option::<u64>::decode(r)?,
-            atomic: r.get_bool()?,
-            committed: r.get_bool()?,
-            inflight: r.get_bool()?,
-        })
-    }
-}
+row_common::codec_struct!(SbEntry {
+    uid,
+    order,
+    pc,
+    addr,
+    value,
+    atomic,
+    committed,
+    inflight,
+});
 
-impl Codec for AqEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.uid);
-        w.put_u64(self.order);
-        self.pc.encode(w);
-        self.rmw.encode(w);
-        self.addr.encode(w);
-        w.put_bool(self.addr_known);
-        w.put_bool(self.locked);
-        w.put_bool(self.fill_pending);
-        w.put_bool(self.contended);
-        w.put_bool(self.predicted_contended);
-        self.mode.encode(w);
-        self.dispatched_at.encode(w);
-        self.mem_issued_at.encode(w);
-        self.locked_at.encode(w);
-        w.put_u16(self.issued14);
-        w.put_bool(self.forwarded);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(AqEntry {
-            uid: r.get_u64()?,
-            order: r.get_u64()?,
-            pc: Pc::decode(r)?,
-            rmw: RmwKind::decode(r)?,
-            addr: Addr::decode(r)?,
-            addr_known: r.get_bool()?,
-            locked: r.get_bool()?,
-            fill_pending: r.get_bool()?,
-            contended: r.get_bool()?,
-            predicted_contended: r.get_bool()?,
-            mode: ExecMode::decode(r)?,
-            dispatched_at: Cycle::decode(r)?,
-            mem_issued_at: Option::<Cycle>::decode(r)?,
-            locked_at: Option::<Cycle>::decode(r)?,
-            issued14: r.get_u16()?,
-            forwarded: r.get_bool()?,
-        })
-    }
-}
+row_common::codec_struct!(AqEntry {
+    uid,
+    order,
+    pc,
+    rmw,
+    addr,
+    addr_known,
+    locked,
+    fill_pending,
+    contended,
+    predicted_contended,
+    mode,
+    dispatched_at,
+    mem_issued_at,
+    locked_at,
+    issued14,
+    forwarded,
+});
 
-impl Codec for LoadObservation {
-    fn encode(&self, w: &mut Writer) {
-        self.pc.encode(w);
-        self.addr.encode(w);
-        w.put_u64(self.value);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(LoadObservation {
-            pc: Pc::decode(r)?,
-            addr: Addr::decode(r)?,
-            value: r.get_u64()?,
-        })
-    }
-}
+row_common::codec_struct!(LoadObservation { pc, addr, value });
 
 impl Persist for Core {
     // `id`, `cfg`, `l1_lat`, and `stats_detector` are construction parameters
@@ -1763,5 +1680,81 @@ impl Persist for Core {
         // Derived caches restart cold.
         self.head_wait = None;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let pins = [
+            (to_bytes(&Comp::Exec), "00"),
+            (to_bytes(&Comp::AddrCalc), "01"),
+            (to_bytes(&Comp::AtomicAddrOnly), "02"),
+            (to_bytes(&Comp::LoadDone { forwarded: true }), "0301"),
+            (to_bytes(&Comp::AtomicValue), "04"),
+            (to_bytes(&Comp::SbWrite), "05"),
+            (
+                to_bytes(&RobEntry {
+                    order: 0x11,
+                    instr: Instr::simple(Pc::new(0x22), Op::Fence),
+                    pending_deps: 0x33,
+                    in_iq: true,
+                    issued_at: Some(Cycle::new(0x44)),
+                    completed_at: Some(Cycle::new(0x55)),
+                    forwarded_from: Some((0x66, 0x77)),
+                    mem_outstanding: false,
+                }),
+                "11000000000000002200000000000000050000003300000001014400000000000000015500000000000000016600000000000000770000000000000000",
+            ),
+            (
+                to_bytes(&SbEntry {
+                    uid: 0x11,
+                    order: 0x22,
+                    pc: Pc::new(0x33),
+                    addr: Some(Addr::new(0x44)),
+                    value: Some(0x55),
+                    atomic: true,
+                    committed: false,
+                    inflight: true,
+                }),
+                "110000000000000022000000000000003300000000000000014400000000000000015500000000000000010001",
+            ),
+            (
+                to_bytes(&AqEntry {
+                    uid: 0x11,
+                    order: 0x22,
+                    pc: Pc::new(0x33),
+                    rmw: RmwKind::Swap(0x44),
+                    addr: Addr::new(0x55),
+                    addr_known: true,
+                    locked: false,
+                    fill_pending: true,
+                    contended: false,
+                    predicted_contended: true,
+                    mode: ExecMode::Lazy,
+                    dispatched_at: Cycle::new(0x66),
+                    mem_issued_at: Some(Cycle::new(0x77)),
+                    locked_at: Some(Cycle::new(0x88)),
+                    issued14: 0x99,
+                    forwarded: true,
+                }),
+                "11000000000000002200000000000000330000000000000001440000000000000055000000000000000100010001016600000000000000017700000000000000018800000000000000990001",
+            ),
+            (
+                to_bytes(&LoadObservation {
+                    pc: Pc::new(0x11),
+                    addr: Addr::new(0x22),
+                    value: 0x33,
+                }),
+                "110000000000000022000000000000003300000000000000",
+            ),
+        ];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }

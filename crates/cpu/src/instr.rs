@@ -8,7 +8,7 @@
 //! (`load_lock` / ALU / `store_unlock`) internally.
 
 use row_common::ids::{Addr, Pc};
-use row_common::persist::{Codec, PersistError, Reader, Writer};
+use row_common::persist::{PersistError, Reader, Writer};
 
 /// An architectural register index (the traces use `0..NUM_REGS`).
 pub type Reg = u8;
@@ -180,75 +180,16 @@ impl InstrStream for VecStream {
     }
 }
 
-impl Codec for Op {
-    fn encode(&self, w: &mut Writer) {
-        match *self {
-            Op::Alu { latency } => {
-                w.put_u8(0);
-                w.put_u8(latency);
-            }
-            Op::Load { addr } => {
-                w.put_u8(1);
-                addr.encode(w);
-            }
-            Op::Store { addr, value } => {
-                w.put_u8(2);
-                addr.encode(w);
-                value.encode(w);
-            }
-            Op::Atomic { rmw, addr } => {
-                w.put_u8(3);
-                rmw.encode(w);
-                addr.encode(w);
-            }
-            Op::Branch { taken } => {
-                w.put_u8(4);
-                w.put_bool(taken);
-            }
-            Op::Fence => w.put_u8(5),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => Op::Alu {
-                latency: r.get_u8()?,
-            },
-            1 => Op::Load {
-                addr: Addr::decode(r)?,
-            },
-            2 => Op::Store {
-                addr: Addr::decode(r)?,
-                value: Option::<u64>::decode(r)?,
-            },
-            3 => Op::Atomic {
-                rmw: RmwKind::decode(r)?,
-                addr: Addr::decode(r)?,
-            },
-            4 => Op::Branch {
-                taken: r.get_bool()?,
-            },
-            5 => Op::Fence,
-            tag => return Err(PersistError::BadTag { what: "Op", tag }),
-        })
-    }
-}
+row_common::codec_enum!(Op {
+    0 => Alu { latency },
+    1 => Load { addr },
+    2 => Store { addr, value },
+    3 => Atomic { rmw, addr },
+    4 => Branch { taken },
+    5 => Fence,
+});
 
-impl Codec for Instr {
-    fn encode(&self, w: &mut Writer) {
-        self.pc.encode(w);
-        self.op.encode(w);
-        self.srcs.encode(w);
-        self.dst.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Instr {
-            pc: Pc::decode(r)?,
-            op: Op::decode(r)?,
-            srcs: <[Option<Reg>; 2]>::decode(r)?,
-            dst: Option::<Reg>::decode(r)?,
-        })
-    }
-}
+row_common::codec_struct!(Instr { pc, op, srcs, dst });
 
 #[cfg(test)]
 mod tests {
@@ -325,5 +266,49 @@ mod tests {
         assert_eq!(s.next_instr().unwrap().pc, Pc::new(4));
         assert!(s.next_instr().is_none());
         assert!(s.next_instr().is_none());
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let pins = [
+            (to_bytes(&Op::Alu { latency: 0x11 }), "0011"),
+            (
+                to_bytes(&Op::Load {
+                    addr: Addr::new(0x22),
+                }),
+                "012200000000000000",
+            ),
+            (
+                to_bytes(&Op::Store {
+                    addr: Addr::new(0x33),
+                    value: Some(0x44),
+                }),
+                "023300000000000000014400000000000000",
+            ),
+            (
+                to_bytes(&Op::Atomic {
+                    rmw: RmwKind::Faa(0x55),
+                    addr: Addr::new(0x66),
+                }),
+                "030055000000000000006600000000000000",
+            ),
+            (to_bytes(&Op::Branch { taken: true }), "0401"),
+            (to_bytes(&Op::Fence), "05"),
+            (
+                to_bytes(&Instr {
+                    pc: Pc::new(0x77),
+                    op: Op::Load {
+                        addr: Addr::new(0x88),
+                    },
+                    srcs: [Some(1), Some(2)],
+                    dst: Some(3),
+                }),
+                "7700000000000000018800000000000000010101020103",
+            ),
+        ];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }

@@ -1,6 +1,5 @@
 //! Per-core statistics: everything the paper's figures need.
 
-use row_common::persist::{Codec, PersistError, Reader, Writer};
 use row_common::stats::{AtomicLatencyBreakdown, LogHistogram, RunningMean};
 use row_common::Cycle;
 
@@ -94,48 +93,25 @@ impl CoreStats {
     }
 }
 
-impl Codec for CoreStats {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.committed);
-        w.put_u64(self.atomics);
-        w.put_u64(self.contended_atomics);
-        w.put_u64(self.atomics_eager);
-        w.put_u64(self.atomics_lazy);
-        w.put_u64(self.atomics_forwarded);
-        w.put_u64(self.locality_overrides);
-        w.put_u64(self.loads_forwarded);
-        w.put_u64(self.violations);
-        w.put_u64(self.inv_squashes);
-        w.put_u64(self.deadlock_breaks);
-        w.put_u64(self.lock_reacquires);
-        self.breakdown.encode(w);
-        self.atomic_latency.encode(w);
-        self.older_unexecuted_at_issue.encode(w);
-        self.younger_started_at_issue.encode(w);
-        self.finished_at.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(CoreStats {
-            committed: r.get_u64()?,
-            atomics: r.get_u64()?,
-            contended_atomics: r.get_u64()?,
-            atomics_eager: r.get_u64()?,
-            atomics_lazy: r.get_u64()?,
-            atomics_forwarded: r.get_u64()?,
-            locality_overrides: r.get_u64()?,
-            loads_forwarded: r.get_u64()?,
-            violations: r.get_u64()?,
-            inv_squashes: r.get_u64()?,
-            deadlock_breaks: r.get_u64()?,
-            lock_reacquires: r.get_u64()?,
-            breakdown: AtomicLatencyBreakdown::decode(r)?,
-            atomic_latency: LogHistogram::decode(r)?,
-            older_unexecuted_at_issue: RunningMean::decode(r)?,
-            younger_started_at_issue: RunningMean::decode(r)?,
-            finished_at: Option::<Cycle>::decode(r)?,
-        })
-    }
-}
+row_common::codec_struct!(CoreStats {
+    committed,
+    atomics,
+    contended_atomics,
+    atomics_eager,
+    atomics_lazy,
+    atomics_forwarded,
+    locality_overrides,
+    loads_forwarded,
+    violations,
+    inv_squashes,
+    deadlock_breaks,
+    lock_reacquires,
+    breakdown,
+    atomic_latency,
+    older_unexecuted_at_issue,
+    younger_started_at_issue,
+    finished_at,
+});
 
 #[cfg(test)]
 mod tests {
@@ -170,5 +146,36 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.finished_at, Some(Cycle::new(30)));
         assert_eq!(a.committed, 3);
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let mut s = CoreStats {
+            committed: 0x11,
+            atomics: 0x12,
+            contended_atomics: 0x13,
+            atomics_eager: 0x14,
+            atomics_lazy: 0x15,
+            atomics_forwarded: 0x16,
+            locality_overrides: 0x17,
+            loads_forwarded: 0x18,
+            violations: 0x19,
+            inv_squashes: 0x1a,
+            deadlock_breaks: 0x1b,
+            lock_reacquires: 0x1c,
+            finished_at: Some(Cycle::new(0x1d)),
+            ..CoreStats::default()
+        };
+        s.breakdown.record(0x21, 0x22, 0x23);
+        s.atomic_latency.add(0x24);
+        s.older_unexecuted_at_issue.add(0x25);
+        s.younger_started_at_issue.add(0x26);
+        // The histogram's own (hand-written) bytes sit between the two
+        // pinned runs.
+        let histogram = to_hex(&to_bytes(&s.atomic_latency));
+        let head = "1100000000000000120000000000000013000000000000001400000000000000150000000000000016000000000000001700000000000000180000000000000019000000000000001a000000000000001b000000000000001c00000000000000210000000000000000000000000000000100000000000000220000000000000000000000000000000100000000000000230000000000000000000000000000000100000000000000";
+        let tail = "250000000000000000000000000000000100000000000000260000000000000000000000000000000100000000000000011d00000000000000";
+        assert_eq!(to_hex(&to_bytes(&s)), format!("{head}{histogram}{tail}"));
     }
 }

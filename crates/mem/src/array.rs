@@ -162,18 +162,7 @@ impl CacheArray {
     }
 }
 
-impl Codec for Way {
-    fn encode(&self, w: &mut Writer) {
-        self.tag.encode(w);
-        w.put_u64(self.lru);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Way {
-            tag: Option::<LineAddr>::decode(r)?,
-            lru: r.get_u64()?,
-        })
-    }
-}
+row_common::codec_struct!(Way { tag, lru });
 
 impl Persist for CacheArray {
     // Geometry (sets/ways) is config-derived; tags and LRU state are mutable.
@@ -286,5 +275,29 @@ mod tests {
             assert_eq!(c.insert(LineAddr::new(k), |_| true), Insert::Placed);
         }
         assert_eq!(c.occupancy(), 4);
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let pins = [
+            (
+                to_bytes(&Way {
+                    tag: Some(LineAddr::new(0x11)),
+                    lru: 0x22,
+                }),
+                "0111000000000000002200000000000000",
+            ),
+            (
+                to_bytes(&Way {
+                    tag: None,
+                    lru: 0x33,
+                }),
+                "003300000000000000",
+            ),
+        ];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }

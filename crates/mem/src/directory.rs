@@ -802,130 +802,34 @@ impl DirBank {
     }
 }
 
-impl Codec for Entry2 {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Entry2::Shared(s) => {
-                w.put_u8(0);
-                s.encode(w);
-            }
-            Entry2::Exclusive(c) => {
-                w.put_u8(1);
-                c.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => Entry2::Shared(BTreeSet::decode(r)?),
-            1 => Entry2::Exclusive(CoreId::decode(r)?),
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "Entry2",
-                    tag,
-                })
-            }
-        })
-    }
-}
+row_common::codec_enum!(Entry2 {
+    0 => Shared(sharers),
+    1 => Exclusive(owner),
+});
 
-impl Codec for Phase {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Phase::AwaitUnblock => w.put_u8(0),
-            Phase::CollectingAcks { req, pending, far } => {
-                w.put_u8(1);
-                req.encode(w);
-                pending.encode(w);
-                match far {
-                    None => w.put_bool(false),
-                    Some((rmw, req_id)) => {
-                        w.put_bool(true);
-                        rmw.encode(w);
-                        w.put_u64(*req_id);
-                    }
-                }
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => Phase::AwaitUnblock,
-            1 => Phase::CollectingAcks {
-                req: CoreId::decode(r)?,
-                pending: usize::decode(r)?,
-                far: if r.get_bool()? {
-                    Some((RmwKind::decode(r)?, r.get_u64()?))
-                } else {
-                    None
-                },
-            },
-            tag => return Err(PersistError::BadTag { what: "Phase", tag }),
-        })
-    }
-}
+row_common::codec_enum!(Phase {
+    0 => AwaitUnblock,
+    1 => CollectingAcks { req, pending, far },
+});
 
-impl Codec for Entry {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Entry::Shared(s) => {
-                w.put_u8(0);
-                s.encode(w);
-            }
-            Entry::Exclusive(c) => {
-                w.put_u8(1);
-                c.encode(w);
-            }
-            Entry::Blocked(b) => {
-                w.put_u8(2);
-                b.next.encode(w);
-                b.phase.encode(w);
-                b.queue.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => Entry::Shared(BTreeSet::decode(r)?),
-            1 => Entry::Exclusive(CoreId::decode(r)?),
-            2 => Entry::Blocked(Box::new(BlockInfo {
-                next: Entry2::decode(r)?,
-                phase: Phase::decode(r)?,
-                queue: VecDeque::decode(r)?,
-            })),
-            tag => return Err(PersistError::BadTag { what: "Entry", tag }),
-        })
-    }
-}
+row_common::codec_enum!(Entry {
+    0 => Shared(sharers),
+    1 => Exclusive(owner),
+    2 => Blocked(info),
+});
 
-impl Codec for DirStats {
-    fn encode(&self, w: &mut Writer) {
-        for v in [
-            self.gets,
-            self.getx,
-            self.forwards,
-            self.invalidations,
-            self.queued,
-            self.l3_misses,
-            self.writebacks,
-            self.far_atomics,
-        ] {
-            w.put_u64(v);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(DirStats {
-            gets: r.get_u64()?,
-            getx: r.get_u64()?,
-            forwards: r.get_u64()?,
-            invalidations: r.get_u64()?,
-            queued: r.get_u64()?,
-            l3_misses: r.get_u64()?,
-            writebacks: r.get_u64()?,
-            far_atomics: r.get_u64()?,
-        })
-    }
-}
+row_common::codec_struct!(BlockInfo { next, phase, queue });
+
+row_common::codec_struct!(DirStats {
+    gets,
+    getx,
+    forwards,
+    invalidations,
+    queued,
+    l3_misses,
+    writebacks,
+    far_atomics,
+});
 
 impl Persist for DirBank {
     // Tile index and latencies are config-derived; the L3 tag array, the
@@ -1312,6 +1216,68 @@ mod tests {
             .unwrap();
         assert!(a.is_empty());
         assert_eq!(d.state(line), DirState::Uncached);
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let pins = [
+            (
+                to_bytes(&Entry2::Shared([CoreId::new(1), CoreId::new(2)].into())),
+                "00020000000000000001000200",
+            ),
+            (to_bytes(&Entry2::Exclusive(CoreId::new(3))), "010300"),
+            (to_bytes(&Phase::AwaitUnblock), "00"),
+            (
+                to_bytes(&Phase::CollectingAcks {
+                    req: CoreId::new(4),
+                    pending: 5,
+                    far: None,
+                }),
+                "010400050000000000000000",
+            ),
+            (
+                to_bytes(&Phase::CollectingAcks {
+                    req: CoreId::new(6),
+                    pending: 7,
+                    far: Some((RmwKind::Swap(8), 9)),
+                }),
+                "0106000700000000000000010108000000000000000900000000000000",
+            ),
+            (to_bytes(&Entry::Shared([CoreId::new(1)].into())), "0001000000000000000100"),
+            (to_bytes(&Entry::Exclusive(CoreId::new(2))), "010200"),
+            (
+                to_bytes(&Entry::Blocked(Box::new(BlockInfo {
+                    next: Entry2::Exclusive(CoreId::new(3)),
+                    phase: Phase::CollectingAcks {
+                        req: CoreId::new(4),
+                        pending: 5,
+                        far: Some((RmwKind::Faa(6), 7)),
+                    },
+                    queue: [Msg::Inv {
+                        line: LineAddr::new(8),
+                    }]
+                    .into(),
+                }))),
+                "0201030001040005000000000000000100060000000000000007000000000000000100000000000000040800000000000000",
+            ),
+            (
+                to_bytes(&DirStats {
+                    gets: 1,
+                    getx: 2,
+                    forwards: 3,
+                    invalidations: 4,
+                    queued: 5,
+                    l3_misses: 6,
+                    writebacks: 7,
+                    far_atomics: 8,
+                }),
+                "01000000000000000200000000000000030000000000000004000000000000000500000000000000060000000000000007000000000000000800000000000000",
+            ),
+        ];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }
 

@@ -10,7 +10,6 @@
 //! the replay even when the timing side of the run looks healthy.
 
 use row_common::ids::{Addr, CoreId};
-use row_common::persist::{Codec, PersistError, Reader, Writer};
 use row_common::rmw::RmwKind;
 use row_common::Cycle;
 
@@ -47,61 +46,12 @@ pub enum OpKind {
     },
 }
 
-impl Codec for OpKind {
-    fn encode(&self, w: &mut Writer) {
-        match *self {
-            OpKind::Rmw {
-                addr,
-                rmw,
-                observed_old,
-            } => {
-                w.put_u8(0);
-                addr.encode(w);
-                rmw.encode(w);
-                w.put_u64(observed_old);
-            }
-            OpKind::Store { addr, value } => {
-                w.put_u8(1);
-                addr.encode(w);
-                w.put_u64(value);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => OpKind::Rmw {
-                addr: Addr::decode(r)?,
-                rmw: RmwKind::decode(r)?,
-                observed_old: r.get_u64()?,
-            },
-            1 => OpKind::Store {
-                addr: Addr::decode(r)?,
-                value: r.get_u64()?,
-            },
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "OpKind",
-                    tag,
-                })
-            }
-        })
-    }
-}
+row_common::codec_enum!(OpKind {
+    0 => Rmw { addr, rmw, observed_old },
+    1 => Store { addr, value },
+});
 
-impl Codec for OpRecord {
-    fn encode(&self, w: &mut Writer) {
-        self.core.encode(w);
-        self.at.encode(w);
-        self.kind.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(OpRecord {
-            core: CoreId::decode(r)?,
-            at: Cycle::decode(r)?,
-            kind: OpKind::decode(r)?,
-        })
-    }
-}
+row_common::codec_struct!(OpRecord { core, at, kind });
 
 #[cfg(test)]
 mod tests {
@@ -131,6 +81,45 @@ mod tests {
         ];
         for rec in records {
             assert_eq!(roundtrip(&rec).unwrap(), rec);
+        }
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let pins = [
+            (
+                to_bytes(&OpKind::Rmw {
+                    addr: Addr::new(0x11),
+                    rmw: RmwKind::Cas {
+                        expected: 0x22,
+                        new: 0x33,
+                    },
+                    observed_old: 0x44,
+                }),
+                "00110000000000000002220000000000000033000000000000004400000000000000",
+            ),
+            (
+                to_bytes(&OpKind::Store {
+                    addr: Addr::new(0x55),
+                    value: 0x66,
+                }),
+                "0155000000000000006600000000000000",
+            ),
+            (
+                to_bytes(&OpRecord {
+                    core: CoreId::new(7),
+                    at: Cycle::new(0x88),
+                    kind: OpKind::Store {
+                        addr: Addr::new(0x99),
+                        value: 0xaa,
+                    },
+                }),
+                "07008800000000000000019900000000000000aa00000000000000",
+            ),
+        ];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
         }
     }
 }

@@ -7,7 +7,7 @@
 //! the paper's Fig. 8.
 
 use row_common::ids::{CoreId, LineAddr, Pc};
-use row_common::persist::{Codec, PersistError, Reader, Writer};
+use row_common::persist::{fnv1a, to_bytes};
 use row_common::rmw::RmwKind;
 use row_common::Cycle;
 
@@ -256,391 +256,63 @@ pub enum Frame {
 /// Checksum a sequenced frame carries alongside its payload: FNV-1a over
 /// the message's canonical encoding.
 pub fn msg_checksum(msg: &Msg) -> u64 {
-    let mut w = Writer::new();
-    msg.encode(&mut w);
-    row_common::persist::fnv1a(w.bytes())
+    fnv1a(&to_bytes(msg))
 }
 
-impl Codec for AccessKind {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            AccessKind::Read => 0,
-            AccessKind::Write => 1,
-            AccessKind::Rmw => 2,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => AccessKind::Read,
-            1 => AccessKind::Write,
-            2 => AccessKind::Rmw,
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "AccessKind",
-                    tag,
-                })
-            }
-        })
-    }
-}
+row_common::codec_enum!(AccessKind {
+    0 => Read,
+    1 => Write,
+    2 => Rmw,
+});
 
-impl Codec for ReqMeta {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.req_id);
-        self.pc.encode(w);
-        w.put_bool(self.prefetch);
-        self.kind.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(ReqMeta {
-            req_id: r.get_u64()?,
-            pc: Option::<Pc>::decode(r)?,
-            prefetch: r.get_bool()?,
-            kind: AccessKind::decode(r)?,
-        })
-    }
-}
+row_common::codec_struct!(ReqMeta {
+    req_id,
+    pc,
+    prefetch,
+    kind,
+});
 
-impl Codec for FillSource {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            FillSource::L1 => 0,
-            FillSource::L2 => 1,
-            FillSource::L3 => 2,
-            FillSource::Memory => 3,
-            FillSource::RemotePrivate => 4,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => FillSource::L1,
-            1 => FillSource::L2,
-            2 => FillSource::L3,
-            3 => FillSource::Memory,
-            4 => FillSource::RemotePrivate,
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "FillSource",
-                    tag,
-                })
-            }
-        })
-    }
-}
+row_common::codec_enum!(FillSource {
+    0 => L1,
+    1 => L2,
+    2 => L3,
+    3 => Memory,
+    4 => RemotePrivate,
+});
 
-impl Codec for MemEvent {
-    fn encode(&self, w: &mut Writer) {
-        match *self {
-            MemEvent::Fill {
-                core,
-                req_id,
-                line,
-                at,
-                issued_at,
-                source,
-                kind,
-            } => {
-                w.put_u8(0);
-                core.encode(w);
-                w.put_u64(req_id);
-                line.encode(w);
-                at.encode(w);
-                issued_at.encode(w);
-                source.encode(w);
-                kind.encode(w);
-            }
-            MemEvent::FarDone {
-                core,
-                line,
-                req_id,
-                at,
-            } => {
-                w.put_u8(1);
-                core.encode(w);
-                line.encode(w);
-                w.put_u64(req_id);
-                at.encode(w);
-            }
-            MemEvent::ExternalObserved {
-                core,
-                line,
-                at,
-                stalled,
-            } => {
-                w.put_u8(2);
-                core.encode(w);
-                line.encode(w);
-                at.encode(w);
-                w.put_bool(stalled);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => MemEvent::Fill {
-                core: CoreId::decode(r)?,
-                req_id: r.get_u64()?,
-                line: LineAddr::decode(r)?,
-                at: Cycle::decode(r)?,
-                issued_at: Cycle::decode(r)?,
-                source: FillSource::decode(r)?,
-                kind: AccessKind::decode(r)?,
-            },
-            1 => MemEvent::FarDone {
-                core: CoreId::decode(r)?,
-                line: LineAddr::decode(r)?,
-                req_id: r.get_u64()?,
-                at: Cycle::decode(r)?,
-            },
-            2 => MemEvent::ExternalObserved {
-                core: CoreId::decode(r)?,
-                line: LineAddr::decode(r)?,
-                at: Cycle::decode(r)?,
-                stalled: r.get_bool()?,
-            },
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "MemEvent",
-                    tag,
-                })
-            }
-        })
-    }
-}
+row_common::codec_enum!(MemEvent {
+    0 => Fill { core, req_id, line, at, issued_at, source, kind },
+    1 => FarDone { core, line, req_id, at },
+    2 => ExternalObserved { core, line, at, stalled },
+});
 
-impl Codec for Msg {
-    fn encode(&self, w: &mut Writer) {
-        match *self {
-            Msg::GetS { req, line } => {
-                w.put_u8(0);
-                req.encode(w);
-                line.encode(w);
-            }
-            Msg::GetX { req, line } => {
-                w.put_u8(1);
-                req.encode(w);
-                line.encode(w);
-            }
-            Msg::FwdGetS { req, line } => {
-                w.put_u8(2);
-                req.encode(w);
-                line.encode(w);
-            }
-            Msg::FwdGetX { req, line } => {
-                w.put_u8(3);
-                req.encode(w);
-                line.encode(w);
-            }
-            Msg::Inv { line } => {
-                w.put_u8(4);
-                line.encode(w);
-            }
-            Msg::InvAck { from, line } => {
-                w.put_u8(5);
-                from.encode(w);
-                line.encode(w);
-            }
-            Msg::Data {
-                req,
-                line,
-                excl,
-                from_private,
-            } => {
-                w.put_u8(6);
-                req.encode(w);
-                line.encode(w);
-                w.put_bool(excl);
-                w.put_bool(from_private);
-            }
-            Msg::Unblock { from, line } => {
-                w.put_u8(7);
-                from.encode(w);
-                line.encode(w);
-            }
-            Msg::PutM { from, line } => {
-                w.put_u8(8);
-                from.encode(w);
-                line.encode(w);
-            }
-            Msg::WbAck { line } => {
-                w.put_u8(9);
-                line.encode(w);
-            }
-            Msg::WbStale { line } => {
-                w.put_u8(10);
-                line.encode(w);
-            }
-            Msg::AtomicFar {
-                req,
-                line,
-                rmw,
-                req_id,
-            } => {
-                w.put_u8(11);
-                req.encode(w);
-                line.encode(w);
-                rmw.encode(w);
-                w.put_u64(req_id);
-            }
-            Msg::FarDone { req, line, req_id } => {
-                w.put_u8(12);
-                req.encode(w);
-                line.encode(w);
-                w.put_u64(req_id);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => Msg::GetS {
-                req: CoreId::decode(r)?,
-                line: LineAddr::decode(r)?,
-            },
-            1 => Msg::GetX {
-                req: CoreId::decode(r)?,
-                line: LineAddr::decode(r)?,
-            },
-            2 => Msg::FwdGetS {
-                req: CoreId::decode(r)?,
-                line: LineAddr::decode(r)?,
-            },
-            3 => Msg::FwdGetX {
-                req: CoreId::decode(r)?,
-                line: LineAddr::decode(r)?,
-            },
-            4 => Msg::Inv {
-                line: LineAddr::decode(r)?,
-            },
-            5 => Msg::InvAck {
-                from: CoreId::decode(r)?,
-                line: LineAddr::decode(r)?,
-            },
-            6 => Msg::Data {
-                req: CoreId::decode(r)?,
-                line: LineAddr::decode(r)?,
-                excl: r.get_bool()?,
-                from_private: r.get_bool()?,
-            },
-            7 => Msg::Unblock {
-                from: CoreId::decode(r)?,
-                line: LineAddr::decode(r)?,
-            },
-            8 => Msg::PutM {
-                from: CoreId::decode(r)?,
-                line: LineAddr::decode(r)?,
-            },
-            9 => Msg::WbAck {
-                line: LineAddr::decode(r)?,
-            },
-            10 => Msg::WbStale {
-                line: LineAddr::decode(r)?,
-            },
-            11 => Msg::AtomicFar {
-                req: CoreId::decode(r)?,
-                line: LineAddr::decode(r)?,
-                rmw: RmwKind::decode(r)?,
-                req_id: r.get_u64()?,
-            },
-            12 => Msg::FarDone {
-                req: CoreId::decode(r)?,
-                line: LineAddr::decode(r)?,
-                req_id: r.get_u64()?,
-            },
-            tag => return Err(PersistError::BadTag { what: "Msg", tag }),
-        })
-    }
-}
+row_common::codec_enum!(Msg {
+    0 => GetS { req, line },
+    1 => GetX { req, line },
+    2 => FwdGetS { req, line },
+    3 => FwdGetX { req, line },
+    4 => Inv { line },
+    5 => InvAck { from, line },
+    6 => Data { req, line, excl, from_private },
+    7 => Unblock { from, line },
+    8 => PutM { from, line },
+    9 => WbAck { line },
+    10 => WbStale { line },
+    11 => AtomicFar { req, line, rmw, req_id },
+    12 => FarDone { req, line, req_id },
+});
 
-impl Codec for Endpoint {
-    fn encode(&self, w: &mut Writer) {
-        match *self {
-            Endpoint::Core(c) => {
-                w.put_u8(0);
-                c.encode(w);
-            }
-            Endpoint::Dir(t) => {
-                w.put_u8(1);
-                t.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => Endpoint::Core(CoreId::decode(r)?),
-            1 => Endpoint::Dir(usize::decode(r)?),
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "Endpoint",
-                    tag,
-                })
-            }
-        })
-    }
-}
+row_common::codec_enum!(Endpoint {
+    0 => Core(core),
+    1 => Dir(tile),
+});
 
-impl Codec for Frame {
-    fn encode(&self, w: &mut Writer) {
-        match *self {
-            Frame::Msg { to, msg } => {
-                w.put_u8(0);
-                to.encode(w);
-                msg.encode(w);
-            }
-            Frame::Seq {
-                src,
-                dst,
-                seq,
-                msg,
-                check,
-            } => {
-                w.put_u8(1);
-                src.encode(w);
-                dst.encode(w);
-                w.put_u64(seq);
-                msg.encode(w);
-                w.put_u64(check);
-            }
-            Frame::Ack { src, dst, seq } => {
-                w.put_u8(2);
-                src.encode(w);
-                dst.encode(w);
-                w.put_u64(seq);
-            }
-            Frame::Nack { src, dst, seq } => {
-                w.put_u8(3);
-                src.encode(w);
-                dst.encode(w);
-                w.put_u64(seq);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => Frame::Msg {
-                to: Endpoint::decode(r)?,
-                msg: Msg::decode(r)?,
-            },
-            1 => Frame::Seq {
-                src: Endpoint::decode(r)?,
-                dst: Endpoint::decode(r)?,
-                seq: r.get_u64()?,
-                msg: Msg::decode(r)?,
-                check: r.get_u64()?,
-            },
-            2 => Frame::Ack {
-                src: Endpoint::decode(r)?,
-                dst: Endpoint::decode(r)?,
-                seq: r.get_u64()?,
-            },
-            3 => Frame::Nack {
-                src: Endpoint::decode(r)?,
-                dst: Endpoint::decode(r)?,
-                seq: r.get_u64()?,
-            },
-            tag => return Err(PersistError::BadTag { what: "Frame", tag }),
-        })
-    }
-}
+row_common::codec_enum!(Frame {
+    0 => Msg { to, msg },
+    1 => Seq { src, dst, seq, msg, check },
+    2 => Ack { src, dst, seq },
+    3 => Nack { src, dst, seq },
+});
 
 #[cfg(test)]
 mod tests {
@@ -740,6 +412,195 @@ mod tests {
         ];
         for f in frames {
             assert_eq!(row_common::persist::roundtrip(&f).unwrap(), f);
+        }
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let pins = [
+            (to_bytes(&AccessKind::Read), "00"),
+            (to_bytes(&AccessKind::Write), "01"),
+            (to_bytes(&AccessKind::Rmw), "02"),
+            (
+                to_bytes(&ReqMeta {
+                    req_id: 0x11,
+                    pc: Some(Pc::new(0x22)),
+                    prefetch: true,
+                    kind: AccessKind::Write,
+                }),
+                "11000000000000000122000000000000000101",
+            ),
+            (to_bytes(&FillSource::L1), "00"),
+            (to_bytes(&FillSource::L2), "01"),
+            (to_bytes(&FillSource::L3), "02"),
+            (to_bytes(&FillSource::Memory), "03"),
+            (to_bytes(&FillSource::RemotePrivate), "04"),
+            (
+                to_bytes(&MemEvent::Fill {
+                    core: CoreId::new(1),
+                    req_id: 0x22,
+                    line: LineAddr::new(0x33),
+                    at: Cycle::new(0x44),
+                    issued_at: Cycle::new(0x55),
+                    source: FillSource::RemotePrivate,
+                    kind: AccessKind::Rmw,
+                }),
+                "00010022000000000000003300000000000000440000000000000055000000000000000402",
+            ),
+            (
+                to_bytes(&MemEvent::FarDone {
+                    core: CoreId::new(2),
+                    line: LineAddr::new(0x33),
+                    req_id: 0x44,
+                    at: Cycle::new(0x55),
+                }),
+                "010200330000000000000044000000000000005500000000000000",
+            ),
+            (
+                to_bytes(&MemEvent::ExternalObserved {
+                    core: CoreId::new(3),
+                    line: LineAddr::new(0x44),
+                    at: Cycle::new(0x55),
+                    stalled: true,
+                }),
+                "0203004400000000000000550000000000000001",
+            ),
+            (
+                to_bytes(&Msg::GetS {
+                    req: CoreId::new(1),
+                    line: LineAddr::new(0x12),
+                }),
+                "0001001200000000000000",
+            ),
+            (
+                to_bytes(&Msg::GetX {
+                    req: CoreId::new(2),
+                    line: LineAddr::new(0x23),
+                }),
+                "0102002300000000000000",
+            ),
+            (
+                to_bytes(&Msg::FwdGetS {
+                    req: CoreId::new(3),
+                    line: LineAddr::new(0x34),
+                }),
+                "0203003400000000000000",
+            ),
+            (
+                to_bytes(&Msg::FwdGetX {
+                    req: CoreId::new(4),
+                    line: LineAddr::new(0x45),
+                }),
+                "0304004500000000000000",
+            ),
+            (
+                to_bytes(&Msg::Inv {
+                    line: LineAddr::new(0x56),
+                }),
+                "045600000000000000",
+            ),
+            (
+                to_bytes(&Msg::InvAck {
+                    from: CoreId::new(6),
+                    line: LineAddr::new(0x67),
+                }),
+                "0506006700000000000000",
+            ),
+            (
+                to_bytes(&Msg::Data {
+                    req: CoreId::new(7),
+                    line: LineAddr::new(0x78),
+                    excl: true,
+                    from_private: false,
+                }),
+                "06070078000000000000000100",
+            ),
+            (
+                to_bytes(&Msg::Unblock {
+                    from: CoreId::new(8),
+                    line: LineAddr::new(0x89),
+                }),
+                "0708008900000000000000",
+            ),
+            (
+                to_bytes(&Msg::PutM {
+                    from: CoreId::new(9),
+                    line: LineAddr::new(0x9a),
+                }),
+                "0809009a00000000000000",
+            ),
+            (
+                to_bytes(&Msg::WbAck {
+                    line: LineAddr::new(0xab),
+                }),
+                "09ab00000000000000",
+            ),
+            (
+                to_bytes(&Msg::WbStale {
+                    line: LineAddr::new(0xbc),
+                }),
+                "0abc00000000000000",
+            ),
+            (
+                to_bytes(&Msg::AtomicFar {
+                    req: CoreId::new(0xc),
+                    line: LineAddr::new(0xcd),
+                    rmw: RmwKind::Swap(0xde),
+                    req_id: 0xef,
+                }),
+                "0b0c00cd0000000000000001de00000000000000ef00000000000000",
+            ),
+            (
+                to_bytes(&Msg::FarDone {
+                    req: CoreId::new(0xd),
+                    line: LineAddr::new(0xde),
+                    req_id: 0xf0,
+                }),
+                "0c0d00de00000000000000f000000000000000",
+            ),
+            (to_bytes(&Endpoint::Core(CoreId::new(5))), "000500"),
+            (to_bytes(&Endpoint::Dir(6)), "010600000000000000"),
+            (
+                to_bytes(&Frame::Msg {
+                    to: Endpoint::Dir(1),
+                    msg: Msg::Inv {
+                        line: LineAddr::new(0x22),
+                    },
+                }),
+                "00010100000000000000042200000000000000",
+            ),
+            (
+                to_bytes(&Frame::Seq {
+                    src: Endpoint::Core(CoreId::new(1)),
+                    dst: Endpoint::Dir(2),
+                    seq: 0x33,
+                    msg: Msg::WbAck {
+                        line: LineAddr::new(0x44),
+                    },
+                    check: 0x55,
+                }),
+                "0100010001020000000000000033000000000000000944000000000000005500000000000000",
+            ),
+            (
+                to_bytes(&Frame::Ack {
+                    src: Endpoint::Dir(1),
+                    dst: Endpoint::Core(CoreId::new(2)),
+                    seq: 0x33,
+                }),
+                "020101000000000000000002003300000000000000",
+            ),
+            (
+                to_bytes(&Frame::Nack {
+                    src: Endpoint::Core(CoreId::new(3)),
+                    dst: Endpoint::Dir(4),
+                    seq: 0x55,
+                }),
+                "030003000104000000000000005500000000000000",
+            ),
+        ];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
         }
     }
 }

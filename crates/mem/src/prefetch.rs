@@ -86,22 +86,12 @@ impl IpStridePrefetcher {
     }
 }
 
-impl Codec for StrideEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.tag);
-        w.put_u64(self.last_addr);
-        self.stride.encode(w);
-        w.put_u8(self.confidence);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(StrideEntry {
-            tag: r.get_u64()?,
-            last_addr: r.get_u64()?,
-            stride: i64::decode(r)?,
-            confidence: r.get_u8()?,
-        })
-    }
-}
+row_common::codec_struct!(StrideEntry {
+    tag,
+    last_addr,
+    stride,
+    confidence,
+});
 
 impl Persist for IpStridePrefetcher {
     // Table size and degree are config-derived; only the training state moves.
@@ -183,5 +173,22 @@ mod tests {
         p.observe(pc, Addr::new(128));
         let pf = p.observe(pc, Addr::new(0));
         assert!(pf.is_empty(), "got {pf:?}");
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let pins = [(
+            to_bytes(&StrideEntry {
+                tag: 0x11,
+                last_addr: 0x22,
+                stride: -0x33,
+                confidence: 3,
+            }),
+            "11000000000000002200000000000000cdffffffffffffff03",
+        )];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }

@@ -771,87 +771,31 @@ impl PrivateCache {
     }
 }
 
-impl Codec for PrivState {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            PrivState::S => 0,
-            PrivState::E => 1,
-            PrivState::M => 2,
-            PrivState::Evicting => 3,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => PrivState::S,
-            1 => PrivState::E,
-            2 => PrivState::M,
-            3 => PrivState::Evicting,
-            tag => {
-                return Err(PersistError::BadTag {
-                    what: "PrivState",
-                    tag,
-                })
-            }
-        })
-    }
-}
+row_common::codec_enum!(PrivState {
+    0 => S,
+    1 => E,
+    2 => M,
+    3 => Evicting,
+});
 
-impl Codec for PrivStats {
-    fn encode(&self, w: &mut Writer) {
-        for v in [
-            self.l1_hits,
-            self.l2_hits,
-            self.misses,
-            self.prefetches,
-            self.ext_stalled,
-            self.ext_seen,
-            self.writebacks,
-        ] {
-            w.put_u64(v);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(PrivStats {
-            l1_hits: r.get_u64()?,
-            l2_hits: r.get_u64()?,
-            misses: r.get_u64()?,
-            prefetches: r.get_u64()?,
-            ext_stalled: r.get_u64()?,
-            ext_seen: r.get_u64()?,
-            writebacks: r.get_u64()?,
-        })
-    }
-}
+row_common::codec_struct!(PrivStats {
+    l1_hits,
+    l2_hits,
+    misses,
+    prefetches,
+    ext_stalled,
+    ext_seen,
+    writebacks,
+});
 
-impl Codec for Mshr {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bool(self.excl);
-        self.waiters.encode(w);
-        self.upgrade_waiters.encode(w);
-        self.issued_at.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Mshr {
-            excl: r.get_bool()?,
-            waiters: Vec::<ReqMeta>::decode(r)?,
-            upgrade_waiters: Vec::<ReqMeta>::decode(r)?,
-            issued_at: Cycle::decode(r)?,
-        })
-    }
-}
+row_common::codec_struct!(Mshr {
+    excl,
+    waiters,
+    upgrade_waiters,
+    issued_at,
+});
 
-impl Codec for ReqMetaLine {
-    fn encode(&self, w: &mut Writer) {
-        self.meta.encode(w);
-        self.line.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(ReqMetaLine {
-            meta: ReqMeta::decode(r)?,
-            line: LineAddr::decode(r)?,
-        })
-    }
-}
+row_common::codec_struct!(ReqMetaLine { meta, line });
 
 impl Persist for PrivateCache {
     // `id`, `home_of`, `tiles`, latencies, and the MSHR limit are
@@ -1308,6 +1252,54 @@ mod tests {
         assert!(gets.len() >= 4, "got {gets:?}");
         assert!(gets.contains(&LineAddr::new(103)));
         assert!(c.stats().prefetches >= 1);
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let meta = |id| ReqMeta {
+            req_id: id,
+            pc: Some(Pc::new(id + 1)),
+            prefetch: true,
+            kind: AccessKind::Write,
+        };
+        let pins = [
+            (to_bytes(&PrivState::S), "00"),
+            (to_bytes(&PrivState::E), "01"),
+            (to_bytes(&PrivState::M), "02"),
+            (to_bytes(&PrivState::Evicting), "03"),
+            (
+                to_bytes(&PrivStats {
+                    l1_hits: 1,
+                    l2_hits: 2,
+                    misses: 3,
+                    prefetches: 4,
+                    ext_stalled: 5,
+                    ext_seen: 6,
+                    writebacks: 7,
+                }),
+                "0100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000",
+            ),
+            (
+                to_bytes(&Mshr {
+                    excl: true,
+                    waiters: vec![meta(0x11)],
+                    upgrade_waiters: vec![meta(0x22), meta(0x33)],
+                    issued_at: Cycle::new(0x44),
+                }),
+                "01010000000000000011000000000000000112000000000000000101020000000000000022000000000000000123000000000000000101330000000000000001340000000000000001014400000000000000",
+            ),
+            (
+                to_bytes(&ReqMetaLine {
+                    meta: meta(0x55),
+                    line: LineAddr::new(0x66),
+                }),
+                "550000000000000001560000000000000001016600000000000000",
+            ),
+        ];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }
 

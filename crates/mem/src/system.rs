@@ -770,22 +770,12 @@ impl MemorySystem {
     }
 }
 
-impl Codec for MemStats {
-    fn encode(&self, w: &mut Writer) {
-        self.miss_latency.encode(w);
-        self.miss_latency_all.encode(w);
-        w.put_u64(self.remote_fills);
-        w.put_u64(self.home_fills);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(MemStats {
-            miss_latency: Vec::<RunningMean>::decode(r)?,
-            miss_latency_all: RunningMean::decode(r)?,
-            remote_fills: r.get_u64()?,
-            home_fills: r.get_u64()?,
-        })
-    }
-}
+row_common::codec_struct!(MemStats {
+    miss_latency,
+    miss_latency_all,
+    remote_fills,
+    home_fills,
+});
 
 impl Persist for MemorySystem {
     // `tiles` is config-derived. A checkpoint is only taken when no sticky
@@ -1130,5 +1120,27 @@ mod tests {
                 .count();
         }
         assert_eq!(fills, 20);
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let mean = |x| {
+            let mut m = RunningMean::new();
+            m.add(x);
+            m
+        };
+        let pins = [(
+            to_bytes(&MemStats {
+                miss_latency: vec![mean(0x11), mean(0x22)],
+                miss_latency_all: mean(0x33),
+                remote_fills: 0x44,
+                home_fills: 0x55,
+            }),
+            "020000000000000011000000000000000000000000000000010000000000000022000000000000000000000000000000010000000000000033000000000000000000000000000000010000000000000044000000000000005500000000000000",
+        )];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }

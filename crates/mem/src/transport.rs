@@ -487,43 +487,22 @@ impl Transport {
     }
 }
 
-impl Codec for InFlight {
-    fn encode(&self, w: &mut Writer) {
-        self.msg.encode(w);
-        self.first_sent.encode(w);
-        w.put_u32(self.attempts);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(InFlight {
-            msg: Msg::decode(r)?,
-            first_sent: Cycle::decode(r)?,
-            attempts: r.get_u32()?,
-        })
-    }
-}
+row_common::codec_struct!(InFlight {
+    msg,
+    first_sent,
+    attempts,
+});
 
-impl Codec for RxState {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.next_expected);
-        self.buffered.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(RxState {
-            next_expected: r.get_u64()?,
-            buffered: BTreeMap::decode(r)?,
-        })
-    }
-}
+row_common::codec_struct!(RxState {
+    next_expected,
+    buffered,
+});
 
 impl Codec for Transport {
     fn encode(&self, w: &mut Writer) {
         // The config is re-derivable from `SystemConfig` but is encoded so
         // restore can cross-check presence/shape via the caller.
-        w.put_u64(self.cfg.seed);
-        w.put_u64(self.cfg.max_extra_latency);
-        w.put_u32(self.cfg.drop_ppm);
-        w.put_u32(self.cfg.dup_ppm);
-        w.put_u32(self.cfg.corrupt_ppm);
+        self.cfg.encode(w);
         self.rng.encode(w);
         self.last.encode(w);
         self.next_seq.encode(w);
@@ -533,15 +512,8 @@ impl Codec for Transport {
         self.stats.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let cfg = FaultConfig {
-            seed: r.get_u64()?,
-            max_extra_latency: r.get_u64()?,
-            drop_ppm: r.get_u32()?,
-            dup_ppm: r.get_u32()?,
-            corrupt_ppm: r.get_u32()?,
-        };
         Ok(Transport {
-            cfg,
+            cfg: FaultConfig::decode(r)?,
             // Not state: the owning system carries both over on restore.
             perturb_cfg: None,
             rng: SplitMix64::decode(r)?,
@@ -811,5 +783,55 @@ mod tests {
         assert_eq!(back.inflight, t.inflight);
         assert_eq!(back.next_seq, t.next_seq);
         assert_eq!(back.oldest_inflight(), t.oldest_inflight());
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let mut t = Transport::new(FaultConfig {
+            seed: 0x11,
+            max_extra_latency: 0x22,
+            drop_ppm: 0x33,
+            dup_ppm: 0x44,
+            corrupt_ppm: 0x55,
+        });
+        t.send(
+            CH.0,
+            CH.1,
+            msg(0x66),
+            Cycle::new(0x77),
+            Cycle::new(0x70),
+            &mut Vec::new(),
+        );
+        let pins = [
+            (
+                to_bytes(&InFlight {
+                    msg: Msg::GetX {
+                        req: CoreId::new(1),
+                        line: LineAddr::new(0x22),
+                    },
+                    first_sent: Cycle::new(0x33),
+                    attempts: 4,
+                }),
+                "0101002200000000000000330000000000000004000000",
+            ),
+            (
+                to_bytes(&RxState {
+                    next_expected: 0x55,
+                    buffered: [(
+                        0x66,
+                        Msg::Inv {
+                            line: LineAddr::new(0x77),
+                        },
+                    )]
+                    .into(),
+                }),
+                "550000000000000001000000000000006600000000000000047700000000000000",
+            ),
+            (to_bytes(&t), "1100000000000000220000000000000033000000440000005500000065f029fde5e6dd780100000000000000000000000000000001000000000000007e0000000000000001000000000000000000000101000000000000000100000000000000010000000000000000000001010000000000000001000000000000000000000000000000000000660000000000000070000000000000000100000000000000000000000100000000000000700400000000000000000001010000000000000000000000000000000100000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"),
+        ];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
+        }
     }
 }

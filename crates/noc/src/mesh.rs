@@ -131,20 +131,11 @@ impl Mesh {
     }
 }
 
-impl Codec for NocStats {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.messages);
-        w.put_u64(self.flit_hops);
-        self.latency.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(NocStats {
-            messages: r.get_u64()?,
-            flit_hops: r.get_u64()?,
-            latency: RunningMean::decode(r)?,
-        })
-    }
-}
+row_common::codec_struct!(NocStats {
+    messages,
+    flit_hops,
+    latency,
+});
 
 impl Persist for Mesh {
     // Topology and config are rebuilt from `SystemConfig`; only link
@@ -276,6 +267,24 @@ mod tests {
                     let _ = m.send(NodeId::new(s), NodeId::new(d), MsgClass::Data, Cycle::ZERO);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use row_common::persist::{to_bytes, to_hex};
+        let mut latency = RunningMean::new();
+        latency.add(0x33);
+        let pins = [(
+            to_bytes(&NocStats {
+                messages: 0x11,
+                flit_hops: 0x22,
+                latency,
+            }),
+            "11000000000000002200000000000000330000000000000000000000000000000100000000000000",
+        )];
+        for (bytes, hex) in pins {
+            assert_eq!(to_hex(&bytes), hex);
         }
     }
 }

@@ -44,7 +44,7 @@ use row_common::config::SystemConfig;
 use row_common::coverage::{CoverageMap, SLOT_COUNT};
 use row_common::json::{self, Value};
 use row_common::object;
-use row_common::persist::fnv1a;
+use row_common::persist::{fnv1a, from_hex, to_hex};
 use row_common::rng::SplitMix64;
 use row_cpu::instr::{InstrStream, VecStream};
 use row_workloads::litmus::{LitmusTest, OutcomeClass, Probe};
@@ -500,21 +500,16 @@ pub fn schedule_to_hex(s: &[u8]) -> String {
     if s.is_empty() {
         return "-".to_string(); // canonical empty-schedule marker
     }
-    s.iter().map(|b| format!("{b:02x}")).collect()
+    to_hex(s)
 }
 
 /// Decodes a [`schedule_to_hex`] string.
 pub fn schedule_from_hex(s: &str) -> Result<Vec<u8>, String> {
-    if s == "-" {
-        return Ok(Vec::new());
+    match s {
+        "-" => Ok(Vec::new()),
+        "" => Err("schedule hex must be non-empty (`-` is the empty schedule)".into()),
+        _ => from_hex(s).map_err(|e| format!("bad schedule hex: {e}")),
     }
-    if !s.len().is_multiple_of(2) || s.is_empty() {
-        return Err("schedule hex must be a non-empty even-length string".into());
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|e| format!("bad schedule hex: {e}")))
-        .collect()
 }
 
 /// The copy-pasteable command that replays `sched` for `test`.

@@ -40,7 +40,9 @@ use row_common::config::{DelayBurst, FaultConfig, PerturbConfig, MAX_BURST_EXTRA
 use row_common::coverage::{CoverageMap, SLOT_COUNT};
 use row_common::json::{self, Value};
 use row_common::object;
-use row_common::persist::{fnv1a, write_atomic, Codec, PersistError, Reader, Writer};
+use row_common::persist::{
+    fnv1a, from_hex, to_bytes, to_hex, write_atomic, Codec, PersistError, Reader, Writer,
+};
 use row_common::rng::SplitMix64;
 use row_common::SystemConfig;
 use row_cpu::instr::InstrStream;
@@ -101,21 +103,12 @@ impl ScheduleGenome {
     /// Hex encoding of the genome's [`Codec`] bytes — the compact,
     /// copy-pasteable form `--replay` accepts.
     pub fn to_hex(&self) -> String {
-        let mut w = Writer::new();
-        self.encode(&mut w);
-        w.into_bytes().iter().map(|b| format!("{b:02x}")).collect()
+        to_hex(&to_bytes(self))
     }
 
     /// Parses [`ScheduleGenome::to_hex`] output.
     pub fn from_hex(s: &str) -> Result<Self, String> {
-        let s = s.trim();
-        if !s.len().is_multiple_of(2) {
-            return Err("odd-length hex genome".into());
-        }
-        let bytes: Vec<u8> = (0..s.len() / 2)
-            .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16))
-            .collect::<Result<_, _>>()
-            .map_err(|e| format!("bad hex genome: {e}"))?;
+        let bytes = from_hex(s.trim()).map_err(|e| format!("bad hex genome: {e}"))?;
         let mut r = Reader::new(&bytes);
         let g = ScheduleGenome::decode(&mut r).map_err(|e| format!("bad genome: {e}"))?;
         if !r.is_empty() {
@@ -153,46 +146,25 @@ impl ScheduleGenome {
     }
 }
 
+// Hand-written: the burst count is a `u8` in memory but a range-checked
+// `u32` on the wire.
 impl Codec for ScheduleGenome {
     fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.fault.seed);
-        w.put_u64(self.fault.max_extra_latency);
-        w.put_u32(self.fault.drop_ppm);
-        w.put_u32(self.fault.dup_ppm);
-        w.put_u32(self.fault.corrupt_ppm);
+        self.fault.encode(w);
         w.put_u32(u32::from(self.perturb.n));
-        for b in &self.perturb.bursts {
-            w.put_u64(b.start);
-            w.put_u64(b.len);
-            w.put_u64(b.extra);
-            w.put_u64(b.salt);
-        }
+        self.perturb.bursts.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let fault = FaultConfig {
-            seed: r.get_u64()?,
-            max_extra_latency: r.get_u64()?,
-            drop_ppm: r.get_u32()?,
-            dup_ppm: r.get_u32()?,
-            corrupt_ppm: r.get_u32()?,
-        };
+        let fault = FaultConfig::decode(r)?;
         let n = r.get_u32()?;
         if n as usize > row_common::config::MAX_PERTURB_BURSTS {
             return Err(PersistError::Corrupt("genome burst count"));
         }
-        let mut perturb = PerturbConfig {
+        let perturb = PerturbConfig {
             n: n as u8,
-            ..PerturbConfig::default()
+            bursts: Codec::decode(r)?,
         };
-        for b in perturb.bursts.iter_mut() {
-            *b = DelayBurst {
-                start: r.get_u64()?,
-                len: r.get_u64()?,
-                extra: r.get_u64()?,
-                salt: r.get_u64()?,
-            };
-        }
         Ok(ScheduleGenome { fault, perturb })
     }
 }
@@ -343,18 +315,7 @@ pub struct CorpusEntry {
     pub coverage: CoverageMap,
 }
 
-impl Codec for CorpusEntry {
-    fn encode(&self, w: &mut Writer) {
-        self.genome.encode(w);
-        self.coverage.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(CorpusEntry {
-            genome: ScheduleGenome::decode(r)?,
-            coverage: CoverageMap::decode(r)?,
-        })
-    }
-}
+row_common::codec_struct!(CorpusEntry { genome, coverage });
 
 /// The whole campaign state: everything needed to continue bit-exactly.
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -816,9 +777,11 @@ pub fn write_triage(
         }
     };
     let ckpt_note = match &last_ckpt {
-        Some(bytes) => crate::triage::write_checkpoint_file(repro_dir, "fuzz.ckpt", bytes)?
-            .display()
-            .to_string(),
+        Some(bytes) => {
+            let path = repro_dir.join("fuzz.ckpt");
+            crate::checkpoint::write_checkpoint(&path, bytes).map_err(std::io::Error::other)?;
+            path.display().to_string()
+        }
         None => "none reachable before the failure".to_string(),
     };
     let desc = format!(
@@ -1097,5 +1060,43 @@ mod tests {
         assert!(json.contains("\"status\": \"clean\""));
         assert!(!json.contains("wall"), "report must be wall-clock-free");
         assert!(!json.contains("jobs"), "report must be worker-count-free");
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned() {
+        let mut perturb = PerturbConfig::default();
+        perturb.push(DelayBurst {
+            start: 0x66,
+            len: 0x77,
+            extra: 0x88,
+            salt: 0x99,
+        });
+        perturb.push(DelayBurst {
+            start: 0xaa,
+            len: 0xbb,
+            extra: 0xcc,
+            salt: 0xdd,
+        });
+        let genome = ScheduleGenome {
+            fault: FaultConfig {
+                seed: 0x11,
+                max_extra_latency: 0x22,
+                drop_ppm: 0x33,
+                dup_ppm: 0x44,
+                corrupt_ppm: 0x55,
+            },
+            perturb,
+        };
+        let genome_hex = "11000000000000002200000000000000330000004400000055000000020000006600000000000000770000000000000088000000000000009900000000000000aa00000000000000bb00000000000000cc00000000000000dd0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000";
+        assert_eq!(genome.to_hex(), genome_hex);
+        let mut coverage = CoverageMap::new();
+        coverage.record(3);
+        coverage.record(5);
+        let entry = CorpusEntry { genome, coverage };
+        // A corpus entry is its genome, then its (hand-written) coverage map.
+        assert_eq!(
+            to_hex(&to_bytes(&entry)),
+            format!("{genome_hex}{}", to_hex(&to_bytes(&entry.coverage)))
+        );
     }
 }

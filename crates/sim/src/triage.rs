@@ -8,7 +8,7 @@
 //! chaos failures) a shrunk `chaos_repro.txt`. This module owns the pieces
 //! the four modes ([`crate::soak`], [`crate::fuzz`](mod@crate::fuzz),
 //! [`crate::explore`](mod@crate::explore) and the CLI's `run`) share: marker
-//! naming, stale-bundle rotation, the journal-tail/checkpoint writers, and
+//! naming, stale-bundle rotation, the failure and journal-tail writers, and
 //! the chaos shrink-and-report step ([`shrink_and_report`]).
 
 use std::io;
@@ -114,15 +114,6 @@ pub fn write_journal_tail(dir: &Path, m: &Machine) -> io::Result<Option<PathBuf>
     let path = dir.join("journal_tail.txt");
     std::fs::write(&path, tail)?;
     Ok(Some(path))
-}
-
-/// Writes pre-violation checkpoint bytes to `<dir>/<name>` (the name must
-/// end in `.ckpt` so rotation finds it) and returns the path.
-pub fn write_checkpoint_file(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
-    debug_assert!(name.ends_with(".ckpt"), "checkpoint files end in .ckpt");
-    let path = dir.join(name);
-    std::fs::write(&path, bytes)?;
-    Ok(path)
 }
 
 /// A failing chaos run: minimizes the fault config while `fails` keeps

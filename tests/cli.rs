@@ -55,6 +55,9 @@ fn config_errors_exit_nonzero_with_stderr() {
         &["litmus", "--test", "nonesuch"],
         &["explore", "--policy", "nonesuch"],
         &["explore", "--replay", "00"], // --replay without --test
+        // A non-ASCII replay string is bad hex, not a panic.
+        &["fuzz", "--replay", "aéa"],
+        &["explore", "--test", "sb", "--replay", "aéa"],
         &["fuzz", "--kernel", "kv"],
         &["run", "nonesuch"],
         &["run", "pc", "--policy", "nonesuch"],

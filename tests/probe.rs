@@ -6,15 +6,22 @@
 //! counted or where decisions are asked shifts the fuzzer's power schedule
 //! or the explorer's tree, and with them every report, so it must show up
 //! here first.
+//!
+//! The checkpoint trails at the end hash every image of three whole runs.
+//! Any change to a persisted layout changes a trail, so they are the check
+//! for every codec edit.
 
 use norush::common::choice::{ChoiceKind, DecisionRecord, Schedule};
-use norush::common::config::{DelayBurst, FaultConfig, PerturbConfig};
+use norush::common::config::{CheckConfig, DelayBurst, FaultConfig, PerturbConfig};
 use norush::common::coverage::{transport_slot, CoverageMap, TransportEvent};
 use norush::common::persist::fnv1a;
 use norush::cpu::instr::{InstrStream, VecStream};
 use norush::sim::fuzz::{self, FuzzOptions, ScheduleGenome};
-use norush::sim::{explore, run_schedule, ExploreOptions, Machine};
+use norush::sim::{
+    bench_streams, explore, run_schedule, ExperimentConfig, ExploreOptions, Machine, Variant,
+};
 use norush::workloads::litmus::LitmusTest;
+use norush::workloads::Benchmark;
 
 /// One litmus cell's pins: the default schedule's decisions (total and
 /// commit-kind), coverage and frontier hash, then the exploration's runs,
@@ -274,4 +281,102 @@ fn restore_keeps_coverage_and_the_burst_table() {
         fnv1a(&reference.checkpoint().expect("checkpointable"))
     );
     assert_eq!(m.coverage(), reference.coverage());
+}
+
+/// What a checkpointed run leaves behind: its cycles, the number and total
+/// size of its images, and the trail — FNV-1a over the concatenated
+/// little-endian FNV-1a of every image, in order.
+#[derive(Debug, PartialEq)]
+struct Trail {
+    cycles: u64,
+    images: usize,
+    bytes: usize,
+    trail: u64,
+}
+
+/// `pc` on 4 cores, 3,000 instructions per core, seed 42, under `policy`
+/// with `check` applied to the quick checks. The run advances in 1,000-cycle
+/// slices until it drains and checkpoints after every slice that did not.
+fn trail(policy: &str, check: impl FnOnce(&mut CheckConfig)) -> Trail {
+    let mut exp = ExperimentConfig {
+        cores: 4,
+        instructions: 3_000,
+        ..ExperimentConfig::quick()
+    };
+    check(&mut exp.check);
+    let sys = Variant::by_name(policy)
+        .expect("known policy")
+        .apply(exp.system());
+    let mut m = Machine::new(&sys, bench_streams(Benchmark::Pc, &exp));
+    let mut hashes = Vec::new();
+    let mut bytes = 0;
+    let cycles = loop {
+        if let Some(r) = m.run_for(1_000).expect("clean run") {
+            break r.cycles;
+        }
+        let image = m.checkpoint().expect("checkpointable");
+        bytes += image.len();
+        hashes.extend_from_slice(&fnv1a(&image).to_le_bytes());
+    };
+    Trail {
+        cycles,
+        images: hashes.len() / 8,
+        bytes,
+        trail: fnv1a(&hashes),
+    }
+}
+
+/// `far` with the end-state oracle: every image carries the retained
+/// journal.
+#[test]
+fn trail_far_with_end_state_journal_is_pinned() {
+    assert_eq!(
+        trail("far", |c| c.oracle = true),
+        Trail {
+            cycles: 26_186,
+            images: 26,
+            bytes: 9_268_568,
+            trail: 0x6c0f_9392_a414_82f4,
+        }
+    );
+}
+
+/// RoW over a lossy transport with the online checker: every image carries
+/// in-flight frames, retransmit timers and the checker's golden store.
+#[test]
+fn trail_row_lossy_online_is_pinned() {
+    let t = trail("row", |c| {
+        c.oracle_online = true;
+        c.invariant_every = Some(2048);
+        c.chaos = Some(FaultConfig {
+            seed: 3,
+            max_extra_latency: 40,
+            drop_ppm: 2_000,
+            dup_ppm: 2_000,
+            corrupt_ppm: 1_000,
+        });
+    });
+    assert_eq!(
+        t,
+        Trail {
+            cycles: 30_392,
+            images: 30,
+            bytes: 11_018_214,
+            trail: 0xfdc8_68fb_0c4c_76ad,
+        }
+    );
+}
+
+/// RoW with store-to-atomic forwarding under the quick checks.
+#[test]
+fn trail_row_fwd_is_pinned() {
+    assert_eq!(
+        trail("row-fwd", |_| {}),
+        Trail {
+            cycles: 24_749,
+            images: 24,
+            bytes: 8_612_080,
+            trail: 0x93af_6855_a26e_5ad0,
+        }
+    );
 }

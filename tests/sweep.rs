@@ -10,7 +10,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use norush::common::config::CheckConfig;
-use norush::sim::{ExperimentConfig, FigureResults, Sweep, SweepEvent, SweepOptions, Variant};
+use norush::sim::{
+    bench_streams, ExperimentConfig, FigureResults, Machine, SimError, Sweep, SweepCheckpoint,
+    SweepError, SweepEvent, SweepOptions, Variant,
+};
 use norush::workloads::Benchmark;
 
 fn tiny_exp() -> ExperimentConfig {
@@ -180,5 +183,89 @@ fn persisted_results_round_trip_exactly() {
     let bytes = std::fs::read_to_string(&path).expect("file exists");
     let loaded = FigureResults::load(&path).expect("loads");
     assert_eq!(loaded.to_json(), bytes, "load→serialize is the identity");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `tiny_sweep(figure)` run with per-cell checkpoints every 2,000 cycles
+/// into `dir` (the path `figure` takes under `NORUSH_CKPT_DIR`).
+fn run_checkpointed(figure: &str, dir: &std::path::Path) -> Result<FigureResults, SweepError> {
+    tiny_sweep(figure).run(&SweepOptions {
+        workers: 2,
+        checkpoint: Some(SweepCheckpoint {
+            every: 2_000,
+            dir: dir.to_path_buf(),
+        }),
+        ..SweepOptions::default()
+    })
+}
+
+/// Where the sweep keeps the first cell's (`pc/eager`) checkpoint.
+fn first_cell_checkpoint(figure: &str, dir: &std::path::Path) -> (String, std::path::PathBuf) {
+    let job = &tiny_sweep(figure).jobs[0];
+    let path = dir.join(format!("{figure}_{:016x}.ckpt", job.fingerprint()));
+    (job.label.clone(), path)
+}
+
+fn is_empty(dir: &std::path::Path) -> bool {
+    std::fs::read_dir(dir).expect("dir exists").next().is_none()
+}
+
+/// Per-cell checkpoints change nothing in the results, and every finished
+/// cell deletes its spent checkpoint.
+#[test]
+fn cell_checkpoints_leave_results_unchanged_and_clean_up() {
+    let dir = temp_dir("ckpt_plain");
+    let plain = tiny_sweep("ckpt")
+        .run(&SweepOptions::default())
+        .expect("runs");
+    let checkpointed = run_checkpointed("ckpt", &dir).expect("runs");
+    assert_eq!(checkpointed.canonical_json(), plain.canonical_json());
+    assert!(
+        is_empty(&dir),
+        "a finished sweep leaves no checkpoint behind"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A cell whose checkpoint is already on disk resumes from it, converges
+/// to the uninterrupted results, and deletes the file.
+#[test]
+fn cell_resumes_from_its_checkpoint() {
+    let dir = temp_dir("ckpt_resume");
+    let (_, path) = first_cell_checkpoint("ckpt", &dir);
+    let exp = tiny_exp();
+    let mut m = Machine::new(
+        &Variant::eager().apply(exp.system()),
+        bench_streams(Benchmark::Pc, &exp),
+    );
+    assert!(m.run_for(5_000).expect("clean run").is_none(), "mid-run");
+    std::fs::write(&path, m.checkpoint().expect("checkpointable")).expect("writes");
+
+    let plain = tiny_sweep("ckpt")
+        .run(&SweepOptions::default())
+        .expect("runs");
+    let resumed = run_checkpointed("ckpt", &dir).expect("resumes");
+    assert_eq!(resumed.canonical_json(), plain.canonical_json());
+    assert!(!path.exists(), "the resumed cell deletes its checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A corrupt checkpoint fails its cell by name; the sweep does not quietly
+/// start that cell over.
+#[test]
+fn corrupt_cell_checkpoint_fails_the_sweep() {
+    let dir = temp_dir("ckpt_corrupt");
+    let (label, path) = first_cell_checkpoint("ckpt", &dir);
+    std::fs::write(&path, b"not a checkpoint").expect("writes");
+    match run_checkpointed("ckpt", &dir) {
+        Err(SweepError::Job {
+            label: failed,
+            error,
+        }) => {
+            assert_eq!(failed, label);
+            assert!(matches!(*error, SimError::Checkpoint(_)), "{error}");
+        }
+        other => panic!("expected the cell to fail, got {other:?}"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
