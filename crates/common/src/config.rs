@@ -405,6 +405,11 @@ crate::codec_struct!(FaultConfig {
 /// reasonable number of attempts.
 pub const MAX_FAULT_PPM: u32 = 500_000;
 
+/// Upper bound on [`FaultConfig::max_extra_latency`], in cycles, and the
+/// range of every `--chaos-latency` flag. Unbounded, the jitter draw over
+/// `[0, max]` wraps at `u64::MAX`.
+pub const MAX_CHAOS_LATENCY: u64 = 100_000;
+
 impl FaultConfig {
     /// The chaos object of the soak and fuzz reports.
     pub fn to_json(&self) -> crate::json::Value {
@@ -746,6 +751,12 @@ impl SystemConfig {
             return Err("rewind_every must be at least one cycle".into());
         }
         if let Some(fc) = &self.check.chaos {
+            if fc.max_extra_latency > MAX_CHAOS_LATENCY {
+                return Err(format!(
+                    "chaos max_extra_latency = {} exceeds the maximum of {MAX_CHAOS_LATENCY}",
+                    fc.max_extra_latency
+                ));
+            }
             for (name, ppm) in [
                 ("drop_ppm", fc.drop_ppm),
                 ("dup_ppm", fc.dup_ppm),
@@ -872,6 +883,12 @@ mod tests {
 
         let mut cfg = SystemConfig::small(2).with_chaos(1);
         cfg.check.chaos.as_mut().unwrap().drop_ppm = MAX_FAULT_PPM + 1;
+        assert!(cfg.validate().is_err());
+
+        let mut cfg = SystemConfig::small(2).with_chaos(1);
+        cfg.check.chaos.as_mut().unwrap().max_extra_latency = MAX_CHAOS_LATENCY;
+        cfg.validate().unwrap();
+        cfg.check.chaos.as_mut().unwrap().max_extra_latency = u64::MAX;
         assert!(cfg.validate().is_err());
     }
 

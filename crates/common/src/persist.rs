@@ -33,6 +33,19 @@
 //! machine's shape), the wire width differs from the field type, or a field
 //! is not persisted and must be rebuilt. Every [`Persist`] impl is
 //! hand-written for those reasons.
+//!
+//! # The file frame
+//!
+//! Every binary file — checkpoints, fuzz state, traces — is one
+//! [`FileKind`]'s frame around a codec body:
+//! `magic | version u32 | binding u64 | body | fnv1a u64`, the checksum
+//! covering every byte before it. The binding names what may read the file:
+//! a checkpoint's config hash, a fuzz campaign's fingerprint, 0 for a trace.
+//! [`FileKind::open`] checks length, magic, version, checksum and binding,
+//! in that order, before any body byte is decoded; [`FileKind::finish`]
+//! refuses unread bytes. A kind's version is bumped on any change to its
+//! body's bytes, nested codecs included, so an old file is refused with
+//! [`PersistError::VersionMismatch`], never misread.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
@@ -168,21 +181,6 @@ impl Writer {
         self.buf
     }
 
-    /// The bytes written so far.
-    pub fn bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends raw bytes verbatim (no length prefix).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -221,6 +219,110 @@ impl Writer {
     /// Appends a `bool` as one byte.
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(v as u8);
+    }
+}
+
+/// One kind of sealed file (see [the file frame](self#the-file-frame)),
+/// built by [`file_kind!`](crate::file_kind).
+#[derive(Clone, Copy, Debug)]
+pub struct FileKind {
+    /// First bytes of every file of this kind.
+    pub magic: &'static [u8],
+    /// Format version of the body; other versions are refused.
+    pub version: u32,
+    /// Shorter than an empty frame.
+    pub too_short: &'static str,
+    /// Wrong magic.
+    pub not_this_kind: &'static str,
+    /// The checksum does not match the bytes before it.
+    pub checksum_mismatch: &'static str,
+    /// The body left bytes unread.
+    pub trailing_bytes: &'static str,
+}
+
+/// A [`FileKind`] named `$name`, whose corruption messages read "`$name`
+/// too short", "not a norush `$name`", "`$name` checksum mismatch" and
+/// "trailing bytes in `$name`".
+///
+/// ```
+/// use row_common::persist::{FileKind, PersistError};
+///
+/// const NOTE: FileKind = row_common::file_kind!("note", b"NOTE", 1);
+/// let bytes = NOTE.seal(7, |w| w.put_u8(42));
+/// let mut r = NOTE.open(&bytes, 7).unwrap();
+/// assert_eq!((r.get_u8(), NOTE.finish(&r)), (Ok(42), Ok(())));
+/// let err = NOTE.open(&bytes[1..], 7).unwrap_err();
+/// assert_eq!(err, PersistError::Corrupt("not a norush note"));
+/// ```
+#[macro_export]
+macro_rules! file_kind {
+    ($name:literal, $magic:expr, $version:expr) => {
+        $crate::persist::FileKind {
+            magic: $magic,
+            version: $version,
+            too_short: ::core::concat!($name, " too short"),
+            not_this_kind: ::core::concat!("not a norush ", $name),
+            checksum_mismatch: ::core::concat!($name, " checksum mismatch"),
+            trailing_bytes: ::core::concat!("trailing bytes in ", $name),
+        }
+    };
+}
+
+impl FileKind {
+    /// A file of this kind bound to `binding`, its body written by `body`.
+    pub fn seal(&self, binding: u64, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_bytes(self.magic);
+        w.put_u32(self.version);
+        w.put_u64(binding);
+        body(&mut w);
+        let checksum = fnv1a(&w.buf);
+        w.put_u64(checksum);
+        w.into_bytes()
+    }
+
+    /// A reader over the body of `bytes`, once the frame has passed its
+    /// checks in order: length, magic, version, checksum, binding.
+    ///
+    /// # Errors
+    /// This kind's [`PersistError::Corrupt`] message for a short file, a
+    /// wrong magic or a bad checksum; `VersionMismatch` or `ConfigMismatch`.
+    pub fn open<'a>(&self, bytes: &'a [u8], binding: u64) -> Result<Reader<'a>, PersistError> {
+        if bytes.len() < self.magic.len() + 4 + 8 + 8 {
+            return Err(PersistError::Corrupt(self.too_short));
+        }
+        if !bytes.starts_with(self.magic) {
+            return Err(PersistError::Corrupt(self.not_this_kind));
+        }
+        let (framed, checksum) = bytes.split_at(bytes.len() - 8);
+        let mut r = Reader::new(&framed[self.magic.len()..]);
+        let found = r.get_u32()?;
+        if found != self.version {
+            return Err(PersistError::VersionMismatch {
+                found,
+                expected: self.version,
+            });
+        }
+        if fnv1a(framed).to_le_bytes() != checksum {
+            return Err(PersistError::Corrupt(self.checksum_mismatch));
+        }
+        let found = r.get_u64()?;
+        if found != binding {
+            return Err(PersistError::ConfigMismatch {
+                found,
+                expected: binding,
+            });
+        }
+        Ok(r)
+    }
+
+    /// Refuses a body that left bytes unread, with this kind's
+    /// [`PersistError::Corrupt`] message.
+    pub fn finish(&self, r: &Reader<'_>) -> Result<(), PersistError> {
+        if !r.is_empty() {
+            return Err(PersistError::Corrupt(self.trailing_bytes));
+        }
+        Ok(())
     }
 }
 
@@ -567,12 +669,17 @@ impl<T: Codec> Codec for Option<T> {
     }
 }
 
+/// Appends `items` in the `Vec<T>` layout, without copying them into one.
+pub fn encode_slice<T: Codec>(items: &[T], w: &mut Writer) {
+    w.put_len(items.len());
+    for v in items {
+        v.encode(w);
+    }
+}
+
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, w: &mut Writer) {
-        w.put_len(self.len());
-        for v in self {
-            v.encode(w);
-        }
+        encode_slice(self, w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let n = r.get_len()?;
@@ -848,6 +955,43 @@ mod tests {
         // 'é' is two bytes: slicing the string at byte offsets would panic.
         assert!(from_hex("aéa").is_err());
         assert!(from_hex("aé").is_err());
+    }
+
+    const TEST_FILE: FileKind = crate::file_kind!("test file", b"TEST", 3);
+
+    #[test]
+    fn frame_round_trips_and_names_each_failure() {
+        let bytes = TEST_FILE.seal(9, |w| 0xabcdu16.encode(w));
+        assert_eq!(bytes.len(), 4 + 4 + 8 + 2 + 8);
+        let mut r = TEST_FILE.open(&bytes, 9).unwrap();
+        assert_eq!(u16::decode(&mut r), Ok(0xabcd));
+        TEST_FILE.finish(&r).unwrap();
+
+        let open = |b: &[u8], binding| TEST_FILE.open(b, binding).map(|_| ());
+        let corrupt = |what| Err(PersistError::Corrupt(what));
+        assert_eq!(open(&bytes[..23], 9), corrupt("test file too short"));
+        let mut other = bytes.clone();
+        other[0] ^= 1;
+        assert_eq!(open(&other, 9), corrupt("not a norush test file"));
+        let mut flipped = bytes.clone();
+        flipped[17] ^= 1;
+        assert_eq!(open(&flipped, 9), corrupt("test file checksum mismatch"));
+        // The version is checked before the checksum, the binding after it.
+        let mut future = flipped.clone();
+        future[4] = 4;
+        let version = PersistError::VersionMismatch {
+            found: 4,
+            expected: 3,
+        };
+        assert_eq!(open(&future, 9), Err(version));
+        assert_eq!(open(&flipped, 8), corrupt("test file checksum mismatch"));
+        let binding = PersistError::ConfigMismatch {
+            found: 9,
+            expected: 8,
+        };
+        assert_eq!(open(&bytes, 8), Err(binding));
+        let r = TEST_FILE.open(&bytes, 9).unwrap();
+        assert_eq!(TEST_FILE.finish(&r), corrupt("trailing bytes in test file"));
     }
 
     #[test]

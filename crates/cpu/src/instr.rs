@@ -132,21 +132,15 @@ pub trait InstrStream: Send {
     fn next_instr(&mut self) -> Option<Instr>;
 
     /// Appends the stream's mutable state (generator position, RNG, queued
-    /// instructions) to `w` for checkpointing. The default is a no-op, which
-    /// is only correct for genuinely stateless streams; every stream that
-    /// advances must override this together with [`InstrStream::load_state`]
-    /// or checkpoint/restore will replay it from the beginning.
-    fn save_state(&self, w: &mut Writer) {
-        let _ = w;
-    }
+    /// instructions) to `w` for checkpointing. There is no default: a
+    /// stream that skipped this would replay from its beginning after a
+    /// restore.
+    fn save_state(&self, w: &mut Writer);
 
     /// Restores the stream's mutable state written by
     /// [`InstrStream::save_state`]. The stream must have been constructed
     /// identically (same program/seed) to the one that was saved.
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        let _ = r;
-        Ok(())
-    }
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError>;
 }
 
 /// A trivial stream over a vector (tests and microbenchmarks).

@@ -1,27 +1,31 @@
 //! Checkpoint files: the on-disk container for [`Machine`] snapshots.
 //!
-//! A checkpoint file is the byte image produced by [`Machine::checkpoint`]:
+//! A checkpoint is the byte image produced by [`Machine::checkpoint`]: the
+//! [file frame](row_common::persist#the-file-frame) of kind `FILE`, bound
+//! to the machine's config hash, around the machine's state:
 //!
 //! ```text
-//! magic "ROWCKPT\n" | format version u32 | config hash u64 | cycle u64
-//! | memory-system payload | per-core payloads | fnv1a checksum u64
+//! magic "ROWCKPT\n" | format version u32 | config hash u64
+//! | cycle u64 | memory-system payload | core count u64 | per-core payloads
+//! | online checker (Option) | fnv1a checksum u64
 //! ```
 //!
 //! Everything is little-endian and self-delimiting; there are no external
 //! dependencies. Files are written atomically (temp file + rename in the same
 //! directory), so a crash mid-write leaves either the previous complete
-//! checkpoint or none — never a torn file. Readers validate the magic,
-//! format version, configuration hash, and whole-file checksum before any
-//! payload byte is interpreted, and report each failure as a distinct
-//! [`PersistError`].
+//! checkpoint or none — never a torn file. [`Machine::restore`] opens the
+//! frame (length, magic, format version, whole-file checksum, config hash)
+//! before any payload byte is interpreted, and reports each failure as a
+//! distinct [`PersistError`].
 //!
 //! [`Machine::checkpoint`]: crate::machine::Machine::checkpoint
+//! [`Machine::restore`]: crate::machine::Machine::restore
 //! [`Machine`]: crate::machine::Machine
 
 use std::fs;
 use std::path::Path;
 
-use row_common::persist::{write_atomic, PersistError};
+use row_common::persist::{write_atomic, FileKind, PersistError};
 
 /// First bytes of every checkpoint file.
 pub const MAGIC: &[u8; 8] = b"ROWCKPT\n";
@@ -40,6 +44,9 @@ pub const MAGIC: &[u8; 8] = b"ROWCKPT\n";
 /// v4: each core payload gained the explorer's pending atomic commit-release
 /// decision (`(uid, release cycle)`, usually `None`) after the load log.
 pub const FORMAT_VERSION: u32 = 4;
+
+/// The checkpoint file frame, bound to the machine's config hash.
+pub(crate) const FILE: FileKind = row_common::file_kind!("checkpoint", MAGIC, FORMAT_VERSION);
 
 /// Writes `bytes` to `path` atomically: the data lands in `<path>.tmp` first
 /// and is renamed over `path` only once fully flushed, so a reader (or a

@@ -41,7 +41,7 @@ use row_common::coverage::{CoverageMap, SLOT_COUNT};
 use row_common::json::{self, Value};
 use row_common::object;
 use row_common::persist::{
-    fnv1a, from_hex, to_bytes, to_hex, write_atomic, Codec, PersistError, Reader, Writer,
+    fnv1a, from_hex, to_bytes, to_hex, write_atomic, Codec, FileKind, PersistError, Reader, Writer,
 };
 use row_common::rng::SplitMix64;
 use row_common::SystemConfig;
@@ -241,6 +241,7 @@ impl FuzzOptions {
         sys.check.watchdog_window = Some(self.watchdog);
         sys.check.chaos = genome.chaos_active().then_some(genome.fault);
         sys.check.perturb = (!genome.perturb.is_empty()).then_some(genome.perturb);
+        sys.validate()?;
         Ok(sys)
     }
 
@@ -330,76 +331,37 @@ pub struct FuzzState {
     pub corpus: Vec<CorpusEntry>,
 }
 
+row_common::codec_struct!(FuzzState {
+    generation,
+    runs_done,
+    global,
+    corpus,
+});
+
 /// Magic prefix of a serialized [`FuzzState`] file.
 const STATE_MAGIC: &[u8] = b"NRFUZZ";
 /// Format version of the state file.
 const STATE_VERSION: u32 = 1;
+/// The state file frame, bound to the campaign's options fingerprint.
+const STATE_FILE: FileKind = row_common::file_kind!("fuzz state", STATE_MAGIC, STATE_VERSION);
 
 impl FuzzState {
     /// A fresh campaign.
     pub fn new() -> Self {
-        FuzzState {
-            generation: 0,
-            runs_done: 0,
-            global: CoverageMap::new(),
-            corpus: Vec::new(),
-        }
+        Self::default()
     }
 
-    /// Serializes the state with a self-validating header bound to the
+    /// Serializes the state in the fuzz-state file frame, bound to the
     /// campaign's options fingerprint.
     pub fn to_bytes(&self, fingerprint: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_bytes(STATE_MAGIC);
-        w.put_u32(STATE_VERSION);
-        w.put_u64(fingerprint);
-        w.put_u64(self.generation);
-        w.put_u64(self.runs_done);
-        self.global.encode(&mut w);
-        self.corpus.encode(&mut w);
-        let checksum = fnv1a(w.bytes());
-        w.put_u64(checksum);
-        w.into_bytes()
+        STATE_FILE.seal(fingerprint, |w| self.encode(w))
     }
 
     /// Parses [`FuzzState::to_bytes`] output, refusing mismatched campaigns.
     pub fn from_bytes(bytes: &[u8], fingerprint: u64) -> Result<Self, PersistError> {
-        if bytes.len() < STATE_MAGIC.len() + 4 + 8 + 8 {
-            return Err(PersistError::Corrupt("fuzz state too short"));
-        }
-        if &bytes[..STATE_MAGIC.len()] != STATE_MAGIC {
-            return Err(PersistError::Corrupt("not a norush fuzz state"));
-        }
-        let (payload, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte checksum"));
-        if fnv1a(payload) != stored {
-            return Err(PersistError::Corrupt("fuzz state checksum mismatch"));
-        }
-        let mut r = Reader::new(payload);
-        let _ = r.get_bytes(STATE_MAGIC.len())?;
-        let found = r.get_u32()?;
-        if found != STATE_VERSION {
-            return Err(PersistError::VersionMismatch {
-                found,
-                expected: STATE_VERSION,
-            });
-        }
-        let found = r.get_u64()?;
-        if found != fingerprint {
-            return Err(PersistError::ConfigMismatch {
-                found,
-                expected: fingerprint,
-            });
-        }
-        let state = FuzzState {
-            generation: r.get_u64()?,
-            runs_done: r.get_u64()?,
-            global: CoverageMap::decode(&mut r)?,
-            corpus: Vec::<CorpusEntry>::decode(&mut r)?,
-        };
-        if !r.is_empty() {
-            return Err(PersistError::Corrupt("trailing bytes in fuzz state"));
-        }
+        let mut r = STATE_FILE.open(bytes, fingerprint)?;
+        let state = FuzzState::decode(&mut r)?;
+        STATE_FILE.finish(&r)?;
         Ok(state)
     }
 
@@ -611,21 +573,26 @@ fn derive_candidates(opts: &FuzzOptions, state: &FuzzState, k: usize) -> Vec<Sch
 /// run budget is exhausted.
 ///
 /// # Errors
-/// Configuration errors only (unknown policy); simulation failures are
+/// Configuration errors only (an unknown policy, or a resumed corpus
+/// schedule outside the configuration bounds); simulation failures are
 /// *findings*, not errors.
 pub fn fuzz(
     opts: &FuzzOptions,
     mut state: FuzzState,
     mut on_generation: impl FnMut(&FuzzState),
 ) -> Result<FuzzOutcome, String> {
-    // Validate the policy once up front.
+    // Validate the policy and the resumed corpus once up front: mutation
+    // keeps every schedule inside the bounds.
     opts.system(&ScheduleGenome::neutral())?;
+    for entry in &state.corpus {
+        opts.system(&entry.genome)?;
+    }
     let mut finding = None;
     while state.runs_done < opts.budget && finding.is_none() {
         let k = GEN_CANDIDATES.min((opts.budget - state.runs_done) as usize);
         let candidates = derive_candidates(opts, &state, k);
         let outcomes = parallel_map(&candidates, opts.jobs, |_, g| {
-            run_one(opts, g).expect("policy validated above")
+            run_one(opts, g).expect("configuration validated above")
         });
         for (i, (genome, out)) in candidates.iter().zip(outcomes).enumerate() {
             state.runs_done += 1;
@@ -919,6 +886,27 @@ mod tests {
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0xff;
         assert!(FuzzState::from_bytes(&corrupt, 0x1234).is_err());
+    }
+
+    /// The exact bytes of a state file (the state above: generation 3, 24
+    /// runs, slot 5, one neutral corpus entry). A layout change must bump
+    /// `STATE_VERSION`.
+    #[test]
+    fn state_bytes_are_pinned() {
+        let mut coverage = CoverageMap::new();
+        coverage.record(5);
+        let s = FuzzState {
+            generation: 3,
+            runs_done: 24,
+            global: coverage.clone(),
+            corpus: vec![CorpusEntry {
+                genome: ScheduleGenome::neutral(),
+                coverage,
+            }],
+        };
+        let bytes = s.to_bytes(0x1234);
+        assert_eq!(bytes.len(), 1_778);
+        assert_eq!(format!("{:016x}", fnv1a(&bytes)), "b1af42f98640da6e");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use row_check::{check_coherence, IncrementalSweep, StallReport};
 use row_common::config::CheckConfig;
 use row_common::coverage::CoverageMap;
 use row_common::ids::CoreId;
-use row_common::persist::{fnv1a, Codec, Persist, PersistError, Reader, Writer};
+use row_common::persist::{fnv1a, Codec, Persist, PersistError};
 use row_common::stats::{AccuracyCounter, RunningMean, TransportStats};
 use row_common::{Cycle, SystemConfig};
 use row_cpu::instr::InstrStream;
@@ -17,7 +17,7 @@ use row_cpu::{Core, CoreStats};
 use row_mem::{MemorySystem, OpRecord, ProtocolError};
 use row_oracle::{OnlineChecker, OracleMismatch};
 
-use crate::checkpoint::{FORMAT_VERSION, MAGIC};
+use crate::checkpoint;
 
 /// Maximum number of event-trace lines a rewind replay keeps (the most
 /// recent events before the first violation).
@@ -731,20 +731,15 @@ impl Machine {
                 "refusing to checkpoint a machine with a pending protocol error",
             )));
         }
-        let mut w = Writer::new();
-        w.put_bytes(MAGIC);
-        w.put_u32(FORMAT_VERSION);
-        w.put_u64(self.cfg_hash);
-        self.now.encode(&mut w);
-        self.mem.persist(&mut w);
-        w.put_len(self.cores.len());
-        for c in &self.cores {
-            c.persist(&mut w);
-        }
-        self.online.encode(&mut w);
-        let checksum = fnv1a(w.bytes());
-        w.put_u64(checksum);
-        Ok(w.into_bytes())
+        Ok(checkpoint::FILE.seal(self.cfg_hash, |w| {
+            self.now.encode(w);
+            self.mem.persist(w);
+            w.put_len(self.cores.len());
+            for c in &self.cores {
+                c.persist(w);
+            }
+            self.online.encode(w);
+        }))
     }
 
     /// Restores a [`Machine::checkpoint`] image. The machine must have been
@@ -762,34 +757,7 @@ impl Machine {
     }
 
     fn try_restore(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        let header = MAGIC.len() + 4 + 8 + 8;
-        if bytes.len() < header + 8 {
-            return Err(PersistError::Corrupt("checkpoint too short"));
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(PersistError::Corrupt("not a norush checkpoint"));
-        }
-        let (payload, tail) = bytes.split_at(bytes.len() - 8);
-        let mut r = Reader::new(payload);
-        let _ = r.get_bytes(MAGIC.len())?;
-        let found = r.get_u32()?;
-        if found != FORMAT_VERSION {
-            return Err(PersistError::VersionMismatch {
-                found,
-                expected: FORMAT_VERSION,
-            });
-        }
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte checksum"));
-        if fnv1a(payload) != stored {
-            return Err(PersistError::Corrupt("checkpoint checksum mismatch"));
-        }
-        let found = r.get_u64()?;
-        if found != self.cfg_hash {
-            return Err(PersistError::ConfigMismatch {
-                found,
-                expected: self.cfg_hash,
-            });
-        }
+        let mut r = checkpoint::FILE.open(bytes, self.cfg_hash)?;
         let now = Cycle::decode(&mut r)?;
         self.mem.restore(&mut r)?;
         let n = r.get_len()?;
@@ -803,9 +771,7 @@ impl Machine {
         if online.is_some() != self.online.is_some() {
             return Err(PersistError::Corrupt("online-checker presence mismatch"));
         }
-        if !r.is_empty() {
-            return Err(PersistError::Corrupt("trailing bytes in checkpoint"));
-        }
+        checkpoint::FILE.finish(&r)?;
         self.online = online;
         self.now = now;
         self.rewind_ckpt = None;

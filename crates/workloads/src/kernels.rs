@@ -6,7 +6,10 @@
 //! archetypes). They are used by the examples and by shape tests that check
 //! the eager/lazy crossover on recognizable code.
 
+use std::collections::VecDeque;
+
 use row_common::ids::{Addr, Pc};
+use row_common::persist::{Codec, PersistError, Reader, Writer};
 use row_common::rng::SplitMix64;
 
 use row_cpu::instr::{Instr, InstrStream, Op, RmwKind};
@@ -15,6 +18,45 @@ const RING_BASE: u64 = 0xa000_0000;
 const COUNTER_BASE: u64 = 0xb000_0000;
 const QUEUE_BASE: u64 = 0xc000_0000;
 
+/// What every kernel advances, and so what it checkpoints: its RNG, the
+/// operations it has still to emit, and the current operation's unissued
+/// instructions.
+#[derive(Clone, Debug)]
+struct OpQueue {
+    rng: SplitMix64,
+    ops_left: u64,
+    queue: VecDeque<Instr>,
+}
+
+row_common::codec_struct!(OpQueue {
+    rng,
+    ops_left,
+    queue,
+});
+
+impl OpQueue {
+    fn new(seed: u64, ops: u64) -> Self {
+        OpQueue {
+            rng: SplitMix64::new(seed),
+            ops_left: ops,
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// The next instruction. Once the current operation is issued, `emit`
+    /// queues the next operation's instructions, drawing from the RNG.
+    fn next(&mut self, emit: impl FnOnce(&mut SplitMix64, &mut VecDeque<Instr>)) -> Option<Instr> {
+        if self.queue.is_empty() {
+            if self.ops_left == 0 {
+                return None;
+            }
+            self.ops_left -= 1;
+            emit(&mut self.rng, &mut self.queue);
+        }
+        self.queue.pop_front()
+    }
+}
+
 /// Producer/consumer ring-buffer kernel (the paper's `pc`).
 ///
 /// Every thread alternates: a little local work, then `FAA(head, 1)` on a
@@ -22,11 +64,9 @@ const QUEUE_BASE: u64 = 0xc000_0000;
 /// locality. Lazy execution wins decisively here.
 #[derive(Clone, Debug)]
 pub struct ProducerConsumer {
-    rng: SplitMix64,
+    ops: OpQueue,
     tid: u64,
-    ops_left: u64,
     work_per_op: u64,
-    queue: std::collections::VecDeque<Instr>,
 }
 
 impl ProducerConsumer {
@@ -34,48 +74,46 @@ impl ProducerConsumer {
     /// local instructions.
     pub fn new(tid: usize, ops: u64, work_per_op: u64, seed: u64) -> Self {
         ProducerConsumer {
-            rng: SplitMix64::new(seed ^ (tid as u64).wrapping_mul(0x9e37_79b9)),
+            ops: OpQueue::new(seed ^ (tid as u64).wrapping_mul(0x9e37_79b9), ops),
             tid: tid as u64,
-            ops_left: ops,
             work_per_op,
-            queue: std::collections::VecDeque::new(),
         }
-    }
-
-    fn emit_op(&mut self) {
-        // Local payload work (private line per thread).
-        for k in 0..self.work_per_op {
-            if k % 4 == 0 {
-                let addr =
-                    Addr::new(RING_BASE + 0x10_0000 * (self.tid + 1) + self.rng.below(512) * 64);
-                self.queue
-                    .push_back(Instr::simple(Pc::new(0x300), Op::Load { addr }).with_dst(2));
-            } else {
-                self.queue
-                    .push_back(Instr::simple(Pc::new(0x304), Op::Alu { latency: 1 }).with_dst(1));
-            }
-        }
-        // Claim a slot: FAA on the shared head pointer.
-        self.queue.push_back(Instr::simple(
-            Pc::new(0x340),
-            Op::Atomic {
-                rmw: RmwKind::Faa(1),
-                addr: Addr::new(RING_BASE),
-            },
-        ));
     }
 }
 
 impl InstrStream for ProducerConsumer {
     fn next_instr(&mut self) -> Option<Instr> {
-        if self.queue.is_empty() {
-            if self.ops_left == 0 {
-                return None;
+        let (tid, work_per_op) = (self.tid, self.work_per_op);
+        self.ops.next(|rng, queue| {
+            // Local payload work (private line per thread).
+            for k in 0..work_per_op {
+                if k % 4 == 0 {
+                    let addr = Addr::new(RING_BASE + 0x10_0000 * (tid + 1) + rng.below(512) * 64);
+                    queue.push_back(Instr::simple(Pc::new(0x300), Op::Load { addr }).with_dst(2));
+                } else {
+                    queue.push_back(
+                        Instr::simple(Pc::new(0x304), Op::Alu { latency: 1 }).with_dst(1),
+                    );
+                }
             }
-            self.ops_left -= 1;
-            self.emit_op();
-        }
-        self.queue.pop_front()
+            // Claim a slot: FAA on the shared head pointer.
+            queue.push_back(Instr::simple(
+                Pc::new(0x340),
+                Op::Atomic {
+                    rmw: RmwKind::Faa(1),
+                    addr: Addr::new(RING_BASE),
+                },
+            ));
+        })
+    }
+
+    fn save_state(&self, w: &mut Writer) {
+        self.ops.encode(w);
+    }
+
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
+        self.ops = OpQueue::decode(r)?;
+        Ok(())
     }
 }
 
@@ -85,12 +123,10 @@ impl InstrStream for ProducerConsumer {
 /// with very little local work.
 #[derive(Clone, Debug)]
 pub struct SharedCounters {
-    rng: SplitMix64,
+    ops: OpQueue,
     tid: u64,
     counters: u64,
-    ops_left: u64,
     work_per_op: u64,
-    queue: std::collections::VecDeque<Instr>,
 }
 
 impl SharedCounters {
@@ -103,47 +139,48 @@ impl SharedCounters {
     pub fn new(tid: usize, ops: u64, counters: u64, work_per_op: u64, seed: u64) -> Self {
         assert!(counters > 0, "need at least one counter");
         SharedCounters {
-            rng: SplitMix64::new(seed ^ (tid as u64).wrapping_mul(0xdead_beef)),
+            ops: OpQueue::new(seed ^ (tid as u64).wrapping_mul(0xdead_beef), ops),
             tid: tid as u64,
             counters,
-            ops_left: ops,
             work_per_op,
-            queue: std::collections::VecDeque::new(),
         }
     }
 }
 
 impl InstrStream for SharedCounters {
     fn next_instr(&mut self) -> Option<Instr> {
-        if self.queue.is_empty() {
-            if self.ops_left == 0 {
-                return None;
-            }
-            self.ops_left -= 1;
-            for k in 0..self.work_per_op {
+        let (tid, counters, work_per_op) = (self.tid, self.counters, self.work_per_op);
+        self.ops.next(|rng, queue| {
+            for k in 0..work_per_op {
                 if k % 4 == 0 {
                     // Interleave private-data loads, as real counter loops do.
-                    let addr = Addr::new(
-                        COUNTER_BASE + 0x10_0000 * (self.tid + 1) + self.rng.below(512) * 64,
-                    );
-                    self.queue
-                        .push_back(Instr::simple(Pc::new(0x404), Op::Load { addr }).with_dst(2));
+                    let addr =
+                        Addr::new(COUNTER_BASE + 0x10_0000 * (tid + 1) + rng.below(512) * 64);
+                    queue.push_back(Instr::simple(Pc::new(0x404), Op::Load { addr }).with_dst(2));
                 } else {
-                    self.queue.push_back(
+                    queue.push_back(
                         Instr::simple(Pc::new(0x400), Op::Alu { latency: 1 }).with_dst(1),
                     );
                 }
             }
-            let c = self.rng.below(self.counters);
-            self.queue.push_back(Instr::simple(
+            let c = rng.below(counters);
+            queue.push_back(Instr::simple(
                 Pc::new(0x440),
                 Op::Atomic {
                     rmw: RmwKind::Faa(1),
                     addr: Addr::new(COUNTER_BASE + c * 64),
                 },
             ));
-        }
-        self.queue.pop_front()
+        })
+    }
+
+    fn save_state(&self, w: &mut Writer) {
+        self.ops.encode(w);
+    }
+
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
+        self.ops = OpQueue::decode(r)?;
+        Ok(())
     }
 }
 
@@ -152,11 +189,9 @@ impl InstrStream for SharedCounters {
 /// atomic locality. Eager execution (and forwarding) wins despite contention.
 #[derive(Clone, Debug)]
 pub struct ConcurrentQueue {
-    rng: SplitMix64,
-    ops_left: u64,
+    ops: OpQueue,
     slots: u64,
     work_per_op: u64,
-    queue: std::collections::VecDeque<Instr>,
 }
 
 impl ConcurrentQueue {
@@ -168,43 +203,45 @@ impl ConcurrentQueue {
     pub fn new(tid: usize, ops: u64, slots: u64, work_per_op: u64, seed: u64) -> Self {
         assert!(slots > 0, "need at least one slot line");
         ConcurrentQueue {
-            rng: SplitMix64::new(seed ^ (tid as u64).wrapping_mul(0x1234_5678)),
-            ops_left: ops,
+            ops: OpQueue::new(seed ^ (tid as u64).wrapping_mul(0x1234_5678), ops),
             slots,
             work_per_op,
-            queue: std::collections::VecDeque::new(),
         }
     }
 }
 
 impl InstrStream for ConcurrentQueue {
     fn next_instr(&mut self) -> Option<Instr> {
-        if self.queue.is_empty() {
-            if self.ops_left == 0 {
-                return None;
+        let (slots, work_per_op) = (self.slots, self.work_per_op);
+        self.ops.next(|rng, queue| {
+            for _ in 0..work_per_op {
+                queue.push_back(Instr::simple(Pc::new(0x500), Op::Alu { latency: 1 }).with_dst(1));
             }
-            self.ops_left -= 1;
-            for _ in 0..self.work_per_op {
-                self.queue
-                    .push_back(Instr::simple(Pc::new(0x500), Op::Alu { latency: 1 }).with_dst(1));
-            }
-            let slot = self.rng.below(self.slots);
+            let slot = rng.below(slots);
             let addr = Addr::new(QUEUE_BASE + slot * 64);
             // Payload store to the node line…
-            self.queue.push_back(Instr::simple(
+            queue.push_back(Instr::simple(
                 Pc::new(0x540),
                 Op::Store { addr, value: None },
             ));
             // …then the atomic on the same line: forwarding territory.
-            self.queue.push_back(Instr::simple(
+            queue.push_back(Instr::simple(
                 Pc::new(0x544),
                 Op::Atomic {
                     rmw: RmwKind::Faa(1),
                     addr,
                 },
             ));
-        }
-        self.queue.pop_front()
+        })
+    }
+
+    fn save_state(&self, w: &mut Writer) {
+        self.ops.encode(w);
+    }
+
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
+        self.ops = OpQueue::decode(r)?;
+        Ok(())
     }
 }
 
@@ -256,6 +293,25 @@ mod tests {
             }
         }
         assert_eq!(pairs, 30);
+    }
+
+    /// The exact streams of each kernel, so a change to a generator shows.
+    #[test]
+    fn streams_are_pinned() {
+        use row_common::persist::{fnv1a, to_bytes};
+        let hash = |v: Vec<Instr>| format!("{:016x}", fnv1a(&to_bytes(&v)));
+        assert_eq!(
+            hash(drain(ProducerConsumer::new(1, 20, 9, 3))),
+            "759e5fd9b36f87ea"
+        );
+        assert_eq!(
+            hash(drain(SharedCounters::new(2, 20, 3, 9, 4))),
+            "82c32d9f9d6b0887"
+        );
+        assert_eq!(
+            hash(drain(ConcurrentQueue::new(3, 20, 3, 9, 5))),
+            "c3b346e160b0ab79"
+        );
     }
 
     #[test]

@@ -50,4 +50,4 @@ pub use lockservice::{LockServiceConfig, LockServiceStream, ServiceKernel};
 pub use microbench::{MicroRmw, MicroVariant, MicrobenchConfig, MicrobenchStream};
 pub use profile::{ProfileStream, WorkloadProfile};
 pub use suite::Benchmark;
-pub use trace::{read_trace, record_to_file, write_trace, TraceFileStream};
+pub use trace::{open_trace, read_trace, record_to_file, write_trace};

@@ -2,233 +2,84 @@
 //!
 //! This is the analogue of the paper's Sniper-produced traces: a captured
 //! stream is bit-exact across machines, so experiments can be re-run on the
-//! identical instruction sequence without regenerating it. The format is a
-//! small self-describing binary codec (magic + little-endian fields) with no
-//! external dependencies.
+//! identical instruction sequence without regenerating it. A trace file is
+//! the [file frame](row_common::persist#the-file-frame) of kind
+//! `TRACE_FILE` around the `Vec<Instr>` codec, bound to nothing:
+//!
+//! ```text
+//! magic "NRTRACE\n" | version u32 | binding 0 u64
+//! | instruction count u64 | Instr codec per instruction | fnv1a checksum u64
+//! ```
+//!
+//! A trace replays as a plain [`VecStream`]. Files of the unframed first
+//! format (magic `RWTR1\n`) are refused as not trace files.
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io;
 use std::path::Path;
 
-use row_common::ids::{Addr, Pc};
-use row_common::persist::{PersistError, Reader, Writer};
-use row_cpu::instr::{Instr, InstrStream, Op, RmwKind};
+use row_common::persist::{encode_slice, write_atomic, Codec, FileKind, PersistError};
+use row_cpu::instr::{Instr, InstrStream, VecStream, NUM_REGS};
 
-const MAGIC: &[u8; 6] = b"RWTR1\n";
+/// First bytes of every trace file.
+const MAGIC: &[u8; 8] = b"NRTRACE\n";
 
-fn put_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+/// Trace format version. Version 1 was the unframed `RWTR1` layout.
+const FORMAT_VERSION: u32 = 2;
+
+/// The trace file frame, bound to nothing (binding 0).
+const TRACE_FILE: FileKind = row_common::file_kind!("trace file", MAGIC, FORMAT_VERSION);
+
+/// The trace file bytes of `instrs`.
+pub fn write_trace(instrs: &[Instr]) -> Vec<u8> {
+    TRACE_FILE.seal(0, |w| encode_slice(instrs, w))
 }
 
-fn get_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn put_u8(w: &mut impl Write, v: u8) -> io::Result<()> {
-    w.write_all(&[v])
-}
-
-fn get_u8(r: &mut impl Read) -> io::Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-fn write_instr(w: &mut impl Write, i: &Instr) -> io::Result<()> {
-    put_u64(w, i.pc.raw())?;
-    put_u8(w, i.srcs[0].map_or(0xff, |r| r))?;
-    put_u8(w, i.srcs[1].map_or(0xff, |r| r))?;
-    put_u8(w, i.dst.map_or(0xff, |r| r))?;
-    match i.op {
-        Op::Alu { latency } => {
-            put_u8(w, 0)?;
-            put_u8(w, latency)?;
-        }
-        Op::Load { addr } => {
-            put_u8(w, 1)?;
-            put_u64(w, addr.raw())?;
-        }
-        Op::Store { addr, value } => {
-            put_u8(w, 2)?;
-            put_u64(w, addr.raw())?;
-            match value {
-                None => put_u8(w, 0)?,
-                Some(v) => {
-                    put_u8(w, 1)?;
-                    put_u64(w, v)?;
-                }
-            }
-        }
-        Op::Atomic { rmw, addr } => {
-            put_u8(w, 3)?;
-            put_u64(w, addr.raw())?;
-            match rmw {
-                RmwKind::Faa(d) => {
-                    put_u8(w, 0)?;
-                    put_u64(w, d)?;
-                }
-                RmwKind::Swap(v) => {
-                    put_u8(w, 1)?;
-                    put_u64(w, v)?;
-                }
-                RmwKind::Cas { expected, new } => {
-                    put_u8(w, 2)?;
-                    put_u64(w, expected)?;
-                    put_u64(w, new)?;
-                }
-            }
-        }
-        Op::Branch { taken } => {
-            put_u8(w, 4)?;
-            put_u8(w, taken as u8)?;
-        }
-        Op::Fence => put_u8(w, 5)?,
-    }
-    Ok(())
-}
-
-fn read_instr(r: &mut impl Read) -> io::Result<Instr> {
-    let pc = Pc::new(get_u64(r)?);
-    let reg = |v: u8| if v == 0xff { None } else { Some(v) };
-    let s0 = reg(get_u8(r)?);
-    let s1 = reg(get_u8(r)?);
-    let dst = reg(get_u8(r)?);
-    let op = match get_u8(r)? {
-        0 => Op::Alu {
-            latency: get_u8(r)?,
-        },
-        1 => Op::Load {
-            addr: Addr::new(get_u64(r)?),
-        },
-        2 => {
-            let addr = Addr::new(get_u64(r)?);
-            let value = match get_u8(r)? {
-                0 => None,
-                1 => Some(get_u64(r)?),
-                _ => return Err(bad("bad store value tag")),
-            };
-            Op::Store { addr, value }
-        }
-        3 => {
-            let addr = Addr::new(get_u64(r)?);
-            let rmw = match get_u8(r)? {
-                0 => RmwKind::Faa(get_u64(r)?),
-                1 => RmwKind::Swap(get_u64(r)?),
-                2 => RmwKind::Cas {
-                    expected: get_u64(r)?,
-                    new: get_u64(r)?,
-                },
-                _ => return Err(bad("bad rmw tag")),
-            };
-            Op::Atomic { rmw, addr }
-        }
-        4 => Op::Branch {
-            taken: get_u8(r)? != 0,
-        },
-        5 => Op::Fence,
-        _ => return Err(bad("bad op tag")),
-    };
-    Ok(Instr {
-        pc,
-        op,
-        srcs: [s0, s1],
-        dst,
-    })
-}
-
-/// Writes a whole trace to `w`.
+/// Reads a whole trace from the bytes of a trace file.
 ///
 /// # Errors
-/// Propagates I/O errors from the writer.
-pub fn write_trace(mut w: impl Write, instrs: &[Instr]) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    put_u64(&mut w, instrs.len() as u64)?;
-    for i in instrs {
-        write_instr(&mut w, i)?;
+/// Any frame error of `TRACE_FILE`, a malformed instruction, or a
+/// register index of `NUM_REGS` or more (a valid checksum proves only that
+/// the bytes are the ones written, not that the writer was sane).
+pub fn read_trace(bytes: &[u8]) -> Result<Vec<Instr>, PersistError> {
+    let mut r = TRACE_FILE.open(bytes, 0)?;
+    let instrs = Vec::<Instr>::decode(&mut r)?;
+    TRACE_FILE.finish(&r)?;
+    let regs = instrs
+        .iter()
+        .flat_map(|i| i.srcs.into_iter().chain([i.dst]));
+    if regs.flatten().any(|reg| usize::from(reg) >= NUM_REGS) {
+        return Err(PersistError::Corrupt("trace register out of range"));
     }
-    w.flush()
+    Ok(instrs)
 }
 
-/// Reads a whole trace from `r`.
+/// Drains `stream` into a trace file at `path`, written atomically.
 ///
 /// # Errors
-/// Fails on I/O errors, a bad magic header, or malformed records.
-pub fn read_trace(mut r: impl Read) -> io::Result<Vec<Instr>> {
-    let mut magic = [0u8; 6];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not a norush trace file"));
-    }
-    let n = get_u64(&mut r)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        out.push(read_instr(&mut r)?);
-    }
-    Ok(out)
-}
-
-/// Drains `stream` into a trace file at `path`.
-///
-/// # Errors
-/// Propagates file-creation and write errors.
+/// Propagates filesystem errors.
 pub fn record_to_file(path: impl AsRef<Path>, stream: &mut dyn InstrStream) -> io::Result<u64> {
-    let mut instrs = Vec::new();
-    while let Some(i) = stream.next_instr() {
-        instrs.push(i);
-    }
-    let f = BufWriter::new(File::create(path)?);
-    write_trace(f, &instrs)?;
+    let instrs: Vec<Instr> = std::iter::from_fn(|| stream.next_instr()).collect();
+    write_atomic(path.as_ref(), write_trace(&instrs))?;
     Ok(instrs.len() as u64)
 }
 
-/// An [`InstrStream`] replaying a trace file.
-#[derive(Debug)]
-pub struct TraceFileStream {
-    instrs: Vec<Instr>,
-    pos: usize,
-}
-
-impl TraceFileStream {
-    /// Opens and fully loads a trace file.
-    ///
-    /// # Errors
-    /// Fails on I/O errors or a malformed file.
-    pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        let f = BufReader::new(File::open(path)?);
-        Ok(TraceFileStream {
-            instrs: read_trace(f)?,
-            pos: 0,
-        })
-    }
-}
-
-impl InstrStream for TraceFileStream {
-    fn next_instr(&mut self) -> Option<Instr> {
-        let i = self.instrs.get(self.pos).copied();
-        self.pos += 1;
-        i
-    }
-
-    fn save_state(&self, w: &mut Writer) {
-        w.put_u64(self.pos as u64);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        self.pos = r.get_u64()? as usize;
-        Ok(())
-    }
+/// Opens a trace file for replay.
+///
+/// # Errors
+/// Filesystem errors, and [`read_trace`]'s as [`io::ErrorKind::InvalidData`].
+pub fn open_trace(path: impl AsRef<Path>) -> io::Result<VecStream> {
+    let instrs = read_trace(&std::fs::read(path)?)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    Ok(VecStream::new(instrs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Benchmark, ProfileStream};
+    use row_common::ids::{Addr, Pc};
+    use row_common::persist::fnv1a;
+    use row_cpu::instr::{Op, RmwKind};
 
     fn sample() -> Vec<Instr> {
         vec![
@@ -288,24 +139,76 @@ mod tests {
     #[test]
     fn round_trips_every_op_kind() {
         let orig = sample();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &orig).unwrap();
-        let back = read_trace(buf.as_slice()).unwrap();
-        assert_eq!(orig, back);
+        assert_eq!(read_trace(&write_trace(&orig)).unwrap(), orig);
+        assert_eq!(read_trace(&write_trace(&[])).unwrap(), []);
+    }
+
+    /// The exact bytes of a trace file. A change to the `Instr` codec or
+    /// the frame shows up here and must bump `FORMAT_VERSION`.
+    #[test]
+    fn trace_bytes_are_pinned() {
+        let bytes = write_trace(&sample());
+        assert_eq!(bytes.len(), 255);
+        assert_eq!(format!("{:016x}", fnv1a(&bytes)), "2a37688948f9ae71");
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let err = read_trace(&b"NOTATRACE"[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = |bytes: &[u8]| read_trace(bytes).unwrap_err();
+        let mut other = write_trace(&sample());
+        other[0] ^= 1;
+        assert_eq!(
+            err(&other),
+            PersistError::Corrupt("not a norush trace file")
+        );
+        // A file of the unframed first format: "RWTR1\n", a count, and two
+        // fences (pc, three 0xff register bytes, op tag 5).
+        let mut old = b"RWTR1\n".to_vec();
+        old.extend_from_slice(&2u64.to_le_bytes());
+        for _ in 0..2 {
+            old.extend_from_slice(&0x40u64.to_le_bytes());
+            old.extend_from_slice(&[0xff, 0xff, 0xff, 5]);
+        }
+        assert_eq!(err(&old), PersistError::Corrupt("not a norush trace file"));
     }
 
     #[test]
     fn rejects_truncated_file() {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &sample()).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(read_trace(buf.as_slice()).is_err());
+        let bytes = write_trace(&sample());
+        for cut in [0, 7, 27, bytes.len() / 2, bytes.len() - 3] {
+            assert!(read_trace(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn rejects_every_flipped_bit_of_a_byte() {
+        let bytes = write_trace(&sample());
+        for at in [8, 12, 20, 40, bytes.len() - 1] {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                assert!(read_trace(&flipped).is_err(), "bit {bit} of byte {at}");
+            }
+        }
+    }
+
+    /// A crafted trace carries a valid checksum, so the register range is
+    /// checked on its own.
+    #[test]
+    fn rejects_out_of_range_registers() {
+        let alu = Instr::simple(Pc::new(0x10), Op::Alu { latency: 1 });
+        let last = (NUM_REGS - 1) as u8;
+        assert!(read_trace(&write_trace(&[alu.with_dst(last)])).is_ok());
+        for bad in [
+            alu.with_dst(NUM_REGS as u8),
+            alu.with_srcs(None, Some(191)),
+            alu.with_srcs(Some(u8::MAX), None),
+        ] {
+            assert_eq!(
+                read_trace(&write_trace(&[bad])),
+                Err(PersistError::Corrupt("trace register out of range"))
+            );
+        }
     }
 
     #[test]
@@ -316,8 +219,9 @@ mod tests {
         let profile = Benchmark::Pc.profile().with_instructions(500);
         let n = record_to_file(&path, &mut ProfileStream::new(profile, 0, 4, 9)).unwrap();
         assert!(n >= 500);
+        assert!(!dir.join("pc.trace.tmp").exists(), "written atomically");
 
-        let mut replay = TraceFileStream::open(&path).unwrap();
+        let mut replay = open_trace(&path).unwrap();
         let mut fresh = ProfileStream::new(profile, 0, 4, 9);
         let mut count = 0u64;
         while let Some(a) = replay.next_instr() {

@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use norush::common::config::FaultConfig;
+use norush::common::config::{FaultConfig, MAX_CHAOS_LATENCY};
 use norush::common::persist::write_atomic;
 use norush::cpu::instr::InstrStream;
 use norush::sim::soak::{self, SoakEvent, SoakOptions};
@@ -20,7 +20,7 @@ use norush::sim::{
     bench_streams, run_benchmark, triage, ExperimentConfig, Machine, Sweep, SweepOptions, Variant,
 };
 use norush::workloads::litmus::{LitmusTest, OutcomeClass};
-use norush::workloads::{Benchmark, LockServiceConfig, ServiceKernel, TraceFileStream};
+use norush::workloads::{Benchmark, LockServiceConfig, ServiceKernel};
 use norush::SystemConfig;
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
@@ -158,7 +158,9 @@ fn bench_by_name(name: &str) -> Result<Benchmark, String> {
 }
 
 fn system_for(policy: &str, exp: &ExperimentConfig) -> Result<SystemConfig, String> {
-    Ok(Variant::by_name(policy)?.apply(exp.system()))
+    let sys = Variant::by_name(policy)?.apply(exp.system());
+    sys.validate()?;
+    Ok(sys)
 }
 
 /// Parses `--repro-dir` (where shrunk repros and triage bundles land),
@@ -223,7 +225,15 @@ fn exp_from(args: &Args) -> Result<ExperimentConfig, Box<dyn std::error::Error>>
     let latency = args
         .flags
         .contains_key("chaos-latency")
-        .then(|| args.num("chaos-latency", 0))
+        .then(|| {
+            args.num_in(
+                "chaos-latency",
+                0,
+                0,
+                MAX_CHAOS_LATENCY,
+                "delivery jitter cap",
+            )
+        })
         .transpose()?;
     let drop_ppm = args.prob_ppm("chaos-drop")?;
     let dup_ppm = args.prob_ppm("chaos-dup")?;
@@ -490,7 +500,7 @@ fn soak_opts(args: &Args) -> Result<(SoakOptions, PathBuf), Box<dyn std::error::
                 "chaos-latency",
                 d.chaos.max_extra_latency,
                 0,
-                100_000,
+                MAX_CHAOS_LATENCY,
                 "delivery jitter cap",
             )?,
             drop_ppm: args.prob_ppm_or("chaos-drop", d.chaos.drop_ppm)?,
@@ -1072,7 +1082,7 @@ fn cmd_record(args: &Args) -> CliResult {
     let instructions = args.num("instr", 10_000)?;
     let tid = args.num("tid", 0)? as usize;
     let exp = ExperimentConfig {
-        cores: args.num("threads", 32)? as usize,
+        cores: args.num_in("threads", 32, 1, 512, "generated threads")? as usize,
         instructions,
         seed: args.num("seed", 42)?,
         ..ExperimentConfig::quick()
@@ -1102,10 +1112,11 @@ fn cmd_replay(args: &Args) -> CliResult {
     };
     let mut sys = system_for(policy, &exp)?;
     sys.cores = 1;
-    let stream: Box<dyn InstrStream> = Box::new(TraceFileStream::open(path)?);
+    let trace = norush::workloads::open_trace(path).map_err(|e| format!("{path}: {e}"))?;
+    let stream: Box<dyn InstrStream> = Box::new(trace);
     let r = Machine::new(&sys, vec![stream])
         .run(exp.cycle_limit)
-        .expect("replay drains");
+        .map_err(|e| format!("replay of {path} failed:\n{e}"))?;
     println!(
         "replayed {path} under {policy}: {} cycles, IPC {:.2}, {} atomics",
         r.cycles,

@@ -109,6 +109,44 @@ fn round_trip_is_bit_exact_under_lossy_chaos() {
     assert_round_trip_bit_exact(&sys);
 }
 
+/// Every kernel stream checkpoints its generator (RNG, operations left,
+/// queued instructions): a run restored mid-way commits what a straight run
+/// commits and ends in the same image.
+#[test]
+fn kernel_streams_resume_bit_exactly() {
+    use norush::workloads::kernels::{ConcurrentQueue, ProducerConsumer, SharedCounters};
+    type Kernel = fn(usize) -> Box<dyn InstrStream>;
+    let kernels: [(&str, Kernel); 3] = [
+        ("pc", |t| Box::new(ProducerConsumer::new(t, 60, 16, 5))),
+        ("sps", |t| Box::new(SharedCounters::new(t, 60, 2, 16, 5))),
+        ("cq", |t| Box::new(ConcurrentQueue::new(t, 60, 2, 16, 5))),
+    ];
+    let sys = SystemConfig::small(4);
+    for (name, kernel) in kernels {
+        let fresh = || Machine::new(&sys, (0..4).map(kernel).collect());
+        let mut straight = fresh();
+        assert!(
+            straight.run_for(3_000).expect("prefix").is_none(),
+            "{name}: must not drain before the checkpoint"
+        );
+        let snap = straight.checkpoint().expect("checkpoint");
+        let done = straight.run_for(50_000_000).expect("run").expect("drains");
+        let mut resumed = fresh();
+        resumed.restore(&snap).expect("restore");
+        let again = resumed.run_for(50_000_000).expect("run").expect("drains");
+        assert_eq!(
+            (again.cycles, again.total.committed),
+            (done.cycles, done.total.committed),
+            "{name}: cycles and committed instructions"
+        );
+        assert_eq!(
+            fnv1a(&resumed.checkpoint().expect("final image")),
+            fnv1a(&straight.checkpoint().expect("final image")),
+            "{name}: final image"
+        );
+    }
+}
+
 /// `run_checkpointed` + `restore` is the crash-recovery path: kill a run
 /// after some checkpoints landed on disk, restore the newest file into a
 /// fresh machine, and the finished result matches the uninterrupted run.

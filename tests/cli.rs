@@ -2,9 +2,19 @@
 //! top-level usage must list every subcommand (so help drift fails loudly),
 //! and configuration errors must exit nonzero with a message on stderr.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+use norush::common::config::DelayBurst;
+use norush::common::ids::Pc;
+use norush::cpu::instr::{Instr, Op};
+use norush::sim::fuzz::ScheduleGenome;
+use norush::workloads::write_trace;
 
 const BIN: &str = env!("CARGO_BIN_EXE_norush");
+
+fn norush(args: &[&str]) -> Output {
+    Command::new(BIN).args(args).output().expect("spawn norush")
+}
 
 const COMMANDS: &[&str] = &[
     "list", "run", "profile", "compare", "soak", "fuzz", "litmus", "explore", "record", "replay",
@@ -71,6 +81,13 @@ fn config_errors_exit_nonzero_with_stderr() {
         &["run", "pc", "--watchdog", "0"],
         &["run", "pc", "--rewind", "0"],
         &["record", "pc", "t.trace", "--tid", "4", "--threads", "4"],
+        // Outside numbers are range-checked before anything is built: a
+        // jitter cap of u64::MAX wrapped the jitter draw, and a million
+        // threads built a million generators.
+        &["run", "pc", "--chaos-latency", "18446744073709551615"],
+        &["profile", "pc", "--chaos-latency", "18446744073709551615"],
+        &["compare", "pc", "--chaos-latency", "18446744073709551615"],
+        &["record", "pc", "huge.trace", "--threads", "1000000"],
         // A misspelt flag is an error, not silently ignored; so is a flag
         // missing its value or a switch given one.
         &["run", "pc", "--polcy", "row"],
@@ -87,11 +104,23 @@ fn config_errors_exit_nonzero_with_stderr() {
         &["litmus", "--test", "sb", "--policies", ","],
         &["explore", "--test", ","],
     ];
-    for args in cases {
-        let out = Command::new(BIN)
-            .args(*args)
-            .output()
-            .expect("spawn norush");
+    // A replayed genome is validated like any other configuration.
+    let mut latency = ScheduleGenome::neutral();
+    latency.fault.max_extra_latency = u64::MAX;
+    let mut burst = ScheduleGenome::neutral();
+    burst.perturb.push(DelayBurst {
+        start: 0,
+        len: 1_000,
+        extra: 4_097,
+        salt: 1,
+    });
+    let (latency, burst) = (latency.to_hex(), burst.to_hex());
+    let genomes: &[&[&str]] = &[
+        &["fuzz", "--replay", &latency],
+        &["fuzz", "--replay", &burst],
+    ];
+    for args in cases.iter().chain(genomes) {
+        let out = norush(args);
         assert_eq!(
             out.status.code(),
             Some(1),
@@ -104,6 +133,47 @@ fn config_errors_exit_nonzero_with_stderr() {
             args.join(" ")
         );
     }
+}
+
+/// A recorded trace replays; a corrupt one, one naming a register past the
+/// register file (its checksum is valid) and one in the unframed first
+/// format each exit 1 naming the fault.
+#[test]
+fn traces_replay_and_bad_traces_exit_1() {
+    let dir = std::env::temp_dir().join(format!("norush-cli-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = dir.join("pc.trace");
+    let good = good.to_str().unwrap();
+    let out = norush(&["record", "pc", good, "--instr", "500", "--threads", "4"]);
+    assert!(out.status.success(), "record: {out:?}");
+    let out = norush(&["replay", good, "--policy", "row"]);
+    assert!(out.status.success(), "replay: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains(" cycles, IPC "));
+
+    let mut flipped = std::fs::read(good).unwrap();
+    flipped[1_000] ^= 1;
+    let alu = Instr::simple(Pc::new(0x40), Op::Alu { latency: 1 });
+    let register = write_trace(&[alu.with_dst(191)]);
+    // "RWTR1\n", a count, and two fences (pc, three 0xff registers, tag 5).
+    let mut old = b"RWTR1\n".to_vec();
+    old.extend_from_slice(&2u64.to_le_bytes());
+    for _ in 0..2 {
+        old.extend_from_slice(&0x40u64.to_le_bytes());
+        old.extend_from_slice(&[0xff, 0xff, 0xff, 5]);
+    }
+    for (name, bytes, message) in [
+        ("flipped.trace", flipped, "trace file checksum mismatch"),
+        ("register.trace", register, "trace register out of range"),
+        ("old.trace", old, "not a norush trace file"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        let out = norush(&["replay", path.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains(message), "{name} must say `{message}`: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
