@@ -14,6 +14,8 @@
 //! * [`sched`] — a generic cycle-keyed event wheel used by the memory system.
 //! * [`fastmap`] — an open-addressed, arena-backed hash map with
 //!   deterministic iteration order for the simulation hot paths.
+//! * [`bitset`] — [`IndexSet`][bitset::IndexSet], the ascending-order
+//!   work lists of the simulation loop (cores to step, caches to promote).
 //! * [`persist`] — the versioned binary snapshot codec
 //!   ([`Codec`][persist::Codec]/[`Persist`][persist::Persist]) behind
 //!   deterministic checkpoint/restore.
@@ -39,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bitset;
 pub mod choice;
 pub mod clock;
 pub mod config;

@@ -122,6 +122,69 @@ struct AqEntry {
     forwarded: bool,
 }
 
+/// The stall a sleeping core's proof rests on (see [`Core::sleep_until`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SleepCause {
+    /// The ROB head has not completed.
+    IncompleteHead,
+    /// The ROB head has not completed, and the oldest lazily waiting atomic
+    /// or fence may not issue yet.
+    LazyWaiter,
+    /// The ROB head is a completed atomic that does not hold its cache lock.
+    UnlockedAtomic,
+    /// The ROB head is a completed, locked atomic behind an older
+    /// store-buffer entry.
+    UndrainedSb,
+    /// The ROB head is a completed, locked atomic with nothing older
+    /// buffered, held by an explorer commit delay.
+    CommitRelease,
+}
+
+/// What ends a sleep when no memory event arrives first.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum WakeSource {
+    /// The next completion on the core's event wheel.
+    Wheel,
+    /// The end of a fetch stall.
+    Fetch,
+    /// The deadlock breaker's deadline.
+    Watchdog,
+    /// The explorer's commit release cycle for the head atomic.
+    Release,
+}
+
+/// A core's proof that stepping it is a state no-op until `until` (see
+/// [`Core::sleep_until`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Sleep {
+    /// The first cycle the core must be stepped again, unless a memory
+    /// event reaches it earlier.
+    pub until: Cycle,
+    /// The stall the proof rests on.
+    pub cause: SleepCause,
+    /// The transition that sets `until`.
+    pub wake: WakeSource,
+}
+
+impl std::fmt::Display for Sleep {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let cause = match self.cause {
+            SleepCause::IncompleteHead => "incomplete head",
+            SleepCause::LazyWaiter => "lazy waiter",
+            SleepCause::UnlockedAtomic => "unlocked atomic",
+            SleepCause::UndrainedSb => "undrained SB",
+            SleepCause::CommitRelease => "commit release",
+        };
+        let wake = match self.wake {
+            WakeSource::Wheel => "wheel",
+            WakeSource::Fetch => "fetch",
+            WakeSource::Watchdog => "watchdog",
+            WakeSource::Release => "release",
+        };
+        write!(f, "{cause} until cycle {} ({wake} wake)", self.until.raw())
+    }
+}
+
 /// Snapshot of a load the core observed (for TSO litmus tests).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LoadObservation {
@@ -192,6 +255,10 @@ pub struct Core {
     /// whenever that uid completes or is squashed. Derived cache — never
     /// persisted (cleared on restore) or compared.
     head_wait: Option<u64>,
+    /// Cycles [`Core::sleep_until`] adds to every wake it reports; see
+    /// [`Core::inject_oversleep_for_test`]. Zero outside tests; never
+    /// persisted.
+    oversleep: u64,
 }
 
 impl Core {
@@ -242,6 +309,7 @@ impl Core {
             load_log: None,
             commit_release: None,
             head_wait: None,
+            oversleep: 0,
         }
     }
 
@@ -336,6 +404,15 @@ impl Core {
             Op::Fence => "fence".to_string(),
         };
         Some(format!("#{} pc {} {}", e.order, i.pc, what))
+    }
+
+    /// Test instrumentation: from now on [`Core::sleep_until`] reports
+    /// every wake `extra` cycles late, so the core sleeps through
+    /// transitions it should have made. `Machine::set_audit` must catch
+    /// this. Not persisted across checkpoint/restore.
+    #[doc(hidden)]
+    pub fn inject_oversleep_for_test(&mut self, extra: u64) {
+        self.oversleep = extra;
     }
 
     fn req_id(uid: u64, tag: u64) -> u64 {
@@ -479,32 +556,66 @@ impl Core {
     }
 
     /// Earliest future cycle at which this core could make progress again,
-    /// or `None` when it must run next cycle.
+    /// with the stall that proves it, or `None` when it must run next
+    /// cycle.
     ///
-    /// `Some(w)` is a *proof obligation*: every phase of [`Core::cycle`] is a
-    /// state no-op for all cycles in `(now, w)` provided no memory event is
-    /// delivered to the core in between — the caller must re-run the core as
-    /// soon as it routes one (see `Machine::step_cycle`). The conditions
-    /// mirror the phases one-to-one:
+    /// `Some(s)` is a *proof obligation*: every phase of [`Core::cycle`] is a
+    /// state no-op for all cycles in `(now, s.until)` provided no memory
+    /// event is delivered to the core in between. The caller must re-run
+    /// the core as soon as it routes one (see `Machine::step_cycle`). The
+    /// conditions mirror the phases one-to-one:
     ///
     /// * completions — the event wheel's next entry is in the future;
-    /// * commit — the ROB head is memoized incomplete (the private
-    ///   `head_wait` field), and completion only happens via the wheel or a
-    ///   memory event;
+    /// * commit — the ROB head waits, in one of four ways ([`SleepCause`]):
+    ///   - *incomplete head*: the head is memoized incomplete (the private
+    ///     `head_wait` field). Only a wheel completion or a memory event
+    ///     completes it.
+    ///   - *unlocked atomic*: the head is a completed atomic without its
+    ///     cache lock. The lock comes from a `Fill`/`FarDone` event, or from
+    ///     the lock cascade after an older atomic's store-unlock writes,
+    ///     which is a wheel completion.
+    ///   - *undrained SB*: the head is a completed, locked atomic with an
+    ///     older store-buffer entry. That entry leaves through
+    ///     `sb_write_done`, a wheel completion.
+    ///   - *commit release*: the head is a completed, locked atomic with
+    ///     nothing older buffered, held by the explorer's commit delay. It
+    ///     commits at the release cycle, which bounds `until`.
+    ///
+    ///   A squash, the only other way the head changes, runs on a memory
+    ///   event, a wheel completion, or the deadlock breaker;
     /// * SB drain — serialized on a miss, or the front entry is not
     ///   drainable (uncommitted, or already in flight);
-    /// * issue — nothing ready, nothing lazily waiting;
+    /// * issue — nothing ready, and the oldest lazily waiting atomic or
+    ///   fence, if any, is not eligible (*lazy waiter*). Eligibility changes
+    ///   only when an older load leaves the LQ (at commit or squash) or the
+    ///   SB front drains: a commit needs the head to complete, and a drain
+    ///   is a wheel completion, so a wheel completion or a memory event
+    ///   drives every change;
     /// * dispatch — structurally blocked (ROB/IQ full, or the replayed front
     ///   instruction's LQ/SB/AQ resource is full), fetch-stalled, or the
     ///   stream is exhausted. Resources only free via commit or events;
-    /// * deadlock watchdog — woken exactly at its deadline.
-    pub fn sleep_until(&self, now: Cycle) -> Option<Cycle> {
-        if !self.ready.is_empty() || !self.lazy_wait.is_empty() {
+    /// * deadlock breaker — woken exactly at its deadline.
+    ///
+    /// `until` is the earliest time-driven transition ([`WakeSource`]): the
+    /// next wheel completion, the end of a fetch stall, the breaker's
+    /// deadline, or the commit release.
+    pub fn sleep_until(&self, now: Cycle) -> Option<Sleep> {
+        if !self.ready.is_empty() {
             return None;
         }
         let &head = self.rob.front()?;
-        if self.head_wait != Some(head) {
-            return None;
+        let (mut cause, release) = if self.head_wait == Some(head) {
+            (SleepCause::IncompleteHead, None)
+        } else {
+            self.completed_atomic_stall(head, now)?
+        };
+        if let Some(&order) = self.lazy_wait.keys().next() {
+            if self.lazy_eligible(order) {
+                return None;
+            }
+            if cause == SleepCause::IncompleteHead {
+                cause = SleepCause::LazyWaiter;
+            }
         }
         if !self.sb_miss_inflight {
             if let Some(s) = self.sb.front() {
@@ -536,16 +647,49 @@ impl Core {
         if !dispatch_inert {
             return None;
         }
-        // Earliest time-driven transition: the deadlock watchdog deadline,
-        // the next wheel completion, and a pending fetch resume.
-        let mut wake = self.last_commit + (DEADLOCK_CYCLES + self.id.index() as u64 * 211);
-        if let Some(c) = self.exec_done.next_cycle() {
-            wake = wake.min(c);
+        let mut until = self.last_commit + (DEADLOCK_CYCLES + self.id.index() as u64 * 211);
+        let mut wake = WakeSource::Watchdog;
+        let fetch = (self.fetch_resume_at > now).then_some(self.fetch_resume_at);
+        for (at, source) in [
+            (self.exec_done.next_cycle(), WakeSource::Wheel),
+            (fetch, WakeSource::Fetch),
+            (release, WakeSource::Release),
+        ] {
+            if let Some(at) = at.filter(|&at| at < until) {
+                until = at;
+                wake = source;
+            }
         }
-        if self.fetch_resume_at > now {
-            wake = wake.min(self.fetch_resume_at);
+        (until > now).then_some(Sleep {
+            until: until + self.oversleep,
+            cause,
+            wake,
+        })
+    }
+
+    /// The commit stall of a completed atomic at the ROB head, which
+    /// `commit` leaves unmemoized: the cause, plus the release cycle under
+    /// an explorer commit delay. `None` when the head is anything else or
+    /// may commit (or ask for its release) next cycle. The checks follow
+    /// `commit`'s `ready` in order.
+    fn completed_atomic_stall(&self, head: u64, now: Cycle) -> Option<(SleepCause, Option<Cycle>)> {
+        let e = self.entries.get(&head)?;
+        if !matches!(e.instr.op, Op::Atomic { .. }) || e.completed_at.is_none() {
+            return None;
         }
-        (wake > now).then_some(wake)
+        let a = self.aq.iter().find(|a| a.uid == head)?;
+        if !a.locked {
+            return Some((SleepCause::UnlockedAtomic, None));
+        }
+        if self.sb.front().is_some_and(|s| s.order < e.order) {
+            return Some((SleepCause::UndrainedSb, None));
+        }
+        match self.commit_release {
+            Some((uid, release)) if uid == head && release > now => {
+                Some((SleepCause::CommitRelease, Some(release)))
+            }
+            _ => None,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -951,8 +1095,9 @@ impl Core {
                 _ => e.completed_at.is_some_and(|c| c <= now),
             };
             if !done {
-                // Only an incomplete head is safe to memoize: lock/release/
-                // SB conditions can change without a completion event.
+                // Only an incomplete head is memoized here: a completed
+                // atomic's lock, drain and release conditions are re-derived
+                // by `sleep_until` after every step.
                 if e.completed_at.is_none() {
                     self.head_wait = Some(uid);
                 }
@@ -1686,6 +1831,117 @@ impl Persist for Core {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instr::VecStream;
+    use row_common::choice::Schedule;
+    use row_common::SystemConfig;
+
+    fn atomic(addr: u64) -> Instr {
+        Instr::simple(
+            Pc::new(0x40),
+            Op::Atomic {
+                rmw: RmwKind::Faa(1),
+                addr: Addr::new(addr),
+            },
+        )
+    }
+
+    /// A one-core machine under `policy` running `prog`, with `schedule`
+    /// handed to its memory system when given.
+    fn machine(
+        policy: AtomicPolicy,
+        prog: Vec<Instr>,
+        schedule: Option<Schedule>,
+    ) -> (Core, MemorySystem) {
+        let mut cfg = SystemConfig::small(1);
+        cfg.core.atomic_policy = policy;
+        let mut mem = MemorySystem::new(&cfg);
+        if let Some(s) = schedule {
+            mem.set_schedule(s);
+        }
+        let stream = Box::new(VecStream::new(prog));
+        let core = Core::new(CoreId::new(0), cfg.core, cfg.mem.l1d.hit_latency, stream);
+        (core, mem)
+    }
+
+    /// Steps the machine one cycle at a time until `stop` holds after a
+    /// step; returns that cycle.
+    fn run_until(core: &mut Core, mem: &mut MemorySystem, stop: impl Fn(&Core) -> bool) -> Cycle {
+        for t in 0..100_000 {
+            let now = Cycle::new(t);
+            for ev in mem.tick(now) {
+                core.handle_mem_event(&ev, now, mem);
+            }
+            core.cycle(now, mem);
+            if stop(core) {
+                return now;
+            }
+        }
+        panic!("the awaited state never came");
+    }
+
+    /// The completed atomic at the ROB head, if the head is one.
+    fn completed_head_atomic(c: &Core) -> Option<&RobEntry> {
+        let e = c.entries.get(c.rob.front()?)?;
+        (matches!(e.instr.op, Op::Atomic { .. }) && e.completed_at.is_some()).then_some(e)
+    }
+
+    #[test]
+    fn lazy_atomic_behind_an_older_load_miss_sleeps() {
+        let load = Instr::simple(
+            Pc::new(0x10),
+            Op::Load {
+                addr: Addr::new(0x9000),
+            },
+        );
+        let (mut c, mut mem) = machine(AtomicPolicy::Lazy, vec![load, atomic(0x5000)], None);
+        let now = run_until(&mut c, &mut mem, |c| !c.lazy_wait.is_empty());
+        assert!(
+            c.entries.values().any(|e| e.mem_outstanding),
+            "load still missing"
+        );
+        let sleep = c
+            .sleep_until(now)
+            .expect("an ineligible lazy waiter sleeps");
+        assert_eq!(sleep.cause, SleepCause::LazyWaiter);
+        assert!(sleep.until > now);
+    }
+
+    #[test]
+    fn completed_atomic_behind_an_older_store_miss_sleeps() {
+        // The first atomic brings the line in; the second merges onto its
+        // miss and completes with it, but then waits at the ROB head for
+        // the store between them, whose write misses.
+        let store = Instr::simple(
+            Pc::new(0x20),
+            Op::Store {
+                addr: Addr::new(0x9000),
+                value: Some(7),
+            },
+        );
+        let prog = vec![atomic(0x5000), store, atomic(0x5000)];
+        let (mut c, mut mem) = machine(AtomicPolicy::Eager, prog, None);
+        let now = run_until(&mut c, &mut mem, |c| {
+            completed_head_atomic(c)
+                .is_some_and(|e| c.sb.front().is_some_and(|s| s.order < e.order))
+        });
+        assert!(c.sb_miss_inflight, "the store's write misses");
+        let sleep = c.sleep_until(now).expect("an undrained SB holds the head");
+        assert_eq!(sleep.cause, SleepCause::UndrainedSb);
+    }
+
+    #[test]
+    fn completed_atomic_under_a_commit_delay_sleeps_until_its_release() {
+        // Every decision takes the longest delay, the commit included.
+        let schedule = Schedule::new(vec![choice::N_ALTS - 1; 64]);
+        let (mut c, mut mem) = machine(AtomicPolicy::Eager, vec![atomic(0x5000)], Some(schedule));
+        let now = run_until(&mut c, &mut mem, |c| c.commit_release.is_some());
+        let (_, release) = c.commit_release.expect("asked");
+        assert!(release > now, "the schedule holds the commit");
+        let sleep = c.sleep_until(now).expect("a held commit sleeps");
+        assert_eq!(sleep.until, release);
+        assert_eq!(sleep.cause, SleepCause::CommitRelease);
+        assert_eq!(sleep.wake, WakeSource::Release);
+    }
 
     #[test]
     fn codec_bytes_are_pinned() {

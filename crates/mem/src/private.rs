@@ -205,6 +205,12 @@ impl PrivateCache {
         matches!(self.coh.get(&line), Some(PrivState::M) | Some(PrivState::E))
     }
 
+    /// Whether requests are queued behind full MSHRs or an evicting line
+    /// (what [`PrivateCache::promote_pending`] works through).
+    pub fn has_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
     /// Number of in-flight misses.
     pub fn outstanding_misses(&self) -> usize {
         self.mshrs.len()
@@ -404,8 +410,8 @@ impl PrivateCache {
         });
     }
 
-    /// Re-examines the pending queue (called once per cycle by the system,
-    /// and after MSHR-freeing events).
+    /// Re-examines the pending queue (called each cycle by the system while
+    /// the queue is non-empty, and after MSHR-freeing events).
     pub fn promote_pending(&mut self, now: Cycle, actions: &mut Vec<CacheAction>) {
         while let Some(front) = self.pending.front().copied() {
             // A fill may have landed meanwhile and turned this into a hit.

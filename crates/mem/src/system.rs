@@ -21,6 +21,7 @@
 
 use std::collections::HashMap;
 
+use row_common::bitset::IndexSet;
 use row_common::choice::{self, ChoiceKind, Schedule};
 use row_common::config::SystemConfig;
 use row_common::coverage::CoverageMap;
@@ -101,6 +102,12 @@ pub struct MemorySystem {
     /// reallocated millions of times per run. Always empty between calls;
     /// never persisted or compared.
     scratch_actions: Vec<CacheAction>,
+    /// Private caches whose pending queue may be non-empty: a superset of
+    /// the caches [`MemorySystem::tick`] must promote. Only
+    /// [`MemorySystem::access`] can queue a request, and it adds its cache
+    /// here; `tick` drops a cache once its queue empties. Derived state:
+    /// never persisted, rebuilt from the caches on restore.
+    pending_caches: IndexSet,
 }
 
 /// State of the injected net-zero lost+duplicated-FAA bug: count down to the
@@ -159,6 +166,7 @@ impl MemorySystem {
             err: None,
             dirty: None,
             scratch_actions: Vec::new(),
+            pending_caches: IndexSet::new(tiles),
         }
     }
 
@@ -196,6 +204,9 @@ impl MemorySystem {
         self.mark_dirty(line);
         let mut actions = std::mem::take(&mut self.scratch_actions);
         let outcome = self.caches[core.index()].access(meta, line, now, &mut actions);
+        if self.caches[core.index()].has_pending() {
+            self.pending_caches.insert(core.index());
+        }
         match outcome {
             AccessOutcome::Hit {
                 complete_at,
@@ -368,15 +379,33 @@ impl MemorySystem {
                 }
             }
         }
+        // Promote queued requests, visiting caches in ascending index as a
+        // scan of every cache would: one with an empty queue has nothing to
+        // promote, and running a cache's actions never queues a request at
+        // another cache.
         let mut actions = std::mem::take(&mut self.scratch_actions);
-        for i in 0..self.caches.len() {
+        let mut next = self.pending_caches.next_from(0);
+        while let Some(i) = next {
             self.caches[i].promote_pending(now, &mut actions);
             if !actions.is_empty() {
                 self.run_actions(Endpoint::Core(CoreId::new(i as u16)), &mut actions);
             }
+            if !self.caches[i].has_pending() {
+                self.pending_caches.remove(i);
+            }
+            next = self.pending_caches.next_from(i + 1);
         }
         self.scratch_actions = actions;
         std::mem::take(&mut self.out)
+    }
+
+    /// The first private cache with queued requests that the pending set
+    /// misses — always `None` unless the set's bookkeeping is wrong
+    /// (`Machine::set_audit` checks it every cycle).
+    pub fn untracked_pending(&self) -> Option<CoreId> {
+        (0..self.caches.len())
+            .find(|&i| self.caches[i].has_pending() && !self.pending_caches.contains(i))
+            .map(|i| CoreId::new(i as u16))
     }
 
     /// Hands one protocol message to its endpoint's controller.
@@ -810,8 +839,12 @@ impl Persist for MemorySystem {
         if r.get_len()? != self.caches.len() {
             return Err(PersistError::Corrupt("private cache count mismatch"));
         }
-        for c in &mut self.caches {
+        self.pending_caches = IndexSet::new(self.caches.len());
+        for (i, c) in self.caches.iter_mut().enumerate() {
             c.restore(r)?;
+            if c.has_pending() {
+                self.pending_caches.insert(i);
+            }
         }
         self.net = EventQueue::decode(r)?;
         self.out = Vec::decode(r)?;

@@ -85,6 +85,9 @@ pub struct ExploreOptions {
     pub dpor_window: u64,
     /// Arm the planted early-unblock directory bug (regression hunting).
     pub planted_bug: bool,
+    /// Run every schedule in audit mode ([`Machine::set_audit`]), which
+    /// checks the simulation loop's shortcuts. Slower; for tests.
+    pub audit: bool,
 }
 
 impl Default for ExploreOptions {
@@ -97,6 +100,7 @@ impl Default for ExploreOptions {
             cycle_limit: 200_000,
             dpor_window: choice::delivery_delay(choice::N_ALTS - 1) + choice::DELIVERY_QUANTUM,
             planted_bug: false,
+            audit: false,
         }
     }
 }
@@ -155,6 +159,7 @@ pub fn run_schedule_full(
         .map(|p| Box::new(VecStream::new(p.clone())) as _)
         .collect();
     let mut m = Machine::new(&sys, streams);
+    m.set_audit(opts.audit);
     if opts.planted_bug {
         m.memory_mut().inject_early_unblock_for_test();
     }

@@ -285,6 +285,7 @@ pub fn violation_kind(err: &SimError) -> Option<&'static str> {
         SimError::Stall(_) => Some("stall"),
         SimError::Rewind(_) => Some("rewind"),
         SimError::Oracle(_) => Some("oracle"),
+        SimError::Audit(_) => Some("audit"),
     }
 }
 

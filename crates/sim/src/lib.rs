@@ -80,7 +80,10 @@ pub use fuzz::{
     fuzz, minimize, report_json, write_triage, Finding, FuzzOptions, FuzzOutcome, FuzzState,
     ScheduleGenome, FUZZ_SCHEMA, GEN_CANDIDATES,
 };
-pub use machine::{Machine, ProfileReport, RewindReport, RunResult, SimError, SimTimeout};
+pub use machine::{
+    AuditFailure, Machine, ProfileReport, RewindReport, RunResult, Shortcut, SimError, SimTimeout,
+    PROFILE_SCHEMA,
+};
 pub use shrink::shrink_chaos;
 pub use sweep::{
     available_workers, parallel_map, parse_workers, FigureResults, Job, JobRecord, JobSpec, Sweep,

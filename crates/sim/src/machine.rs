@@ -1,27 +1,35 @@
 //! The multicore machine: N cores + the shared memory system, stepped in
 //! lockstep until every thread's parallel phase drains.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 use row_check::{check_coherence, IncrementalSweep, StallReport};
+use row_common::bitset::IndexSet;
 use row_common::config::CheckConfig;
 use row_common::coverage::CoverageMap;
 use row_common::ids::CoreId;
-use row_common::persist::{fnv1a, Codec, Persist, PersistError};
+use row_common::json::{self, Value};
+use row_common::object;
+use row_common::persist::{fnv1a, Codec, Persist, PersistError, Writer};
 use row_common::stats::{AccuracyCounter, RunningMean, TransportStats};
 use row_common::{Cycle, SystemConfig};
 use row_cpu::instr::InstrStream;
-use row_cpu::{Core, CoreStats};
+use row_cpu::{Core, CoreStats, Sleep};
 use row_mem::{MemorySystem, OpRecord, ProtocolError};
 use row_oracle::{OnlineChecker, OracleMismatch};
 
 use crate::checkpoint;
+use crate::experiment::ExperimentConfig;
 
 /// Maximum number of event-trace lines a rewind replay keeps (the most
 /// recent events before the first violation).
 pub const REWIND_TRACE_LIMIT: usize = 64;
+
+/// Schema tag of the `norush profile --json` report
+/// ([`ProfileReport::to_json`]).
+pub const PROFILE_SCHEMA: &str = "norush-profile-v1";
 
 /// Error returned when a simulation exceeds its cycle budget.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,6 +82,9 @@ pub enum SimError {
     /// sequential golden model — an atomic was lost, duplicated, or
     /// mis-applied even though the timing looked healthy.
     Oracle(Box<OracleMismatch>),
+    /// Audit mode ([`Machine::set_audit`]) caught a hot-loop shortcut
+    /// skipping work that was not a no-op.
+    Audit(AuditFailure),
 }
 
 impl std::fmt::Display for SimError {
@@ -85,11 +96,54 @@ impl std::fmt::Display for SimError {
             SimError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
             SimError::Rewind(r) => r.fmt(f),
             SimError::Oracle(m) => write!(f, "oracle mismatch: {m}"),
+            SimError::Audit(a) => a.fmt(f),
         }
     }
 }
 
 impl std::error::Error for SimError {}
+
+/// A hot-loop shortcut that audit mode ([`Machine::set_audit`]) caught:
+/// the core it concerns, the cycle, and the shortcut that broke.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AuditFailure {
+    /// The core (or the core's private cache) concerned.
+    pub core: u16,
+    /// The cycle at which the check failed.
+    pub cycle: Cycle,
+    /// The shortcut that broke.
+    pub shortcut: Shortcut,
+}
+
+/// The shortcuts the audit checks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Shortcut {
+    /// The core slept under this proof, yet stepping it changed its
+    /// persisted state.
+    Sleep(Sleep),
+    /// The core's private cache held queued requests the memory system's
+    /// pending set did not list, so its tick would skip them.
+    PendingSet,
+}
+
+impl std::fmt::Display for AuditFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (core, cycle) = (self.core, self.cycle.raw());
+        match self.shortcut {
+            Shortcut::Sleep(s) => write!(
+                f,
+                "audit: core {core} changed state at cycle {cycle} while asleep: {s}"
+            ),
+            Shortcut::PendingSet => write!(
+                f,
+                "audit: core {core}'s cache has queued requests at cycle {cycle} \
+                 outside the pending set"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for AuditFailure {}
 
 /// The result of a rewind-on-violation replay: the original failure plus the
 /// tighter localization obtained by re-running from the last in-memory
@@ -180,7 +234,7 @@ impl RunResult {
 /// work is measured instead of guessed.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProfileReport {
-    /// Host cycles simulated during the profiled slice.
+    /// Simulated cycles run during the profiled slice.
     pub cycles: u64,
     /// Total wall-clock time of the profiled slice, in seconds.
     pub wall_s: f64,
@@ -192,8 +246,12 @@ pub struct ProfileReport {
     pub check_s: f64,
     /// Memory events delivered to cores.
     pub events: u64,
-    /// `Core::cycle` invocations (active core-steps).
+    /// `Core::cycle` invocations on awake cores (audit mode's extra steps
+    /// of sleeping cores are not counted).
     pub core_steps: u64,
+    /// Cycles in which no core stepped and no memory event was delivered:
+    /// the cycles whole-machine time skipping could jump over.
+    pub idle_cycles: u64,
 }
 
 impl ProfileReport {
@@ -212,6 +270,38 @@ impl ProfileReport {
     pub fn other_s(&self) -> f64 {
         (self.wall_s - self.mem_tick_s - self.core_step_s - self.check_s).max(0.0)
     }
+
+    /// The `norush-profile-v1` report of one profiled cell: `benchmark`
+    /// under `policy` at `exp`'s scale, the run's simulated `cycles`, then
+    /// this report's wall-clock buckets (seconds, 3 decimals) and counters.
+    pub fn to_json(
+        &self,
+        benchmark: &str,
+        policy: &str,
+        exp: &ExperimentConfig,
+        cycles: u64,
+    ) -> String {
+        let secs = |s: f64| Value::Fixed(s, 3);
+        let report = object! {
+            "schema": PROFILE_SCHEMA,
+            "benchmark": benchmark,
+            "cores": exp.cores,
+            "policy": policy,
+            "instructions": exp.instructions,
+            "seed": exp.seed,
+            "cycles": cycles,
+            "wall_s": secs(self.wall_s),
+            "cycles_per_sec": self.cycles_per_sec().round() as u64,
+            "mem_tick_s": secs(self.mem_tick_s),
+            "core_step_s": secs(self.core_step_s),
+            "check_s": secs(self.check_s),
+            "other_s": secs(self.other_s()),
+            "events": self.events,
+            "core_steps": self.core_steps,
+            "idle_cycles": self.idle_cycles,
+        };
+        json::render(&report, &[])
+    }
 }
 
 #[derive(Default)]
@@ -221,7 +311,34 @@ struct ProfileAccum {
     check: Duration,
     events: u64,
     core_steps: u64,
+    idle_cycles: u64,
     cycles: u64,
+}
+
+/// A sleeping core's proof, kept by audit mode: the sleep it proved and its
+/// persisted state when it fell asleep.
+#[derive(Clone)]
+struct Proof {
+    sleep: Sleep,
+    image: Vec<u8>,
+}
+
+/// The indices of the cores that have not finished.
+fn unfinished(cores: &[Core]) -> IndexSet {
+    let mut set = IndexSet::new(cores.len());
+    for (i, c) in cores.iter().enumerate() {
+        if !c.finished() {
+            set.insert(i);
+        }
+    }
+    set
+}
+
+/// A core's persisted state: the bytes of its checkpoint section.
+fn core_image(core: &Core) -> Vec<u8> {
+    let mut w = Writer::new();
+    core.persist(&mut w);
+    w.into_bytes()
 }
 
 /// A simulated multicore machine.
@@ -250,17 +367,30 @@ pub struct Machine {
     /// the memory system's dirty-line set (full sweeps remain at drain, on
     /// demand, and during rewind replay).
     sweeper: IncrementalSweep,
-    /// Indices of cores that have not yet finished, ascending. Core order
-    /// is preserved so per-cycle stepping visits cores exactly as the full
-    /// scan did (message sequencing, and with it determinism, depends on
-    /// it). Derived state: rebuilt on restore, never persisted.
-    active: Vec<u32>,
-    /// Per-core wake cycle: a core whose entry is `> now` proved (via
-    /// [`Core::sleep_until`]) that stepping it is a state no-op until then.
-    /// Delivering any memory event to a core resets its entry to zero, so a
-    /// sleeping core is re-stepped the moment something can change its
-    /// state. Derived state: rebuilt on restore, never persisted.
+    /// Cores that have not finished. `Core::finished()` is monotonic, so a
+    /// core leaves exactly once and drained cores cost nothing per cycle.
+    /// Every active core is either awake or asleep. Derived state: rebuilt
+    /// on restore, never persisted.
+    active: IndexSet,
+    /// The active cores to step this cycle, visited in ascending index:
+    /// the order of a scan over every core, which message sequencing (and
+    /// with it determinism) depends on. A core leaves when it proves
+    /// stepping it a state no-op for more than one cycle
+    /// ([`Core::sleep_until`]), and comes back when its wake cycle is due or
+    /// a memory event is delivered to it, whichever is first. Derived
+    /// state: every active core is awake after a restore.
+    awake: IndexSet,
+    /// Per-core wake cycle of a sleeping core, which is also its key in
+    /// `sleepers`; meaningless for awake and finished cores. Derived state.
     wake: Vec<Cycle>,
+    /// The wake queue: `(wake cycle, core)` for every sleeping core and
+    /// nothing else, so it holds at most one entry per core. An event that
+    /// wakes a core early removes its entry. Derived state: empty after a
+    /// restore.
+    sleepers: BTreeSet<(Cycle, u32)>,
+    /// Audit mode ([`Machine::set_audit`]): per core, the proof it fell
+    /// asleep under. `None` when audit is off. Not persisted.
+    audit: Option<Vec<Option<Proof>>>,
     /// Wall-clock accumulators, present only during [`Machine::run_profiled`].
     prof: Option<Box<ProfileAccum>>,
 }
@@ -286,8 +416,7 @@ impl Machine {
             .enumerate()
             .map(|(i, s)| Core::new(CoreId::new(i as u16), cfg.core, cfg.mem.l1d.hit_latency, s))
             .collect();
-        let active = (0..cores.len() as u32).collect();
-        let wake = vec![Cycle::ZERO; cores.len()];
+        let active = unfinished(&cores);
         Machine {
             mem,
             cores,
@@ -301,9 +430,41 @@ impl Machine {
                 .then(|| OnlineChecker::new(cfg.cores)),
             online_buf: Vec::new(),
             sweeper: IncrementalSweep::new(),
+            awake: active.clone(),
             active,
-            wake,
+            wake: vec![Cycle::ZERO; cfg.cores],
+            sleepers: BTreeSet::new(),
+            audit: None,
             prof: None,
+        }
+    }
+
+    /// Turns audit mode on or off. While on, every cycle also steps each
+    /// sleeping core, in ascending index with the awake ones, and fails the
+    /// run with [`SimError::Audit`] when that step changes the core's
+    /// persisted state (its `Persist` bytes): its sleep proof
+    /// ([`Core::sleep_until`]) was wrong. It also checks each cycle that
+    /// every private cache with queued requests is in the memory system's
+    /// pending set. Simulated time is unchanged; each audited step costs a
+    /// core image, so audit suits small machines. Turning audit on wakes
+    /// every sleeping core so each later sleep is recorded with its proof.
+    /// A method rather than a [`CheckConfig`] field, so it leaves config
+    /// hashes alone; not persisted.
+    pub fn set_audit(&mut self, on: bool) {
+        self.audit = on.then(|| vec![None; self.cores.len()]);
+        if on {
+            self.wake_all();
+        }
+    }
+
+    /// Moves every active core into the awake set and empties the wake
+    /// queue (and audit mode's proofs with it). Stepping an inert core is a
+    /// no-op, so this never changes simulated time.
+    fn wake_all(&mut self) {
+        self.awake = self.active.clone();
+        self.sleepers.clear();
+        if let Some(proofs) = self.audit.as_mut() {
+            proofs.fill(None);
         }
     }
 
@@ -329,6 +490,7 @@ impl Machine {
             check_s: acc.check.as_secs_f64(),
             events: acc.events,
             core_steps: acc.core_steps,
+            idle_cycles: acc.idle_cycles,
         };
         out.map(|r| (r, report))
     }
@@ -490,11 +652,23 @@ impl Machine {
         Err(self.timeout_error(limit))
     }
 
-    /// One machine cycle: route the memory system's events, then step every
-    /// unfinished core. When `trace` is given, delivered events are recorded
-    /// into it (bounded to [`REWIND_TRACE_LIMIT`] entries).
-    fn step_cycle(&mut self, now: Cycle, mut trace: Option<&mut VecDeque<String>>) {
+    /// One machine cycle: wake the sleepers that are due, route the memory
+    /// system's events, then step the awake cores. When `trace` is given,
+    /// delivered events are recorded into it (bounded to
+    /// [`REWIND_TRACE_LIMIT`] entries).
+    fn step_cycle(
+        &mut self,
+        now: Cycle,
+        mut trace: Option<&mut VecDeque<String>>,
+    ) -> Result<(), AuditFailure> {
         let t0 = self.prof.as_ref().map(|_| Instant::now());
+        while let Some(&(at, i)) = self.sleepers.first() {
+            if at > now {
+                break;
+            }
+            self.sleepers.pop_first();
+            self.awake.insert(i as usize);
+        }
         let mut events = 0u64;
         for ev in self.mem.tick(now) {
             events += 1;
@@ -510,41 +684,115 @@ impl Machine {
                 row_mem::MemEvent::ExternalObserved { core, .. } => core,
             };
             // An event can change the core's state, voiding any sleep proof.
-            self.wake[target.index()] = Cycle::ZERO;
-            self.cores[target.index()].handle_mem_event(&ev, now, &mut self.mem);
+            let i = target.index();
+            if self.active.contains(i) && !self.awake.contains(i) {
+                let queued = self.sleepers.remove(&(self.wake[i], i as u32));
+                debug_assert!(queued, "a sleeping core has one wake-queue entry");
+                self.awake.insert(i);
+            }
+            self.cores[i].handle_mem_event(&ev, now, &mut self.mem);
         }
         let t1 = t0.map(|_| Instant::now());
-        // Step only the unfinished cores (ascending index — the same visit
-        // order the full scan had, which message sequencing depends on).
-        // `Core::finished()` is monotonic, so a core leaves the active set
-        // exactly once and quiesced cores cost nothing per cycle. Within the
-        // active set, a core that proved itself inert (`Core::sleep_until`)
-        // is skipped until its wake cycle or its next delivered event —
-        // skipping a proven no-op call cannot change the schedule.
-        let mut core_steps = 0u64;
-        let mut any_finished = false;
-        for slot in 0..self.active.len() {
-            let i = self.active[slot] as usize;
-            if self.wake[i] > now {
-                continue;
+        let core_steps = if self.audit.is_some() {
+            self.step_audited(now)?
+        } else {
+            let mut steps = 0u64;
+            let mut next = self.awake.next_from(0);
+            while let Some(i) = next {
+                self.step_core(i, now);
+                steps += 1;
+                next = self.awake.next_from(i + 1);
             }
-            let c = &mut self.cores[i];
-            c.cycle(now, &mut self.mem);
-            core_steps += 1;
-            any_finished |= c.finished();
-            self.wake[i] = c.sleep_until(now).unwrap_or(now + 1);
-        }
-        if any_finished {
-            let cores = &self.cores;
-            self.active.retain(|&i| !cores[i as usize].finished());
-        }
+            steps
+        };
         if let (Some(acc), Some(t0), Some(t1)) = (self.prof.as_deref_mut(), t0, t1) {
             acc.mem_tick += t1 - t0;
             acc.core_step += t1.elapsed();
             acc.events += events;
             acc.core_steps += core_steps;
+            acc.idle_cycles += u64::from(events == 0 && core_steps == 0);
             acc.cycles += 1;
         }
+        Ok(())
+    }
+
+    /// Steps awake core `i`, then files it: a finished core leaves the
+    /// active set, and one that proves itself inert past the next cycle
+    /// joins the wake queue. Returns the proof when the core fell asleep.
+    #[inline]
+    fn step_core(&mut self, i: usize, now: Cycle) -> Option<Sleep> {
+        let c = &mut self.cores[i];
+        c.cycle(now, &mut self.mem);
+        if c.finished() {
+            self.active.remove(i);
+            self.awake.remove(i);
+            return None;
+        }
+        // A wake due next cycle changes nothing: the core stays awake and
+        // the queue is spared the churn.
+        let sleep = c.sleep_until(now).filter(|s| s.until > now + 1)?;
+        self.awake.remove(i);
+        self.wake[i] = sleep.until;
+        self.sleepers.insert((sleep.until, i as u32));
+        Some(sleep)
+    }
+
+    /// Audit mode's core phase: every active core in ascending index. Awake
+    /// cores step as usual and record the proof of any sleep they fall
+    /// into; sleeping cores step too, and must come out unchanged. Returns
+    /// the number of awake steps.
+    fn step_audited(&mut self, now: Cycle) -> Result<u64, AuditFailure> {
+        let mut proofs = self.audit.take().expect("audit mode");
+        let mut steps = 0u64;
+        let mut failure = None;
+        let mut next = self.active.next_from(0);
+        while let Some(i) = next {
+            if self.awake.contains(i) {
+                steps += 1;
+                proofs[i] = self.step_core(i, now).map(|sleep| Proof {
+                    sleep,
+                    image: core_image(&self.cores[i]),
+                });
+            } else {
+                let proof = proofs[i].as_ref().expect("a sleeping core has a proof");
+                self.cores[i].cycle(now, &mut self.mem);
+                if core_image(&self.cores[i]) != proof.image {
+                    failure = Some((i, Shortcut::Sleep(proof.sleep)));
+                    break;
+                }
+            }
+            next = self.active.next_from(i + 1);
+        }
+        self.audit = Some(proofs);
+        if failure.is_none() {
+            failure = self
+                .mem
+                .untracked_pending()
+                .map(|c| (c.index(), Shortcut::PendingSet));
+        }
+        if let Some((core, shortcut)) = failure {
+            return Err(AuditFailure {
+                core: core as u16,
+                cycle: now,
+                shortcut,
+            });
+        }
+        debug_assert!(self.wake_queue_is_exact(), "wake queue out of step");
+        Ok(steps)
+    }
+
+    /// Whether the wake queue holds exactly one entry per sleeping core,
+    /// keyed by its wake cycle, and nothing else.
+    fn wake_queue_is_exact(&self) -> bool {
+        let sleeping: Vec<usize> = self
+            .active
+            .iter()
+            .filter(|&i| !self.awake.contains(i))
+            .collect();
+        sleeping.len() == self.sleepers.len()
+            && sleeping
+                .iter()
+                .all(|&i| self.sleepers.contains(&(self.wake[i], i as u32)))
     }
 
     /// Steps until every core drains or `self.now` reaches the absolute
@@ -557,7 +805,7 @@ impl Machine {
                 return Ok(true);
             }
             let now = self.now;
-            self.step_cycle(now, None);
+            self.step_cycle(now, None).map_err(SimError::Audit)?;
             if let Some(e) = self.mem.protocol_error() {
                 let e = e.clone();
                 return Err(self.maybe_rewind(SimError::Protocol(e), now));
@@ -580,7 +828,7 @@ impl Machine {
                     let latest = self
                         .active
                         .iter()
-                        .map(|&i| self.cores[i as usize].last_commit())
+                        .map(|i| self.cores[i].last_commit())
                         .max();
                     if latest.is_some_and(|t| now.saturating_since(t) >= w) {
                         let stall = SimError::Stall(Box::new(StallReport::capture(
@@ -700,7 +948,8 @@ impl Machine {
         let mut first_err = None;
         while self.now <= detected_at {
             let now = self.now;
-            self.step_cycle(now, Some(&mut trace));
+            self.step_cycle(now, Some(&mut trace))
+                .map_err(SimError::Audit)?;
             let err = self
                 .mem
                 .protocol_error()
@@ -776,12 +1025,11 @@ impl Machine {
         self.now = now;
         self.rewind_ckpt = None;
         // Derived state: the active set is a pure function of core state,
-        // and the incremental sweeper must re-validate the whole restored
-        // system once before trusting line-level increments again.
-        self.active = (0..self.cores.len() as u32)
-            .filter(|&i| !self.cores[i as usize].finished())
-            .collect();
-        self.wake = vec![Cycle::ZERO; self.cores.len()];
+        // every active core starts awake (stepping an inert core is a
+        // no-op), and the incremental sweeper must re-validate the whole
+        // restored system once before trusting line-level increments again.
+        self.active = unfinished(&self.cores);
+        self.wake_all();
         self.sweeper.invalidate();
         self.mem
             .track_dirty_lines(self.check.invariant_every.is_some());

@@ -379,7 +379,8 @@ fn cmd_run(args: &Args) -> CliResult {
 
 /// `norush profile`: one simulation with a wall-clock breakdown by hot-loop
 /// component (memory tick, core stepping, invariant sweep) so hot-path work
-/// is measured before and after, not guessed.
+/// is measured before and after, not guessed. `--json` prints the
+/// `norush-profile-v1` report instead of the table.
 fn cmd_profile(args: &Args) -> CliResult {
     let bench = bench_by_name(
         args.positional
@@ -395,6 +396,10 @@ fn cmd_profile(args: &Args) -> CliResult {
             eprintln!("simulation failed:\n{e}");
             std::process::exit(1);
         });
+    if args.switches.contains("json") {
+        print!("{}", p.to_json(&bench.to_string(), policy, &exp, r.cycles));
+        return Ok(());
+    }
     let pct = |s: f64| {
         if p.wall_s > 0.0 {
             100.0 * s / p.wall_s
@@ -1133,7 +1138,7 @@ fn usage() -> CliResult {
     println!("  list                               calibrated benchmark models");
     println!("  run <bench> [--policy P] [...]     one simulation with stats");
     println!("  profile <bench> [--policy P] [...] one simulation with a cycles/sec +");
-    println!("                                     per-component wall-clock breakdown");
+    println!("                                     per-component wall-clock breakdown (--json)");
     println!("  compare <bench> [--jobs N] [...]   eager/lazy/row/row-fwd/far table");
     println!("  soak [--phases N] [...]            phased lock-service soak with the online");
     println!("                                     linearizability checker and failure triage");
@@ -1293,9 +1298,10 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "profile",
         args: " <benchmark>",
-        flags: &["--policy P", EXP_FLAGS],
+        flags: &["--policy P --json", EXP_FLAGS],
         about: "One simulation timed by hot-loop component: cycles/sec plus the\n\
-                memory-tick / core-step / invariant-sweep wall-clock split.",
+                memory-tick / core-step / invariant-sweep wall-clock split\n\
+                (--json: the norush-profile-v1 report on stdout).",
         run: cmd_profile,
     },
     Command {

@@ -1,0 +1,145 @@
+//! Audit mode (`Machine::set_audit`): the simulation loop's shortcuts —
+//! sleeping cores and the pending-cache set — checked against stepping
+//! everything, on small cells under every policy, the explorer and lossy
+//! chaos. An audited run must also match the plain run exactly.
+
+use norush::common::config::FaultConfig;
+use norush::common::ids::{Addr, Pc};
+use norush::common::persist::fnv1a;
+use norush::common::SystemConfig;
+use norush::cpu::instr::{Instr, InstrStream, Op, VecStream};
+use norush::sim::{
+    bench_streams, explore, ExperimentConfig, ExploreOptions, Machine, Shortcut, SimError, Variant,
+};
+use norush::workloads::litmus::LitmusTest;
+use norush::workloads::Benchmark;
+
+/// `pc` on `cores` cores, 400 instructions each, under `variant`, with
+/// `check` applied to the quick checks.
+fn pc_machine(
+    variant: &Variant,
+    cores: usize,
+    check: impl FnOnce(&mut ExperimentConfig),
+) -> Machine {
+    let mut exp = ExperimentConfig {
+        cores,
+        instructions: 400,
+        ..ExperimentConfig::quick()
+    };
+    check(&mut exp);
+    Machine::new(
+        &variant.apply(exp.system()),
+        bench_streams(Benchmark::Pc, &exp),
+    )
+}
+
+/// Runs `m` to completion with audit `on`: its cycles and final image.
+fn finish(mut m: Machine, on: bool) -> (u64, u64) {
+    m.set_audit(on);
+    let r = m.run(5_000_000).unwrap_or_else(|e| panic!("{e}"));
+    (r.cycles, fnv1a(&m.checkpoint().expect("checkpointable")))
+}
+
+#[test]
+fn pc_runs_clean_and_unchanged_under_audit_for_every_policy() {
+    for (variant, cores) in Variant::policy_table().iter().zip([2, 3, 4, 4, 2]) {
+        let plain = finish(pc_machine(variant, cores, |_| {}), false);
+        let audited = finish(pc_machine(variant, cores, |_| {}), true);
+        assert_eq!(audited, plain, "{} on {cores} cores", variant.name);
+    }
+}
+
+#[test]
+fn lossy_chaos_cell_runs_clean_under_audit() {
+    let row = Variant::by_name("row").expect("known policy");
+    let lossy = |exp: &mut ExperimentConfig| {
+        exp.check.chaos = Some(FaultConfig {
+            seed: 5,
+            max_extra_latency: 24,
+            drop_ppm: 2_000,
+            dup_ppm: 2_000,
+            corrupt_ppm: 1_000,
+        });
+        exp.check.oracle_online = true;
+    };
+    let plain = finish(pc_machine(&row, 3, lossy), false);
+    let audited = finish(pc_machine(&row, 3, lossy), true);
+    assert_eq!(audited, plain);
+}
+
+/// Two cores each load 96 distinct lines with no dependences: more misses
+/// than the 32 MSHRs, so requests queue in the private caches and only the
+/// pending set gets them promoted.
+#[test]
+fn mshr_overflow_runs_clean_under_audit() {
+    let loads = |base: u64| -> Box<dyn InstrStream> {
+        let prog = (0..96)
+            .map(|i| {
+                let addr = Addr::new(base + i * 64);
+                Instr::simple(Pc::new(0x80), Op::Load { addr })
+            })
+            .collect();
+        Box::new(VecStream::new(prog))
+    };
+    let run = |audit| {
+        let streams = vec![loads(0x100_0000), loads(0x200_0000)];
+        let mut m = Machine::new(&SystemConfig::small(2), streams);
+        m.set_audit(audit);
+        let r = m.run(1_000_000).unwrap_or_else(|e| panic!("{e}"));
+        (r.cycles, fnv1a(&m.checkpoint().expect("checkpointable")))
+    };
+    assert_eq!(run(true), run(false));
+}
+
+#[test]
+fn litmus_suite_explores_clean_under_audit() {
+    // One deviation per schedule: every decision point of the default
+    // horizon, the atomics' commit decisions included, takes each delay.
+    let opts = |audit| ExploreOptions {
+        policy: "row".into(),
+        max_delays: 1,
+        audit,
+        ..ExploreOptions::default()
+    };
+    for test in LitmusTest::all() {
+        let plain = explore(&test, &opts(false)).expect("valid cell");
+        let audited = explore(&test, &opts(true)).expect("valid cell");
+        assert!(
+            audited.violation.is_none(),
+            "{}: {:?}",
+            test.name,
+            audited.violation.map(|v| v.detail)
+        );
+        assert_eq!(
+            (audited.runs, audited.states, audited.outcomes),
+            (plain.runs, plain.states, plain.outcomes),
+            "{}",
+            test.name
+        );
+    }
+}
+
+/// The audit's teeth: a core that sleeps past its real wake changes state
+/// when the audit steps it, and the failure names that core and cycle.
+#[test]
+fn planted_oversleep_is_caught_naming_core_and_cycle() {
+    let mut m = pc_machine(&Variant::eager(), 2, |_| {});
+    m.set_audit(true);
+    m.core_mut(1).inject_oversleep_for_test(40);
+    let err = m.run(5_000_000).expect_err("the oversleep must be caught");
+    let SimError::Audit(failure) = &err else {
+        panic!("expected an audit failure, got {err}");
+    };
+    assert_eq!(failure.core, 1);
+    let Shortcut::Sleep(sleep) = failure.shortcut else {
+        panic!("expected a sleep failure, got {err}");
+    };
+    // The core changed before the wake it claimed.
+    assert!(failure.cycle < sleep.until, "{err}");
+    let text = err.to_string();
+    assert!(text.contains("core 1"), "{text}");
+    assert!(
+        text.contains(&format!("cycle {}", failure.cycle.raw())),
+        "{text}"
+    );
+}

@@ -6,6 +6,7 @@ use std::process::{Command, Output};
 
 use norush::common::config::DelayBurst;
 use norush::common::ids::Pc;
+use norush::common::json::{self, Value};
 use norush::cpu::instr::{Instr, Op};
 use norush::sim::fuzz::ScheduleGenome;
 use norush::workloads::write_trace;
@@ -174,6 +175,33 @@ fn traces_replay_and_bad_traces_exit_1() {
         assert!(err.contains(message), "{name} must say `{message}`: {err}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `profile --json` prints the `norush-profile-v1` report instead of the
+/// table, and the two agree on the simulated cycles.
+#[test]
+fn profile_json_reports_the_table_cycles() {
+    let cell = ["profile", "pc", "--cores", "2", "--instr", "300"];
+    let table = norush(&cell);
+    assert!(table.status.success(), "profile: {table:?}");
+    let table = String::from_utf8_lossy(&table.stdout).into_owned();
+    let cycles: u64 = table
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("cycles "))
+        .and_then(|c| c.trim().parse().ok())
+        .expect("the table prints its cycles");
+
+    let out = norush(&[&cell[..], &["--json"]].concat());
+    assert!(out.status.success(), "profile --json: {out:?}");
+    let report = json::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
+    assert_eq!(
+        report.get("schema").and_then(Value::as_str),
+        Some("norush-profile-v1")
+    );
+    assert_eq!(report.get("cycles").and_then(Value::as_u64), Some(cycles));
+    for key in ["core_steps", "idle_cycles", "events"] {
+        assert!(report.get(key).and_then(Value::as_u64).is_some(), "{key}");
+    }
 }
 
 #[test]

@@ -10,6 +10,10 @@
 //! The checkpoint trails at the end hash every image of three whole runs.
 //! Any change to a persisted layout changes a trail, so they are the check
 //! for every codec edit.
+//!
+//! The core-step pins count how often the simulation loop steps a core.
+//! Every stall `Core::sleep_until` proves inert removes steps without
+//! moving a cycle, so a change that widens or narrows sleep shows up there.
 
 use norush::common::choice::{ChoiceKind, DecisionRecord, Schedule};
 use norush::common::config::{CheckConfig, DelayBurst, FaultConfig, PerturbConfig};
@@ -323,6 +327,32 @@ fn trail(policy: &str, check: impl FnOnce(&mut CheckConfig)) -> Trail {
         images: hashes.len() / 8,
         bytes,
         trail: fnv1a(&hashes),
+    }
+}
+
+/// `pc` on 16 cores with the paper's caches, 2,000 instructions per core
+/// (`norush profile pc --cores 16 --instr 2000 --policy P`): cycles and the
+/// core steps the loop took, per policy.
+#[test]
+fn core_steps_are_pinned() {
+    let exp = ExperimentConfig {
+        cores: 16,
+        instructions: 2_000,
+        paper_caches: true,
+        ..ExperimentConfig::quick()
+    };
+    for (policy, cycles, steps) in [
+        ("eager", 109_334, 91_512),
+        ("lazy", 55_625, 110_526),
+        ("row", 81_858, 100_055),
+    ] {
+        let sys = Variant::by_name(policy)
+            .expect("known policy")
+            .apply(exp.system());
+        let (r, p) = Machine::new(&sys, bench_streams(Benchmark::Pc, &exp))
+            .run_profiled(exp.cycle_limit)
+            .expect("clean run");
+        assert_eq!((r.cycles, p.core_steps), (cycles, steps), "{policy}");
     }
 }
 

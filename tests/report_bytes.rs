@@ -1,5 +1,6 @@
 //! Golden bytes of every machine-readable report: `norush-figure-v1`,
-//! `norush-soak-v1`, `norush-fuzz-v1` and `norush-litmus-v1`.
+//! `norush-soak-v1`, `norush-fuzz-v1`, `norush-litmus-v1` and
+//! `norush-profile-v1`.
 //!
 //! Each test renders hand-built inputs and compares the result with a
 //! committed file under `tests/golden/`, byte for byte. The reports are
@@ -14,7 +15,7 @@ use norush::common::stats::{AccuracyCounter, JobStats, LogHistogram, TransportSt
 use norush::sim::explore::{self, ExploreReport, ExploreViolation};
 use norush::sim::fuzz::{self, Finding, FuzzOptions, FuzzOutcome, FuzzState, ScheduleGenome};
 use norush::sim::soak::{self, SoakOptions, SoakOutcome};
-use norush::sim::{FigureResults, JobRecord};
+use norush::sim::{ExperimentConfig, FigureResults, JobRecord, ProfileReport};
 
 fn golden_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -328,4 +329,29 @@ fn litmus_report_with_every_outcome_witnessed_bytes() {
         "litmus_ok.json",
         &explore::report_json("explore", &[("depth", 10), ("delays", 2)], &cells),
     );
+}
+
+// ---------------------------------------------------------------------------
+// norush-profile-v1
+// ---------------------------------------------------------------------------
+
+#[test]
+fn profile_report_bytes() {
+    let p = ProfileReport {
+        cycles: 411_154,
+        wall_s: 0.86245,
+        mem_tick_s: 0.1144,
+        core_step_s: 0.6081,
+        check_s: 0.0999,
+        events: 176_651,
+        core_steps: 395_398,
+        idle_cycles: 89_576,
+    };
+    let exp = ExperimentConfig {
+        cores: 32,
+        instructions: 20_000,
+        paper_caches: true,
+        ..ExperimentConfig::quick()
+    };
+    assert_golden("profile.json", &p.to_json("pc", "eager", &exp, 411_153));
 }
