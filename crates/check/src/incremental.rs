@@ -7,7 +7,16 @@
 //! state, and the [`MemorySystem`] records exactly those when
 //! [`MemorySystem::track_dirty_lines`] is on. [`IncrementalSweep`] re-checks
 //! only that set, querying each dirty line's private states, lock bits, and
-//! home entry directly — O(dirty lines × cores) per sweep.
+//! home entry directly — O(dirty lines × holders) per sweep.
+//!
+//! A line's holders come from the memory system's holder index
+//! ([`MemorySystem::line_holders`]), which tracking keeps beside the dirty
+//! set: per line, the cores that may hold it. A cache gains a line only when
+//! data reaches it, which sets the core's bit; the index is rebuilt from the
+//! caches when tracking turns on or a checkpoint is restored; and a check
+//! clears the bit of a core that no longer holds the line. So the index
+//! lists every true holder, even one whose copy saw no traffic since the
+//! last sweep, and a line's check asks those cores only, never all of them.
 //!
 //! The verdict contract: a state that passes the full sweep passes the
 //! incremental sweep, and a violation on a line is reported no later than
@@ -90,30 +99,17 @@ impl IncrementalSweep {
 /// single line — the same rules [`check_coherence`] applies globally
 /// (locked ⇒ M is enforced separately over the lock sets).
 fn check_line(
-    mem: &MemorySystem,
+    mem: &mut MemorySystem,
     line: LineAddr,
     bound: usize,
     holders: &mut Vec<(CoreId, PrivState)>,
 ) -> Result<(), ProtocolError> {
-    holders.clear();
-    let mut owner_count = 0usize;
-    for i in 0..mem.cores() {
-        let core = CoreId::new(i as u16);
-        if let Some(s) = mem.priv_state(core, line) {
-            if matches!(s, PrivState::M | PrivState::E) {
-                owner_count += 1;
-            }
-            holders.push((core, s));
-        }
-    }
+    mem.line_holders(line, holders);
 
     // SWMR. `holders` is in ascending core order, so `owners` is sorted.
-    if owner_count > 1 {
-        let owners: Vec<CoreId> = holders
-            .iter()
-            .filter(|(_, s)| matches!(s, PrivState::M | PrivState::E))
-            .map(|&(c, _)| c)
-            .collect();
+    let owns = |&&(_, s): &&(CoreId, PrivState)| matches!(s, PrivState::M | PrivState::E);
+    if holders.iter().filter(owns).count() > 1 {
+        let owners = holders.iter().filter(owns).map(|&(c, _)| c).collect();
         return Err(ProtocolError::MultipleOwners { line, owners });
     }
 
@@ -269,6 +265,44 @@ mod tests {
             "incremental: {inc}"
         );
         assert_eq!(format!("{inc}"), format!("{full}"), "verdicts must match");
+    }
+
+    /// A holder whose copy saw no traffic since the last sweep is still
+    /// asked: core 1 holds a line in S and a sweep passes, then the
+    /// directory forgets core 1. The next incremental sweep names core 1,
+    /// exactly as the full sweep does.
+    #[test]
+    fn quiet_holder_is_still_checked() {
+        let sys = SystemConfig::small(2);
+        let mut mem = MemorySystem::new(&sys);
+        mem.track_dirty_lines(true);
+        let mut sweep = IncrementalSweep::new();
+        let line = LineAddr::new(13);
+        for (core, start) in [(0u16, 0u64), (1, 3000)] {
+            let id = u64::from(core) + 1;
+            let read = meta(id, AccessKind::Read);
+            mem.access(CoreId::new(core), line, read, Cycle::new(start));
+            for c in start..start + 3000 {
+                let _ = mem.tick(Cycle::new(c));
+            }
+        }
+        for core in [0, 1] {
+            assert_eq!(mem.priv_state(CoreId::new(core), line), Some(PrivState::S));
+        }
+        sweep.sweep(&mut mem, &sys.check).expect("clean (primes)");
+        sweep
+            .sweep(&mut mem, &sys.check)
+            .expect("clean (incremental)");
+
+        let core0 = BTreeSet::from([CoreId::new(0)]);
+        mem.corrupt_dir_state_for_test(line, DirState::Shared(core0));
+        let inc = sweep.sweep(&mut mem, &sys.check).unwrap_err();
+        let full = check_coherence(&mem, &sys.check).unwrap_err();
+        assert!(
+            matches!(inc, ProtocolError::DirectoryMismatch { core, .. } if core == CoreId::new(1)),
+            "incremental: {inc}"
+        );
+        assert_eq!(inc, full);
     }
 
     /// After `invalidate` (the restore path), the next sweep is full: a

@@ -79,6 +79,15 @@ impl FastKey for (CoreId, u64) {
     }
 }
 
+impl FastKey for (LineAddr, u16) {
+    #[inline]
+    fn hash64(self) -> u64 {
+        // A line with a small tag (the memory system's holder index keys a
+        // line by 64-core chunk): the tag goes into the high bits, as above.
+        mix64(((self.1 as u64) << 48) ^ self.0.raw())
+    }
+}
+
 /// An open-addressed hash map with arena storage and deterministic,
 /// insertion-stable iteration order. See the module docs for the contract.
 ///

@@ -88,15 +88,11 @@ pub struct MemorySystem {
     /// First protocol error observed; sticky so the simulation loop can
     /// surface it even though core-facing entry points stay infallible.
     err: Option<ProtocolError>,
-    /// Lines whose coherence-relevant state may have changed since the last
-    /// [`MemorySystem::take_dirty_lines`] drain. `Some` only while a checker
-    /// has opted in via [`MemorySystem::track_dirty_lines`] — the hot path
-    /// pays nothing otherwise. Every state change flows through a marked
-    /// choke point: a core-side call (`access`/`lock`/`unlock`), a delivered
-    /// protocol message, or an *outgoing* message (which covers eviction
-    /// side-effects: installing line X evicts Y by sending a PutM on Y).
-    /// Not persisted: the sweeper re-primes with a full sweep after restore.
-    dirty: Option<FastMap<LineAddr, ()>>,
+    /// The dirty-line set and the holder index the incremental invariant
+    /// sweep reads. `Some` only while a checker has opted in via
+    /// [`MemorySystem::track_dirty_lines`] — the hot path pays nothing
+    /// otherwise.
+    tracking: Option<LineTracking>,
     /// Reusable `CacheAction` buffer threaded through `access`/`unlock`/
     /// `dispatch`/`tick` so the per-call `Vec` lives once instead of being
     /// reallocated millions of times per run. Always empty between calls;
@@ -108,6 +104,60 @@ pub struct MemorySystem {
     /// here; `tick` drops a cache once its queue empties. Derived state:
     /// never persisted, rebuilt from the caches on restore.
     pending_caches: IndexSet,
+}
+
+/// What the incremental invariant sweep reads instead of scanning every
+/// cache: which lines may have changed since the last drain, and which cores
+/// may hold each line. Derived state: never persisted; a restore clears the
+/// dirty set and re-indexes the restored caches.
+#[derive(Clone, Debug, Default)]
+struct LineTracking {
+    /// Lines whose coherence-relevant state may have changed since the last
+    /// [`MemorySystem::take_dirty_lines`] drain. Every state change flows
+    /// through a marked choke point: a core-side call (`access`/`lock`/
+    /// `unlock`), a delivered protocol message, or an *outgoing* message
+    /// (which covers eviction side-effects: installing line X evicts Y by
+    /// sending a PutM on Y).
+    dirty: FastMap<LineAddr, ()>,
+    /// The holder index: per (line, 64-core chunk), a bitmask of the cores
+    /// that may hold the line — a superset of the true holders. A private
+    /// cache gains a line only when a `Msg::Data` is dispatched to it (or
+    /// through [`MemorySystem::corrupt_private_state_for_test`]), and both
+    /// set the bit; [`MemorySystem::line_holders`] clears the bits of cores
+    /// that no longer hold the line.
+    holders: FastMap<(LineAddr, u16), u64>,
+}
+
+/// A core's holder-index chunk and its bit within the chunk's mask.
+#[inline]
+fn holder_slot(core: usize) -> (u16, u64) {
+    ((core / 64) as u16, 1 << (core % 64))
+}
+
+impl LineTracking {
+    /// Tracking with no line dirty and every line `caches` hold indexed.
+    fn new(caches: &[PrivateCache]) -> Self {
+        let mut t = LineTracking::default();
+        for (i, c) in caches.iter().enumerate() {
+            for (line, _) in c.lines() {
+                t.add_holder(i, line);
+            }
+        }
+        t
+    }
+
+    #[inline]
+    fn add_holder(&mut self, core: usize, line: LineAddr) {
+        let (chunk, bit) = holder_slot(core);
+        *self.holders.get_or_insert_with((line, chunk), || 0) |= bit;
+    }
+
+    fn indexes(&self, core: usize, line: LineAddr) -> bool {
+        let (chunk, bit) = holder_slot(core);
+        self.holders
+            .get(&(line, chunk))
+            .is_some_and(|m| m & bit != 0)
+    }
 }
 
 /// State of the injected net-zero lost+duplicated-FAA bug: count down to the
@@ -164,38 +214,86 @@ impl MemorySystem {
             journal: (cfg.check.oracle || cfg.check.oracle_online).then(Vec::new),
             bug: None,
             err: None,
-            dirty: None,
+            tracking: None,
             scratch_actions: Vec::new(),
             pending_caches: IndexSet::new(tiles),
         }
     }
 
-    /// Turns dirty-line tracking on or off. While on, every line whose
-    /// coherence state may have changed is recorded until the next
-    /// [`MemorySystem::take_dirty_lines`]; the incremental invariant sweep
-    /// then touches only those lines. Turning tracking on clears any stale
-    /// set.
+    /// Turns dirty-line tracking, and the holder index with it, on or off.
+    /// While on, every line whose coherence state may have changed is
+    /// recorded until the next [`MemorySystem::take_dirty_lines`], and
+    /// [`MemorySystem::line_holders`] finds a line's holders without asking
+    /// every cache; the incremental invariant sweep then touches only those
+    /// lines and cores. Turning tracking on clears any stale set and
+    /// indexes every line the caches hold.
     pub fn track_dirty_lines(&mut self, on: bool) {
-        self.dirty = on.then(FastMap::new);
+        self.tracking = on.then(|| LineTracking::new(&self.caches));
     }
 
     /// Drains and returns the dirty lines accumulated since the last drain,
     /// sorted ascending (empty when tracking is off).
     pub fn take_dirty_lines(&mut self) -> Vec<LineAddr> {
-        let Some(d) = self.dirty.as_mut() else {
+        let Some(t) = self.tracking.as_mut() else {
             return Vec::new();
         };
-        let mut v: Vec<LineAddr> = d.keys().collect();
-        d.clear();
+        let mut v: Vec<LineAddr> = t.dirty.keys().collect();
+        t.dirty.clear();
         v.sort_unstable();
         v
     }
 
     #[inline]
     fn mark_dirty(&mut self, line: LineAddr) {
-        if let Some(d) = self.dirty.as_mut() {
-            d.insert(line, ());
+        if let Some(t) = self.tracking.as_mut() {
+            t.dirty.insert(line, ());
         }
+    }
+
+    /// Fills `out` with every core holding `line` and its state, in
+    /// ascending core order, asking only the cores the holder index lists.
+    /// Clears the index bits of listed cores that no longer hold the line,
+    /// so a line no cache holds leaves the index at its next check. Empty
+    /// when tracking is off.
+    pub fn line_holders(&mut self, line: LineAddr, out: &mut Vec<(CoreId, PrivState)>) {
+        out.clear();
+        let Some(t) = self.tracking.as_mut() else {
+            return;
+        };
+        for chunk in 0..self.tiles.div_ceil(64) as u16 {
+            let key = (line, chunk);
+            let Some(mask) = t.holders.get_mut(&key) else {
+                continue;
+            };
+            let mut bits = *mask;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                let core = usize::from(chunk) * 64 + b as usize;
+                match self.caches[core].state(line) {
+                    Some(s) => out.push((CoreId::new(core as u16), s)),
+                    None => *mask &= !(1 << b),
+                }
+            }
+            if *mask == 0 {
+                t.holders.remove(&key);
+            }
+        }
+    }
+
+    /// The first `(core, line)`, in core order, where the core's cache
+    /// holds the line but the holder index lacks its bit — always `None`
+    /// unless the index's bookkeeping is wrong, or when tracking is off
+    /// (`Machine::set_audit` checks it every cycle).
+    pub fn unindexed_holder(&self) -> Option<(CoreId, LineAddr)> {
+        let t = self.tracking.as_ref()?;
+        self.caches.iter().enumerate().find_map(|(i, c)| {
+            c.lines()
+                .map(|(line, _)| line)
+                .filter(|&line| !t.indexes(i, line))
+                .min()
+                .map(|line| (CoreId::new(i as u16), line))
+        })
     }
 
     /// Issues a core-side access. The completion arrives as a
@@ -411,6 +509,12 @@ impl MemorySystem {
     /// Hands one protocol message to its endpoint's controller.
     fn dispatch(&mut self, to: Endpoint, msg: Msg, now: Cycle) {
         self.mark_dirty(msg.line());
+        // Data is the only way a private cache gains a line.
+        if let (Some(t), Endpoint::Core(c), Msg::Data { line, .. }) =
+            (self.tracking.as_mut(), to, &msg)
+        {
+            t.add_holder(c.index(), *line);
+        }
         let mut actions = std::mem::take(&mut self.scratch_actions);
         let r = match to {
             Endpoint::Core(c) => self.caches[c.index()].handle_msg(msg, now, &mut actions),
@@ -438,11 +542,6 @@ impl MemorySystem {
         if let Err(e) = r {
             self.err.get_or_insert(e);
         }
-    }
-
-    /// Earliest cycle at which a pending message wants to be delivered.
-    pub fn next_event_cycle(&self) -> Option<Cycle> {
-        self.net.next_cycle()
     }
 
     /// Routes one protocol message from `from` to `to`: mesh timing, then
@@ -783,7 +882,34 @@ impl MemorySystem {
         state: Option<PrivState>,
     ) {
         self.mark_dirty(line);
+        if let (Some(t), Some(_)) = (self.tracking.as_mut(), state) {
+            t.add_holder(core.index(), line);
+        }
         self.caches[core.index()].corrupt_state_for_test(line, state);
+    }
+
+    /// Test instrumentation: clears `core`'s holder-index bit for `line`, as
+    /// a missed index update would. `Machine::set_audit` must catch it.
+    #[doc(hidden)]
+    pub fn drop_holder_for_test(&mut self, core: CoreId, line: LineAddr) {
+        let (chunk, bit) = holder_slot(core.index());
+        if let Some(m) = self
+            .tracking
+            .as_mut()
+            .and_then(|t| t.holders.get_mut(&(line, chunk)))
+        {
+            *m &= !bit;
+        }
+    }
+
+    /// Test instrumentation: forgets that `line` is dirty, as a missed mark
+    /// would, so the next incremental sweep skips it. `Machine::set_audit`
+    /// must catch a violation that hides this way.
+    #[doc(hidden)]
+    pub fn drop_dirty_mark_for_test(&mut self, line: LineAddr) {
+        if let Some(t) = self.tracking.as_mut() {
+            t.dirty.remove(&line);
+        }
     }
 
     /// Corrupts the home-directory entry of `line`, bypassing the protocol.
@@ -865,6 +991,9 @@ impl Persist for MemorySystem {
         }
         self.journal = journal;
         self.err = None;
+        if self.tracking.is_some() {
+            self.track_dirty_lines(true);
+        }
         Ok(())
     }
 }
@@ -1153,6 +1282,48 @@ mod tests {
                 .count();
         }
         assert_eq!(fills, 20);
+    }
+
+    /// Once every holder has dropped a line, the next check of the line
+    /// leaves no holder-index entry, so the index does not grow with lines
+    /// no cache holds.
+    #[test]
+    fn holder_index_forgets_a_line_no_cache_holds() {
+        let mut m = sys(2);
+        m.track_dirty_lines(true);
+        let line = LineAddr::new(105);
+        let (c0, c1) = (CoreId::new(0), CoreId::new(1));
+        let mut now = Cycle::ZERO;
+        for (id, core) in [(1, c0), (2, c1)] {
+            m.access(core, line, meta(id, AccessKind::Read), now);
+            (now, _) = run_until(&mut m, now, 2000, |ev| match ev {
+                MemEvent::Fill { req_id, .. } if *req_id == id => Some(()),
+                _ => None,
+            });
+        }
+        let indexed = |m: &MemorySystem| {
+            let t = m.tracking.as_ref().expect("tracking on");
+            t.holders.get(&(line, 0)).copied()
+        };
+        assert_eq!(indexed(&m), Some(0b11));
+        let mut holders = Vec::new();
+        m.line_holders(line, &mut holders);
+        assert_eq!(holders, [(c0, PrivState::S), (c1, PrivState::S)]);
+
+        // A far atomic invalidates every private copy.
+        m.far_atomic(c0, line, RmwKind::Faa(1), 3, now + 1);
+        run_until(&mut m, now + 1, 4000, |ev| match ev {
+            MemEvent::FarDone { req_id: 3, .. } => Some(()),
+            _ => None,
+        });
+        assert_eq!(
+            (m.priv_state(c0, line), m.priv_state(c1, line)),
+            (None, None)
+        );
+        assert_eq!(indexed(&m), Some(0b11), "stale until checked");
+        m.line_holders(line, &mut holders);
+        assert!(holders.is_empty());
+        assert_eq!(indexed(&m), None);
     }
 
     #[test]

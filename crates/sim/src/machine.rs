@@ -9,7 +9,7 @@ use row_check::{check_coherence, IncrementalSweep, StallReport};
 use row_common::bitset::IndexSet;
 use row_common::config::CheckConfig;
 use row_common::coverage::CoverageMap;
-use row_common::ids::CoreId;
+use row_common::ids::{CoreId, LineAddr};
 use row_common::json::{self, Value};
 use row_common::object;
 use row_common::persist::{fnv1a, Codec, Persist, PersistError, Writer};
@@ -104,11 +104,9 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// A hot-loop shortcut that audit mode ([`Machine::set_audit`]) caught:
-/// the core it concerns, the cycle, and the shortcut that broke.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// the cycle, and the shortcut that broke with what it concerns.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AuditFailure {
-    /// The core (or the core's private cache) concerned.
-    pub core: u16,
     /// The cycle at which the check failed.
     pub cycle: Cycle,
     /// The shortcut that broke.
@@ -116,29 +114,71 @@ pub struct AuditFailure {
 }
 
 /// The shortcuts the audit checks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Shortcut {
     /// The core slept under this proof, yet stepping it changed its
     /// persisted state.
-    Sleep(Sleep),
+    Sleep {
+        /// The sleeping core.
+        core: u16,
+        /// The proof it slept under.
+        sleep: Sleep,
+    },
     /// The core's private cache held queued requests the memory system's
     /// pending set did not list, so its tick would skip them.
-    PendingSet,
+    PendingSet {
+        /// The core whose cache was missed.
+        core: u16,
+    },
+    /// The core's private cache held the line, yet the memory system's
+    /// holder index did not list the core, so the incremental sweep would
+    /// not ask it about the line.
+    HolderIndex {
+        /// The unlisted holder.
+        core: u16,
+        /// The line it holds.
+        line: LineAddr,
+    },
+    /// A periodic incremental sweep and a full sweep of the same state
+    /// disagreed on pass or fail.
+    IncrementalSweep {
+        /// Whether the incremental sweep was the one that passed.
+        missed: bool,
+        /// The violation the failing sweep reported.
+        error: ProtocolError,
+    },
 }
 
 impl std::fmt::Display for AuditFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (core, cycle) = (self.core, self.cycle.raw());
-        match self.shortcut {
-            Shortcut::Sleep(s) => write!(
+        let cycle = self.cycle.raw();
+        match &self.shortcut {
+            Shortcut::Sleep { core, sleep } => write!(
                 f,
-                "audit: core {core} changed state at cycle {cycle} while asleep: {s}"
+                "audit: core {core} changed state at cycle {cycle} while asleep: {sleep}"
             ),
-            Shortcut::PendingSet => write!(
+            Shortcut::PendingSet { core } => write!(
                 f,
                 "audit: core {core}'s cache has queued requests at cycle {cycle} \
                  outside the pending set"
             ),
+            Shortcut::HolderIndex { core, line } => write!(
+                f,
+                "audit: core {core}'s cache holds {line} at cycle {cycle} \
+                 outside the holder index"
+            ),
+            Shortcut::IncrementalSweep { missed, error } => {
+                let (inc, full) = if *missed {
+                    ("passed", "failed")
+                } else {
+                    ("failed", "passed")
+                };
+                write!(
+                    f,
+                    "audit: at cycle {cycle} the incremental sweep {inc} \
+                     and a full sweep {full}: {error}"
+                )
+            }
         }
     }
 }
@@ -445,11 +485,14 @@ impl Machine {
     /// persisted state (its `Persist` bytes): its sleep proof
     /// ([`Core::sleep_until`]) was wrong. It also checks each cycle that
     /// every private cache with queued requests is in the memory system's
-    /// pending set. Simulated time is unchanged; each audited step costs a
-    /// core image, so audit suits small machines. Turning audit on wakes
-    /// every sleeping core so each later sleep is recorded with its proof.
-    /// A method rather than a [`CheckConfig`] field, so it leaves config
-    /// hashes alone; not persisted.
+    /// pending set and, while the sweep is armed, that every line a cache
+    /// holds is in the holder index; and each periodic incremental sweep is
+    /// checked against a full sweep of the same state. Simulated time is
+    /// unchanged; each audited step costs a core image, so audit suits
+    /// small machines. Turning audit on wakes every sleeping core so each
+    /// later sleep is recorded with its proof. A method rather than a
+    /// [`CheckConfig`] field, so it leaves config hashes alone; not
+    /// persisted.
     pub fn set_audit(&mut self, on: bool) {
         self.audit = on.then(|| vec![None; self.cores.len()]);
         if on {
@@ -757,22 +800,28 @@ impl Machine {
                 let proof = proofs[i].as_ref().expect("a sleeping core has a proof");
                 self.cores[i].cycle(now, &mut self.mem);
                 if core_image(&self.cores[i]) != proof.image {
-                    failure = Some((i, Shortcut::Sleep(proof.sleep)));
+                    failure = Some(Shortcut::Sleep {
+                        core: i as u16,
+                        sleep: proof.sleep,
+                    });
                     break;
                 }
             }
             next = self.active.next_from(i + 1);
         }
         self.audit = Some(proofs);
-        if failure.is_none() {
-            failure = self
-                .mem
-                .untracked_pending()
-                .map(|c| (c.index(), Shortcut::PendingSet));
-        }
-        if let Some((core, shortcut)) = failure {
+        let failure = failure
+            .or_else(|| {
+                let core = self.mem.untracked_pending()?.index() as u16;
+                Some(Shortcut::PendingSet { core })
+            })
+            .or_else(|| {
+                let (core, line) = self.mem.unindexed_holder()?;
+                let core = core.index() as u16;
+                Some(Shortcut::HolderIndex { core, line })
+            });
+        if let Some(shortcut) = failure {
             return Err(AuditFailure {
-                core: core as u16,
                 cycle: now,
                 shortcut,
             });
@@ -818,6 +867,9 @@ impl Machine {
                     if let (Some(acc), Some(t0)) = (self.prof.as_deref_mut(), t0) {
                         acc.check += t0.elapsed();
                     }
+                    if self.audit.is_some() {
+                        self.audit_sweep(&sweep, now)?;
+                    }
                     if let Err(e) = sweep {
                         return Err(self.maybe_rewind(SimError::Protocol(e), now));
                     }
@@ -853,6 +905,24 @@ impl Machine {
             self.now += 1;
         }
         Ok(self.active.is_empty())
+    }
+
+    /// Audit mode's check of a periodic incremental sweep: a full sweep of
+    /// the same state must agree with its verdict on pass or fail.
+    fn audit_sweep(
+        &self,
+        incremental: &Result<(), ProtocolError>,
+        now: Cycle,
+    ) -> Result<(), SimError> {
+        let (missed, error) = match (incremental, check_coherence(&self.mem, &self.check)) {
+            (Ok(()), Err(e)) => (true, e),
+            (Err(e), Ok(())) => (false, e.clone()),
+            _ => return Ok(()),
+        };
+        Err(SimError::Audit(AuditFailure {
+            cycle: now,
+            shortcut: Shortcut::IncrementalSweep { missed, error },
+        }))
     }
 
     /// Drains the memory system's journal into the online checker,
@@ -1027,12 +1097,11 @@ impl Machine {
         // Derived state: the active set is a pure function of core state,
         // every active core starts awake (stepping an inert core is a
         // no-op), and the incremental sweeper must re-validate the whole
-        // restored system once before trusting line-level increments again.
+        // restored system once before trusting line-level increments again
+        // (the memory system's restore already re-indexed its holders).
         self.active = unfinished(&self.cores);
         self.wake_all();
         self.sweeper.invalidate();
-        self.mem
-            .track_dirty_lines(self.check.invariant_every.is_some());
         Ok(())
     }
 }
@@ -1154,6 +1223,47 @@ mod tests {
             ),
             "got {err}"
         );
+    }
+
+    /// A restore re-indexes the restored caches' holders: the first
+    /// incremental sweep after the priming full sweep catches a corruption
+    /// on a line whose holders saw no traffic since the restore.
+    #[test]
+    fn restore_rebuilds_the_holder_index() {
+        let cfg = SystemConfig::small(2); // sweeps every 2,048 cycles
+        let addr = Addr::new(0x7000);
+        let streams = || -> Vec<Box<dyn InstrStream>> {
+            (0..2)
+                .map(|_| {
+                    let load = Instr::simple(Pc::new(0x40), Op::Load { addr });
+                    Box::new(VecStream::new(vec![load; 60_000])) as Box<dyn InstrStream>
+                })
+                .collect()
+        };
+        let mut first = Machine::new(&cfg, streams());
+        assert!(first.run_for(3_000).expect("runs clean").is_none());
+        let image = first.checkpoint().expect("checkpointable");
+        let mut m = Machine::new(&cfg, streams());
+        m.restore(&image).expect("restores");
+        // The sweep at 4,096 is the full one that primes the restored
+        // sweeper; the one at 6,144 is incremental.
+        assert!(m.run_for(1_100).expect("runs clean").is_none());
+        let line = addr.line();
+        for core in [0, 1] {
+            let state = m.memory().priv_state(CoreId::new(core), line);
+            assert_eq!(state, Some(row_mem::PrivState::S));
+        }
+        let core0 = BTreeSet::from([CoreId::new(0)]);
+        m.memory_mut()
+            .corrupt_dir_state_for_test(line, row_mem::DirState::Shared(core0));
+        let full = m.check_invariants().expect_err("core 1 is not listed");
+        assert!(
+            matches!(full, ProtocolError::DirectoryMismatch { core, .. } if core == CoreId::new(1)),
+            "{full}"
+        );
+        let err = m.run(1_000_000).expect_err("the corruption must be caught");
+        assert_eq!(err, SimError::Protocol(full));
+        assert_eq!(m.now().raw(), 6_144, "caught by the incremental sweep");
     }
 
     /// An on-demand snapshot works on a healthy machine too.

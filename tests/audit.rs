@@ -1,13 +1,15 @@
 //! Audit mode (`Machine::set_audit`): the simulation loop's shortcuts —
-//! sleeping cores and the pending-cache set — checked against stepping
-//! everything, on small cells under every policy, the explorer and lossy
-//! chaos. An audited run must also match the plain run exactly.
+//! sleeping cores, the pending-cache set, the holder index and the
+//! incremental sweep — checked against doing all the work, on small cells
+//! under every policy, the explorer and lossy chaos. An audited run must
+//! also match the plain run exactly.
 
 use norush::common::config::FaultConfig;
-use norush::common::ids::{Addr, Pc};
+use norush::common::ids::{Addr, CoreId, LineAddr, Pc};
 use norush::common::persist::fnv1a;
 use norush::common::SystemConfig;
 use norush::cpu::instr::{Instr, InstrStream, Op, VecStream};
+use norush::mem::{DirState, PrivState, ProtocolError};
 use norush::sim::{
     bench_streams, explore, ExperimentConfig, ExploreOptions, Machine, Shortcut, SimError, Variant,
 };
@@ -130,10 +132,10 @@ fn planted_oversleep_is_caught_naming_core_and_cycle() {
     let SimError::Audit(failure) = &err else {
         panic!("expected an audit failure, got {err}");
     };
-    assert_eq!(failure.core, 1);
-    let Shortcut::Sleep(sleep) = failure.shortcut else {
+    let Shortcut::Sleep { core, sleep } = failure.shortcut else {
         panic!("expected a sleep failure, got {err}");
     };
+    assert_eq!(core, 1);
     // The core changed before the wake it claimed.
     assert!(failure.cycle < sleep.until, "{err}");
     let text = err.to_string();
@@ -142,4 +144,69 @@ fn planted_oversleep_is_caught_naming_core_and_cycle() {
         text.contains(&format!("cycle {}", failure.cycle.raw())),
         "{text}"
     );
+}
+
+/// The lowest line `core` holds in one of `states`.
+fn held_line(m: &Machine, core: u16, states: &[PrivState]) -> LineAddr {
+    m.memory()
+        .private_lines(CoreId::new(core))
+        .into_iter()
+        .filter(|(_, s)| states.contains(s))
+        .map(|(line, _)| line)
+        .min()
+        .expect("the core holds such a line")
+}
+
+/// A holder the index forgets is caught in the next audited cycle, and the
+/// failure names the core, the line and the cycle.
+#[test]
+fn dropped_holder_bit_is_caught_naming_core_line_and_cycle() {
+    let mut m = pc_machine(&Variant::eager(), 2, |_| {});
+    m.set_audit(true);
+    assert!(m.run_for(3_000).expect("runs clean").is_none());
+    let line = held_line(&m, 1, &[PrivState::S, PrivState::E, PrivState::M]);
+    m.memory_mut().drop_holder_for_test(CoreId::new(1), line);
+    let at = m.now();
+    let err = m
+        .run(5_000_000)
+        .expect_err("the dropped bit must be caught");
+    let SimError::Audit(failure) = &err else {
+        panic!("expected an audit failure, got {err}");
+    };
+    assert_eq!(failure.shortcut, Shortcut::HolderIndex { core: 1, line });
+    assert_eq!(failure.cycle, at);
+    let text = err.to_string();
+    for part in ["core 1", &line.to_string(), &format!("cycle {}", at.raw())] {
+        assert!(text.contains(part), "{text}");
+    }
+}
+
+/// A violation on a line whose dirty mark was lost hides from the
+/// incremental sweep; the audit's full sweep of the same state finds it at
+/// that sweep's cycle.
+#[test]
+fn dropped_dirty_mark_is_caught_at_the_next_sweep() {
+    let mut m = pc_machine(&Variant::eager(), 2, |_| {});
+    m.set_audit(true);
+    // `ExperimentConfig::quick()` sweeps every 4,096 cycles.
+    assert!(m.run_for(4_000).expect("runs clean").is_none());
+    let line = held_line(&m, 0, &[PrivState::E, PrivState::M]);
+    m.memory_mut()
+        .corrupt_dir_state_for_test(line, DirState::Uncached);
+    m.memory_mut().drop_dirty_mark_for_test(line);
+    let err = m
+        .run(5_000_000)
+        .expect_err("the hidden violation must be caught");
+    let SimError::Audit(failure) = &err else {
+        panic!("expected an audit failure, got {err}");
+    };
+    assert_eq!(failure.cycle.raw(), 4_096, "{err}");
+    let Shortcut::IncrementalSweep {
+        missed: true,
+        error: ProtocolError::DirectoryMismatch { line: bad, .. },
+    } = failure.shortcut
+    else {
+        panic!("expected the incremental sweep to miss a mismatch, got {err}");
+    };
+    assert_eq!(bad, line, "{err}");
 }
