@@ -46,6 +46,17 @@
 //! refuses unread bytes. A kind's version is bumped on any change to its
 //! body's bytes, nested codecs included, so an old file is refused with
 //! [`PersistError::VersionMismatch`], never misread.
+//!
+//! # Sparse tables
+//!
+//! A fixed-capacity table (cache ways, predictor entries) is mostly its
+//! blank entry, `T::default()`, so it is written sparse by
+//! [`encode_sparse`]: `len u64 | count u64 | (index u64, entry)*`, listing
+//! only the entries that differ from blank, indices strictly ascending.
+//! Each table state thus has exactly one image, which the explorer's
+//! dedup on image hashes relies on. [`decode_sparse`] refuses a length
+//! other than the table's and an index past the table or out of order;
+//! every entry it does not list is blank.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
@@ -115,12 +126,28 @@ impl std::error::Error for PersistError {}
 /// 64-bit FNV-1a hash, used to fingerprint the system configuration so a
 /// checkpoint refuses to restore onto a differently-configured machine.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_fold(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash whose state after the bytes before is `h`.
+fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// [`fnv1a`] of a whole [`FileKind::seal`] output, in O(1). The trailer is
+/// the hash of every byte before it, so only its own 8 bytes remain to be
+/// folded in. Any other input gives a meaningless value.
+///
+/// # Panics
+/// Panics if `sealed` is shorter than 8 bytes.
+pub fn sealed_fnv1a(sealed: &[u8]) -> u64 {
+    let trailer = &sealed[sealed.len() - 8..];
+    let checksum = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
+    fnv1a_fold(checksum, trailer)
 }
 
 /// Writes `bytes` to `path` atomically: the data lands in `<path>.tmp` first
@@ -691,6 +718,88 @@ impl<T: Codec> Codec for Vec<T> {
     }
 }
 
+/// Appends a table of `len` entries in the [sparse layout](self#sparse-tables).
+/// `entries` yields `(index, entry)` pairs in strictly ascending index
+/// order; it may skip blank entries, and those it yields are dropped.
+pub fn encode_sparse<'a, T: Codec + Default + PartialEq + 'a>(
+    w: &mut Writer,
+    len: usize,
+    entries: impl IntoIterator<Item = (usize, &'a T)>,
+) {
+    let blank = T::default();
+    w.put_len(len);
+    let count_at = w.buf.len();
+    w.put_u64(0);
+    let mut count = 0u64;
+    let mut next = 0;
+    for (i, v) in entries {
+        debug_assert!(i >= next && i < len, "sparse index {i} out of order");
+        next = i + 1;
+        if *v != blank {
+            w.put_u64(i as u64);
+            v.encode(w);
+            count += 1;
+        }
+    }
+    w.buf[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+}
+
+/// Reads a table of `len` entries in the [sparse layout](self#sparse-tables),
+/// handing each listed entry to `put` with its index, in ascending order.
+/// The caller blanks the entries the image does not list. Nothing is
+/// allocated from the image's count.
+///
+/// # Errors
+/// [`PersistError::Corrupt`] for a length other than `len`, a count larger
+/// than the table or than the bytes left, or an index past the table or not
+/// above the one before it; any error of `T`'s codec.
+pub fn decode_sparse<T: Codec>(
+    r: &mut Reader<'_>,
+    len: usize,
+    mut put: impl FnMut(usize, T),
+) -> Result<(), PersistError> {
+    if r.get_u64()? != len as u64 {
+        return Err(PersistError::Corrupt("sparse table length mismatch"));
+    }
+    let count = r.get_len()?;
+    if count > len {
+        return Err(PersistError::Corrupt(
+            "sparse table count exceeds its length",
+        ));
+    }
+    let mut next = 0;
+    for _ in 0..count {
+        let i = r.get_u64()?;
+        if i >= len as u64 {
+            return Err(PersistError::Corrupt("sparse table index out of range"));
+        }
+        if i < next {
+            return Err(PersistError::Corrupt("sparse table indices out of order"));
+        }
+        next = i + 1;
+        put(i as usize, T::decode(r)?);
+    }
+    Ok(())
+}
+
+/// Appends `table` in the [sparse layout](self#sparse-tables).
+pub fn encode_table<T: Codec + Default + PartialEq>(table: &[T], w: &mut Writer) {
+    encode_sparse(w, table.len(), table.iter().enumerate());
+}
+
+/// Overwrites `table` from the [sparse layout](self#sparse-tables): each
+/// listed entry, and blank everywhere else.
+///
+/// # Errors
+/// As [`decode_sparse`]; `table` may then be partly overwritten.
+pub fn restore_table<T: Codec + Default>(
+    table: &mut [T],
+    r: &mut Reader<'_>,
+) -> Result<(), PersistError> {
+    table.fill_with(T::default);
+    decode_sparse(r, table.len(), |i, v| table[i] = v)
+}
+
 impl<T: Codec> Codec for VecDeque<T> {
     fn encode(&self, w: &mut Writer) {
         w.put_len(self.len());
@@ -1003,8 +1112,86 @@ mod tests {
     }
 
     #[test]
+    fn sealed_hash_matches_fnv1a_of_the_whole_file() {
+        for body in [&[][..], &[0x5a][..]] {
+            let bytes = TEST_FILE.seal(9, |w| w.put_bytes(body));
+            assert_eq!(sealed_fnv1a(&bytes), fnv1a(&bytes), "body {body:?}");
+        }
+    }
+
+    /// A table of `len` `i8`s, decoded from `bytes` onto a table full of
+    /// 7s: the bytes must be read to the end.
+    fn decode_i8s(bytes: &[u8], len: usize) -> Result<Vec<i8>, PersistError> {
+        let mut table = vec![7i8; len];
+        let mut r = Reader::new(bytes);
+        restore_table(&mut table, &mut r)?;
+        assert!(r.is_empty(), "unread bytes");
+        Ok(table)
+    }
+
+    #[test]
+    fn sparse_tables_round_trip_and_blank_what_they_omit() {
+        let table = [0i8, 5, 0, 0, -1, 0];
+        let mut w = Writer::new();
+        encode_table(&table, &mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 8 + 8 + 2 * (8 + 1));
+        assert_eq!(decode_i8s(&bytes, 6).unwrap(), table);
+        let mut w = Writer::new();
+        encode_table(&[0i8; 6], &mut w);
+        assert_eq!(decode_i8s(&w.into_bytes(), 6).unwrap(), [0; 6]);
+        // An iterator that yields blank entries writes the same bytes.
+        let mut w = Writer::new();
+        encode_sparse(&mut w, 6, [(1, &5i8), (3, &0), (4, &-1)]);
+        assert_eq!(w.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn forged_sparse_tables_are_corrupt() {
+        // A table length, a count, then index/value pairs.
+        let forge = |len: u64, count: u64, entries: &[(u64, u8)]| {
+            let mut w = Writer::new();
+            w.put_u64(len);
+            w.put_u64(count);
+            for &(i, v) in entries {
+                w.put_u64(i);
+                w.put_u8(v);
+            }
+            w.into_bytes()
+        };
+        // Decoded onto a 4-entry table, except the 16-entry last case,
+        // whose count fits the table but not the 9 bytes left.
+        let cases = [
+            ("short length", 4, forge(3, 0, &[])),
+            ("long length", 4, forge(5, 0, &[])),
+            ("huge length", 4, forge(u64::MAX, 0, &[])),
+            ("index at the length", 4, forge(4, 1, &[(4, 1)])),
+            ("index past the length", 4, forge(4, 1, &[(u64::MAX, 1)])),
+            ("repeated index", 4, forge(4, 2, &[(1, 1), (1, 2)])),
+            ("descending index", 4, forge(4, 2, &[(2, 1), (1, 2)])),
+            ("count past the table", 4, forge(4, 5, &[(0, 1); 5])),
+            ("huge count", 4, forge(4, u64::MAX, &[(0, 1)])),
+            ("count past the bytes", 16, forge(16, 10, &[(0, 1)])),
+        ];
+        for (what, len, bytes) in cases {
+            let res = decode_i8s(&bytes, len);
+            assert!(
+                matches!(res, Err(PersistError::Corrupt(_))),
+                "{what}: {res:?}"
+            );
+        }
+    }
+
+    #[test]
     fn codec_bytes_are_pinned() {
+        let mut sparse = Writer::new();
+        encode_table(&[0i8, 0x11, 0, -1], &mut sparse);
         let pins = [
+            (
+                sparse.into_bytes(),
+                "04000000000000000200000000000000\
+                 0100000000000000110300000000000000ff",
+            ),
             (to_bytes(&RmwKind::Faa(0x11)), "001100000000000000"),
             (to_bytes(&RmwKind::Swap(0x22)), "012200000000000000"),
             (

@@ -7,14 +7,16 @@
 //! standard provider/altpred, useful-bit, and allocation-on-mispredict rules.
 
 use row_common::ids::Pc;
-use row_common::persist::{Codec, Persist, PersistError, Reader, Writer};
+use row_common::persist::{
+    encode_table, restore_table, Codec, Persist, PersistError, Reader, Writer,
+};
 
 const BIMODAL_BITS: usize = 12; // 4096 entries
 const TAGGED_ENTRIES_BITS: usize = 10; // 1024 entries per table
 const TAG_BITS: u32 = 8;
 const HISTORIES: [usize; 4] = [8, 24, 64, 128];
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct TaggedEntry {
     tag: u16,
     ctr: i8, // -4..=3, taken when >= 0
@@ -225,27 +227,22 @@ row_common::codec_struct!(BranchStats {
 });
 
 impl Persist for TageLite {
+    // The bimodal table, then each tagged table, sparse: only trained
+    // entries are written.
     fn persist(&self, w: &mut Writer) {
-        self.bimodal.encode(w);
-        self.tables.encode(w);
+        encode_table(&self.bimodal, w);
+        for t in &self.tables {
+            encode_table(t, w);
+        }
         w.put_u128(self.hist.bits);
         w.put_u32(self.lfsr);
         self.stats.encode(w);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        let bimodal = Vec::<i8>::decode(r)?;
-        let tables = Vec::<Vec<TaggedEntry>>::decode(r)?;
-        if bimodal.len() != self.bimodal.len()
-            || tables.len() != self.tables.len()
-            || tables
-                .iter()
-                .zip(&self.tables)
-                .any(|(a, b)| a.len() != b.len())
-        {
-            return Err(PersistError::Corrupt("branch predictor geometry mismatch"));
+        restore_table(&mut self.bimodal, r)?;
+        for t in &mut self.tables {
+            restore_table(t, r)?;
         }
-        self.bimodal = bimodal;
-        self.tables = tables;
         self.hist = History {
             bits: r.get_u128()?,
         };

@@ -9,7 +9,7 @@
 //! id to the most recently dispatched in-flight store of that set.
 
 use row_common::ids::Pc;
-use row_common::persist::{Codec, Persist, PersistError, Reader, Writer};
+use row_common::persist::{encode_table, restore_table, Persist, PersistError, Reader, Writer};
 
 const SSIT_BITS: usize = 10; // 1024 entries
 const MAX_SETS: usize = 256;
@@ -114,19 +114,15 @@ impl Default for StoreSets {
 }
 
 impl Persist for StoreSets {
+    // Both tables sparse: only trained SSIT entries and in-flight stores.
     fn persist(&self, w: &mut Writer) {
-        self.ssit.encode(w);
-        self.lfst.encode(w);
+        encode_table(&self.ssit, w);
+        encode_table(&self.lfst, w);
         w.put_u16(self.next_set);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        let ssit = Vec::<Option<u16>>::decode(r)?;
-        let lfst = Vec::<Option<u64>>::decode(r)?;
-        if ssit.len() != self.ssit.len() || lfst.len() != self.lfst.len() {
-            return Err(PersistError::Corrupt("store-set table size mismatch"));
-        }
-        self.ssit = ssit;
-        self.lfst = lfst;
+        restore_table(&mut self.ssit, r)?;
+        restore_table(&mut self.lfst, r)?;
         self.next_set = r.get_u16()?;
         Ok(())
     }

@@ -5,9 +5,13 @@
 //! locking (Atomic Queue) can pin lines, exactly as the paper's AQ annotates
 //! set/way to block evictions of locked lines.
 
+use std::ops::Range;
+
 use row_common::config::CacheConfig;
 use row_common::ids::LineAddr;
-use row_common::persist::{Codec, Persist, PersistError, Reader, Writer};
+use row_common::persist::{
+    decode_sparse, encode_sparse, Codec, Persist, PersistError, Reader, Writer,
+};
 
 /// Outcome of inserting a line into a [`CacheArray`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -22,14 +26,33 @@ pub enum Insert {
     NoVictim,
 }
 
-#[derive(Clone, Debug)]
+/// One way: 16 bytes, so a set's tags span few host cache lines.
+#[derive(Clone, Debug, Default, PartialEq)]
 struct Way {
-    tag: Option<LineAddr>,
+    /// [`key`] of the line held, 0 when empty.
+    key: u64,
     /// Larger = more recently used.
     lru: u64,
 }
 
+/// A line's nonzero tag key.
+fn key(line: LineAddr) -> u64 {
+    line.raw() + 1
+}
+
+impl Way {
+    fn line(&self) -> Option<LineAddr> {
+        (self.key != 0).then(|| LineAddr::new(self.key - 1))
+    }
+}
+
 /// Set-associative tag array with true-LRU replacement.
+///
+/// A set's ways are allocated on its first insert, so an array costs the
+/// sets a run touched. An unallocated set holds no line: `contains`,
+/// `touch` and `invalidate` miss on it. Which sets are allocated is
+/// representation, not state: it is never persisted or compared, and a
+/// restore allocates only the sets its image lists a line in.
 ///
 /// # Example
 /// ```
@@ -45,21 +68,28 @@ struct Way {
 pub struct CacheArray {
     sets: usize,
     ways: usize,
-    data: Vec<Way>,
+    /// Per set, 0 while unallocated, else 1 + the index of its block of
+    /// `ways` ways in `pool`.
+    slot: Vec<u32>,
+    /// The allocated sets' ways, one block per set, in allocation order.
+    pool: Vec<Way>,
     tick: u64,
 }
 
 impl CacheArray {
-    /// Builds an array from a geometry description.
+    /// Builds an array from a geometry description. No set is allocated.
     ///
     /// # Panics
-    /// Panics if the geometry does not divide into whole sets.
+    /// Panics if the geometry does not divide into whole sets, or has 2^32
+    /// sets or more.
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
+        assert!(u32::try_from(sets).is_ok(), "too many cache sets: {sets}");
         CacheArray {
             sets,
             ways: cfg.ways,
-            data: vec![Way { tag: None, lru: 0 }; sets * cfg.ways],
+            slot: vec![0; sets],
+            pool: Vec::new(),
             tick: 0,
         }
     }
@@ -68,8 +98,24 @@ impl CacheArray {
         (line.raw() as usize) % self.sets
     }
 
-    fn set_slice(&mut self, set: usize) -> &mut [Way] {
-        &mut self.data[set * self.ways..(set + 1) * self.ways]
+    /// Where the ways of `set` sit in `pool`; empty while it is
+    /// unallocated.
+    fn block(&self, set: usize) -> Range<usize> {
+        match self.slot[set] as usize {
+            0 => 0..0,
+            s => (s - 1) * self.ways..s * self.ways,
+        }
+    }
+
+    /// The ways of `set`, allocating them empty on its first use.
+    fn alloc(&mut self, set: usize) -> &mut [Way] {
+        if self.slot[set] == 0 {
+            self.pool
+                .resize(self.pool.len() + self.ways, Way::default());
+            self.slot[set] = (self.pool.len() / self.ways) as u32;
+        }
+        let block = self.block(set);
+        &mut self.pool[block]
     }
 
     /// Number of sets.
@@ -84,19 +130,18 @@ impl CacheArray {
 
     /// Whether `line` is present (does not update LRU).
     pub fn contains(&self, line: LineAddr) -> bool {
-        let set = self.set_of(line);
-        self.data[set * self.ways..(set + 1) * self.ways]
+        self.pool[self.block(self.set_of(line))]
             .iter()
-            .any(|w| w.tag == Some(line))
+            .any(|w| w.key == key(line))
     }
 
     /// Looks up `line`, refreshing LRU on hit.
     pub fn touch(&mut self, line: LineAddr) -> bool {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_of(line);
-        for w in self.set_slice(set) {
-            if w.tag == Some(line) {
+        let (block, key) = (self.block(self.set_of(line)), key(line));
+        for w in &mut self.pool[block] {
+            if w.key == key {
                 w.lru = tick;
                 return true;
             }
@@ -110,19 +155,19 @@ impl CacheArray {
     pub fn insert(&mut self, line: LineAddr, evictable: impl Fn(LineAddr) -> bool) -> Insert {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_of(line);
-        let slice = self.set_slice(set);
+        let (set, key) = (self.set_of(line), key(line));
+        let slice = self.alloc(set);
         // Already present?
         for w in slice.iter_mut() {
-            if w.tag == Some(line) {
+            if w.key == key {
                 w.lru = tick;
                 return Insert::Hit;
             }
         }
         // Empty way?
         for w in slice.iter_mut() {
-            if w.tag.is_none() {
-                w.tag = Some(line);
+            if w.key == 0 {
+                w.key = key;
                 w.lru = tick;
                 return Insert::Placed;
             }
@@ -130,12 +175,12 @@ impl CacheArray {
         // LRU among evictable ways.
         let victim = slice
             .iter_mut()
-            .filter(|w| w.tag.is_some_and(&evictable))
+            .filter(|w| w.line().is_some_and(&evictable))
             .min_by_key(|w| w.lru);
         match victim {
             Some(w) => {
-                let old = w.tag.expect("victim has a tag");
-                w.tag = Some(line);
+                let old = w.line().expect("victim has a tag");
+                w.key = key;
                 w.lru = tick;
                 Insert::Evicted(old)
             }
@@ -145,37 +190,66 @@ impl CacheArray {
 
     /// Removes `line` if present; returns whether it was present.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        let set = self.set_of(line);
-        for w in self.set_slice(set) {
-            if w.tag == Some(line) {
-                w.tag = None;
-                w.lru = 0;
+        let (block, key) = (self.block(self.set_of(line)), key(line));
+        for w in &mut self.pool[block] {
+            if w.key == key {
+                *w = Way::default();
                 return true;
             }
         }
         false
     }
 
-    /// Number of resident lines (O(capacity); for tests/stats).
+    /// Number of resident lines (O(allocated ways); for tests/stats).
     pub fn occupancy(&self) -> usize {
-        self.data.iter().filter(|w| w.tag.is_some()).count()
+        self.pool.iter().filter(|w| w.key != 0).count()
     }
 }
 
-row_common::codec_struct!(Way { tag, lru });
+// The wire form is the line as an `Option`, then the LRU stamp.
+impl Codec for Way {
+    fn encode(&self, w: &mut Writer) {
+        self.line().encode(w);
+        self.lru.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let key = match Option::<LineAddr>::decode(r)? {
+            None => 0,
+            Some(line) => line
+                .raw()
+                .checked_add(1)
+                .ok_or(PersistError::Corrupt("cache line address out of range"))?,
+        };
+        Ok(Way {
+            key,
+            lru: u64::decode(r)?,
+        })
+    }
+}
 
 impl Persist for CacheArray {
-    // Geometry (sets/ways) is config-derived; tags and LRU state are mutable.
+    // Geometry (sets/ways) is config-derived; tags and LRU state are
+    // mutable. Way `k` of set `s` is entry `s * ways + k` of one sparse
+    // table, so only occupied ways are written.
     fn persist(&self, w: &mut Writer) {
-        self.data.encode(w);
+        let ways = self.ways;
+        let occupied = (0..self.sets).flat_map(|set| {
+            let base = set * ways;
+            self.pool[self.block(set)]
+                .iter()
+                .enumerate()
+                .map(move |(k, way)| (base + k, way))
+        });
+        encode_sparse(w, self.sets * ways, occupied);
         w.put_u64(self.tick);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        let data = Vec::<Way>::decode(r)?;
-        if data.len() != self.data.len() {
-            return Err(PersistError::Corrupt("cache array geometry mismatch"));
-        }
-        self.data = data;
+        self.slot.fill(0);
+        self.pool.clear();
+        let ways = self.ways;
+        decode_sparse(r, self.sets * ways, |i, way| {
+            self.alloc(i / ways)[i % ways] = way;
+        })?;
         self.tick = r.get_u64()?;
         Ok(())
     }
@@ -278,23 +352,65 @@ mod tests {
     }
 
     #[test]
+    fn sets_are_allocated_on_first_insert_only() {
+        let mut c = tiny(2, 4);
+        let (a, b) = (line_in_set(1, 0, 4), line_in_set(1, 1, 4));
+        assert!(!c.touch(a) && !c.contains(a) && !c.invalidate(a));
+        assert!(c.pool.is_empty(), "misses allocate nothing");
+        c.insert(a, |_| true);
+        c.insert(b, |_| true);
+        assert_eq!(c.pool.len(), 2, "one set of two ways");
+        assert!(c.invalidate(a) && c.invalidate(b));
+        assert_eq!((c.pool.len(), c.occupancy()), (2, 0));
+    }
+
+    /// Allocation is not state: a restore keeps only the sets the image
+    /// lists a line in, and writes the image back byte for byte.
+    #[test]
+    fn restore_allocates_only_the_listed_sets() {
+        let mut c = tiny(2, 4);
+        for k in 0..4 {
+            c.insert(LineAddr::new(k), |_| true);
+        }
+        c.invalidate(LineAddr::new(0));
+        let image = persisted(&c);
+        let mut d = tiny(2, 4);
+        d.insert(LineAddr::new(7), |_| true);
+        d.restore(&mut Reader::new(&image)).unwrap();
+        assert_eq!((d.pool.len(), d.occupancy()), (3 * 2, 3));
+        assert!(!d.contains(LineAddr::new(0)) && !d.contains(LineAddr::new(7)));
+        assert_eq!(persisted(&d), image);
+    }
+
+    fn persisted(c: &CacheArray) -> Vec<u8> {
+        let mut w = Writer::new();
+        c.persist(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
     fn codec_bytes_are_pinned() {
         use row_common::persist::{to_bytes, to_hex};
+        // Two sets of two ways: way 1 of set 1 is entry 3.
+        let mut array = tiny(2, 2);
+        array.insert(LineAddr::new(1), |_| true);
+        array.insert(LineAddr::new(3), |_| true);
+        array.invalidate(LineAddr::new(1));
         let pins = [
             (
+                persisted(&array),
+                "04000000000000000100000000000000\
+                 03000000000000000103000000000000000200000000000000\
+                 0200000000000000",
+            ),
+            (
                 to_bytes(&Way {
-                    tag: Some(LineAddr::new(0x11)),
+                    key: key(LineAddr::new(0x11)),
                     lru: 0x22,
                 }),
                 "0111000000000000002200000000000000",
             ),
-            (
-                to_bytes(&Way {
-                    tag: None,
-                    lru: 0x33,
-                }),
-                "003300000000000000",
-            ),
+            (to_bytes(&Way { key: 0, lru: 0x33 }), "003300000000000000"),
         ];
         for (bytes, hex) in pins {
             assert_eq!(to_hex(&bytes), hex);

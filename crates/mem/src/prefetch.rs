@@ -5,9 +5,9 @@
 //! entry, after which the next `degree` lines along the stride are prefetched.
 
 use row_common::ids::{Addr, LineAddr, Pc};
-use row_common::persist::{Codec, Persist, PersistError, Reader, Writer};
+use row_common::persist::{encode_table, restore_table, Persist, PersistError, Reader, Writer};
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct StrideEntry {
     tag: u64,
     last_addr: u64,
@@ -94,17 +94,13 @@ row_common::codec_struct!(StrideEntry {
 });
 
 impl Persist for IpStridePrefetcher {
-    // Table size and degree are config-derived; only the training state moves.
+    // Table size and degree are config-derived; only the training state
+    // moves, written sparse.
     fn persist(&self, w: &mut Writer) {
-        self.table.encode(w);
+        encode_table(&self.table, w);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        let table = Vec::<StrideEntry>::decode(r)?;
-        if table.len() != self.table.len() {
-            return Err(PersistError::Corrupt("prefetcher table size mismatch"));
-        }
-        self.table = table;
-        Ok(())
+        restore_table(&mut self.table, r)
     }
 }
 

@@ -43,7 +43,12 @@ pub const MAGIC: &[u8; 8] = b"ROWCKPT\n";
 ///
 /// v4: each core payload gained the explorer's pending atomic commit-release
 /// decision (`(uid, release cycle)`, usually `None`) after the load log.
-pub const FORMAT_VERSION: u32 = 4;
+///
+/// v5: cache arrays, the branch predictor's bimodal and tagged tables, the
+/// store-set SSIT and LFST and the stride prefetcher's table are sparse
+/// tables ([`row_common::persist::encode_sparse`]): only occupied ways and
+/// trained entries are written.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// The checkpoint file frame, bound to the machine's config hash.
 pub(crate) const FILE: FileKind = row_common::file_kind!("checkpoint", MAGIC, FORMAT_VERSION);

@@ -21,9 +21,11 @@
 //!     never pruned (an atomic's commit timing is the property under test);
 //!   - **state dedup** — the machine snapshot ([`Machine::checkpoint`])
 //!     taken right after the last forced decision is consumed is hashed
-//!     with [`fnv1a`]; a frontier state already expanded from is not
-//!     expanded again (its subtree is identical — the machine is
-//!     deterministic given the remaining decisions).
+//!     with [`fnv1a`](row_common::persist::fnv1a), read off the image's
+//!     checksum trailer by [`sealed_fnv1a`] without a second pass; a
+//!     frontier state already expanded from is not expanded again (its
+//!     subtree is identical — the machine is deterministic given the
+//!     remaining decisions).
 //!
 //! Every run is classified against the test's declared sets: a **forbidden**
 //! (or unlisted) outcome, any structural [`SimError`], or a cycle-budget
@@ -44,7 +46,7 @@ use row_common::config::SystemConfig;
 use row_common::coverage::{CoverageMap, SLOT_COUNT};
 use row_common::json::{self, Value};
 use row_common::object;
-use row_common::persist::{fnv1a, from_hex, to_hex};
+use row_common::persist::{from_hex, sealed_fnv1a, to_hex};
 use row_common::rng::SplitMix64;
 use row_cpu::instr::{InstrStream, VecStream};
 use row_workloads::litmus::{LitmusTest, OutcomeClass, Probe};
@@ -86,7 +88,9 @@ pub struct ExploreOptions {
     /// Arm the planted early-unblock directory bug (regression hunting).
     pub planted_bug: bool,
     /// Run every schedule in audit mode ([`Machine::set_audit`]), which
-    /// checks the simulation loop's shortcuts. Slower; for tests.
+    /// checks the simulation loop's shortcuts (`norush explore --audit`).
+    /// Slower; neither hashed nor reported, so an audited exploration
+    /// writes the plain one's report.
     pub audit: bool,
 }
 
@@ -171,7 +175,7 @@ pub fn run_schedule_full(
     // frontier snapshot lands exactly at the end of the consuming cycle),
     // then in coarse strides to completion.
     let mut frontier_hash = if forced.is_empty() {
-        m.checkpoint().ok().map(|b| fnv1a(&b))
+        m.checkpoint().ok().map(|b| sealed_fnv1a(&b))
     } else {
         None
     };
@@ -192,7 +196,7 @@ pub fn run_schedule_full(
             Ok(done) => {
                 let consumed = m.memory().schedule().map_or(0, |s| s.decisions().len());
                 if frontier_hash.is_none() && consumed >= forced.len() {
-                    frontier_hash = m.checkpoint().ok().map(|b| fnv1a(&b));
+                    frontier_hash = m.checkpoint().ok().map(|b| sealed_fnv1a(&b));
                 }
                 if done.is_some() {
                     outcome = Some(observe(test, &mut m));
@@ -617,6 +621,7 @@ pub fn report_json(mode: &str, params: &[(&str, u64)], cells: &[ExploreReport]) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use row_common::persist::fnv1a;
 
     #[test]
     fn hex_roundtrip() {
@@ -642,6 +647,25 @@ mod tests {
         assert!(!a.decisions.is_empty(), "litmus runs must expose decisions");
         let o = a.outcome.unwrap();
         assert_eq!(test.classify(&o), OutcomeClass::Allowed);
+    }
+
+    /// The frontier hash read off a real checkpoint's trailer is the
+    /// hash of the whole image, before and after the machine runs.
+    #[test]
+    fn sealed_hash_of_a_checkpoint_is_its_fnv1a() {
+        let test = LitmusTest::sb();
+        let streams: Vec<Box<dyn InstrStream>> = test
+            .programs
+            .iter()
+            .map(|p| Box::new(VecStream::new(p.clone())) as _)
+            .collect();
+        let sys = ExploreOptions::default().system(test.cores()).unwrap();
+        let mut m = Machine::new(&sys, streams);
+        for _ in 0..2 {
+            let image = m.checkpoint().unwrap();
+            assert_eq!(sealed_fnv1a(&image), fnv1a(&image));
+            m.run_for(100).unwrap();
+        }
     }
 
     #[test]

@@ -899,7 +899,10 @@ fn cmd_litmus(args: &Args) -> CliResult {
 /// reduction and state-hash dedup.
 fn cmd_explore(args: &Args) -> CliResult {
     use norush::sim::explore;
-    let opts = explore_opts(args)?;
+    let opts = norush::sim::ExploreOptions {
+        audit: args.switches.contains("audit"),
+        ..explore_opts(args)?
+    };
     // Replay mode: execute one decision vector and report.
     if let Some(hex) = args.flags.get("replay") {
         let name = args
@@ -1184,6 +1187,8 @@ fn usage() -> CliResult {
     println!("  --require-witness   explore: also fail when an allowed outcome went");
     println!("                      unwitnessed within the bounds");
     println!("  --inject-early-unblock   fuzz/litmus/explore: arm the planted directory bug");
+    println!("  --audit             explore: step sleeping cores anyway and re-check every");
+    println!("                      shortcut of the simulation loop; the report is unchanged");
     println!("  --inject-net-zero-faa N  soak: lose the Nth FAA and double-apply the next");
     println!("policies: eager lazy row row-fwd far");
     println!("litmus tests: {}", LitmusTest::names().join(" "));
@@ -1359,7 +1364,7 @@ const COMMANDS: &[Command] = &[
         flags: &[
             "--test T[,U] --policy P --depth N --delays N --max-runs N --cycles LIMIT \
                   --jobs N --out FILE --repro-dir D --require-witness --inject-early-unblock \
-                  --replay HEX",
+                  --replay HEX --audit",
         ],
         about: "Bounded-exhaustive exploration: DFS over message-delivery and\n\
                 atomic-commit decision points (first --depth points, at most --delays\n\
@@ -1367,7 +1372,8 @@ const COMMANDS: &[Command] = &[
                 state dedup. Asserts declared-forbidden outcomes unreachable; with\n\
                 --require-witness also that every allowed outcome was observed.\n\
                 Violations are minimized and written to --repro-dir with a --replay\n\
-                repro command; exits 1 on a violation.",
+                repro command; exits 1 on a violation. --audit checks the simulation\n\
+                loop's shortcuts in every schedule: slower, and the same report.",
         run: cmd_explore,
     },
     Command {

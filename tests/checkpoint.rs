@@ -13,7 +13,8 @@ use norush::common::persist::{fnv1a, PersistError};
 use norush::common::rng::SplitMix64;
 use norush::cpu::instr::{Instr, InstrStream, Op, RmwKind, VecStream};
 use norush::mem::PrivState;
-use norush::sim::{Machine, SimError};
+use norush::sim::{bench_streams, ExperimentConfig, Machine, SimError};
+use norush::workloads::Benchmark;
 use norush::SystemConfig;
 
 fn faa_program(n: u64, addrs: &[u64], seed: u64) -> Vec<Instr> {
@@ -187,6 +188,54 @@ fn on_disk_checkpoint_resumes_a_killed_run() {
         "resumed run must match the uninterrupted one"
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// Rewind restores into the running machine, whose caches and predictor
+/// tables by then hold lines and entries the image does not list. The
+/// restore must blank them: the machine writes the image back byte for
+/// byte and runs on exactly as a fresh machine restored from it.
+#[test]
+fn restore_into_a_used_machine_blanks_what_the_image_omits() {
+    let exp = ExperimentConfig {
+        cores: 4,
+        instructions: 3_000,
+        ..ExperimentConfig::quick()
+    };
+    let sys = exp.system();
+    let fresh = || Machine::new(&sys, bench_streams(Benchmark::Pc, &exp));
+    let mut used = fresh();
+    assert!(used.run_for(4_000).expect("prefix").is_none());
+    let image = used.checkpoint().expect("checkpoint");
+    assert!(used.run_for(8_000).expect("more").is_none());
+    used.restore(&image).expect("restore into the used machine");
+    assert!(
+        used.checkpoint().expect("checkpoint") == image,
+        "the used machine must write the image back unchanged"
+    );
+    let mut restored = fresh();
+    restored
+        .restore(&image)
+        .expect("restore into a fresh machine");
+    let a = used.run_for(50_000_000).expect("run").expect("drains");
+    let b = restored.run_for(50_000_000).expect("run").expect("drains");
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    assert!(used.checkpoint().expect("final") == restored.checkpoint().expect("final"));
+}
+
+/// A 256-core machine at cycle 0 holds no cache line and no trained
+/// predictor entry, so its image is small. Its exact length is pinned:
+/// writing capacity-sized tables again fails here, not only in the
+/// benchmark.
+#[test]
+fn huge_machine_image_size_is_pinned() {
+    let exp = ExperimentConfig {
+        cores: 256,
+        instructions: 1_000,
+        ..ExperimentConfig::quick()
+    };
+    let sys = SystemConfig::huge(256);
+    let m = Machine::new(&sys, bench_streams(Benchmark::Pc, &exp));
+    assert_eq!(m.checkpoint().expect("checkpoint").len(), 755_903);
 }
 
 fn restore_err(sys: &SystemConfig, bytes: &[u8]) -> PersistError {

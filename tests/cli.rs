@@ -204,6 +204,38 @@ fn profile_json_reports_the_table_cycles() {
     }
 }
 
+/// Audit is neither hashed nor reported, so an audited exploration writes
+/// the plain one's report byte for byte. The bounds are cut to keep the
+/// audited debug run short; CI diffs the default bounds in release.
+#[test]
+fn audited_explore_writes_the_plain_report() {
+    let dir = std::env::temp_dir().join(format!("norush-cli-audit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = |name: &str, extra: &[&str]| {
+        let path = dir.join(name);
+        let repro = dir.join("repro");
+        let args = [
+            "explore",
+            "--test",
+            "sb,mp",
+            "--depth",
+            "4",
+            "--delays",
+            "2",
+            "--out",
+            path.to_str().unwrap(),
+            "--repro-dir",
+            repro.to_str().unwrap(),
+        ];
+        let out = norush(&[&args[..], extra].concat());
+        assert!(out.status.success(), "explore {extra:?}: {out:?}");
+        std::fs::read(path).unwrap()
+    };
+    let plain = report("plain.json", &[]);
+    assert!(plain == report("audited.json", &["--audit"]));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn unknown_flag_error_names_the_flag() {
     let out = Command::new(BIN)

@@ -50,7 +50,7 @@ fn pins() -> Vec<Pin> {
             commits: 0,
             covered: 10,
             coverage_fingerprint: 0x0c50_660b_c2a7_c5f0,
-            frontier_hash: 0x2da2_93e1_4f68_b625,
+            frontier_hash: 0x60f0_ddf7_8dbb_2505,
             explored: (671, 557, 114, 14),
         },
         Pin {
@@ -60,7 +60,7 @@ fn pins() -> Vec<Pin> {
             commits: 2,
             covered: 11,
             coverage_fingerprint: 0xb792_e609_4ea8_7070,
-            frontier_hash: 0x9988_642d_fd15_364b,
+            frontier_hash: 0xf9ab_3666_6468_15ff,
             explored: (671, 557, 114, 24),
         },
         Pin {
@@ -70,7 +70,7 @@ fn pins() -> Vec<Pin> {
             commits: 1,
             covered: 11,
             coverage_fingerprint: 0xefdd_c4de_5abb_fbab,
-            frontier_hash: 0x4049_f93e_372d_bd10,
+            frontier_hash: 0x6772_f8d5_fdd8_cf00,
             explored: (615, 527, 88, 19),
         },
     ]
@@ -156,7 +156,7 @@ fn lossy_checkpoint_image_is_pinned() {
         .expect("valid config");
     assert!(m.run_for(20_000).expect("clean run").is_none());
     let image = m.checkpoint().expect("checkpointable");
-    assert_eq!(fnv1a(&image), 0xcf4d_6aa1_edb3_6ebe);
+    assert_eq!(fnv1a(&image), 0xee56_cbda_6e59_ac13);
 }
 
 /// The forced decision vector of the isolation case: it holds the first
@@ -365,8 +365,8 @@ fn trail_far_with_end_state_journal_is_pinned() {
         Trail {
             cycles: 26_186,
             images: 26,
-            bytes: 9_268_568,
-            trail: 0x6c0f_9392_a414_82f4,
+            bytes: 2_799_169,
+            trail: 0x4005_9181_021d_1059,
         }
     );
 }
@@ -391,8 +391,8 @@ fn trail_row_lossy_online_is_pinned() {
         Trail {
             cycles: 30_392,
             images: 30,
-            bytes: 11_018_214,
-            trail: 0xfdc8_68fb_0c4c_76ad,
+            bytes: 3_530_677,
+            trail: 0xfd66_7572_6118_ed20,
         }
     );
 }
@@ -405,8 +405,8 @@ fn trail_row_fwd_is_pinned() {
         Trail {
             cycles: 24_749,
             images: 24,
-            bytes: 8_612_080,
-            trail: 0x93af_6855_a26e_5ad0,
+            bytes: 2_615_894,
+            trail: 0xe146_5a3a_e5b6_9b55,
         }
     );
 }
