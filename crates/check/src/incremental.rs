@@ -25,7 +25,6 @@
 //! construction or [`IncrementalSweep::invalidate`] (post-restore) is a full
 //! sweep, so no pre-existing violation can hide in a never-dirty line.
 
-use row_common::config::CheckConfig;
 use row_common::ids::{CoreId, LineAddr};
 use row_mem::{DirState, MemorySystem, PrivState, ProtocolError};
 
@@ -59,23 +58,15 @@ impl IncrementalSweep {
     /// Checks the invariants over every line dirtied since the last sweep
     /// (or the whole system when unprimed). Drains the memory system's
     /// dirty-line set either way.
-    pub fn sweep(
-        &mut self,
-        mem: &mut MemorySystem,
-        cfg: &CheckConfig,
-    ) -> Result<(), ProtocolError> {
+    pub fn sweep(&mut self, mem: &mut MemorySystem) -> Result<(), ProtocolError> {
         self.dirty = mem.take_dirty_lines();
         if !self.primed {
-            let r = check_coherence(mem, cfg);
+            let r = check_coherence(mem);
             self.primed = r.is_ok();
             return r;
         }
         let cores = mem.cores();
-        let bound = if cfg.blocked_queue_bound > 0 {
-            cfg.blocked_queue_bound
-        } else {
-            default_queue_bound(cores)
-        };
+        let bound = default_queue_bound(cores);
         // Locked ⇒ M, checked once over every held lock (the lock sets are
         // tiny — bounded by AQ depth) instead of per dirty line × core.
         for i in 0..cores {
@@ -225,9 +216,9 @@ mod tests {
             });
             if c % 64 == 0 {
                 sweep
-                    .sweep(&mut mem, &sys.check)
+                    .sweep(&mut mem)
                     .expect("incremental sweep tripped on legal traffic");
-                check_coherence(&mem, &sys.check).expect("full sweep disagrees");
+                check_coherence(&mem).expect("full sweep disagrees");
             }
         }
     }
@@ -252,14 +243,12 @@ mod tests {
             let _ = mem.tick(Cycle::new(c));
         }
         assert_eq!(mem.priv_state(CoreId::new(0), line), Some(PrivState::M));
-        sweep.sweep(&mut mem, &sys.check).expect("clean (primes)");
-        sweep
-            .sweep(&mut mem, &sys.check)
-            .expect("clean (incremental)");
+        sweep.sweep(&mut mem).expect("clean (primes)");
+        sweep.sweep(&mut mem).expect("clean (incremental)");
 
         mem.corrupt_private_state_for_test(CoreId::new(1), line, Some(PrivState::M));
-        let inc = sweep.sweep(&mut mem, &sys.check).unwrap_err();
-        let full = check_coherence(&mem, &sys.check).unwrap_err();
+        let inc = sweep.sweep(&mut mem).unwrap_err();
+        let full = check_coherence(&mem).unwrap_err();
         assert!(
             matches!(inc, ProtocolError::MultipleOwners { .. }),
             "incremental: {inc}"
@@ -289,15 +278,13 @@ mod tests {
         for core in [0, 1] {
             assert_eq!(mem.priv_state(CoreId::new(core), line), Some(PrivState::S));
         }
-        sweep.sweep(&mut mem, &sys.check).expect("clean (primes)");
-        sweep
-            .sweep(&mut mem, &sys.check)
-            .expect("clean (incremental)");
+        sweep.sweep(&mut mem).expect("clean (primes)");
+        sweep.sweep(&mut mem).expect("clean (incremental)");
 
         let core0 = BTreeSet::from([CoreId::new(0)]);
         mem.corrupt_dir_state_for_test(line, DirState::Shared(core0));
-        let inc = sweep.sweep(&mut mem, &sys.check).unwrap_err();
-        let full = check_coherence(&mem, &sys.check).unwrap_err();
+        let inc = sweep.sweep(&mut mem).unwrap_err();
+        let full = check_coherence(&mem).unwrap_err();
         assert!(
             matches!(inc, ProtocolError::DirectoryMismatch { core, .. } if core == CoreId::new(1)),
             "incremental: {inc}"
@@ -324,17 +311,17 @@ mod tests {
         for c in 0..3000u64 {
             let _ = mem.tick(Cycle::new(c));
         }
-        sweep.sweep(&mut mem, &sys.check).expect("primes clean");
+        sweep.sweep(&mut mem).expect("primes clean");
 
         // Corrupt, then throw the dirty evidence away (as a crash between
         // checkpoint and corruption would): only a full sweep can see it.
         mem.corrupt_dir_state_for_test(line, DirState::Uncached);
         let _ = mem.take_dirty_lines();
         sweep
-            .sweep(&mut mem, &sys.check)
+            .sweep(&mut mem)
             .expect("incremental sweep cannot see a never-dirty line");
         sweep.invalidate();
-        let err = sweep.sweep(&mut mem, &sys.check).unwrap_err();
+        let err = sweep.sweep(&mut mem).unwrap_err();
         assert!(matches!(err, ProtocolError::DirectoryMismatch { .. }));
     }
 }

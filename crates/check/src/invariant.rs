@@ -18,14 +18,13 @@
 //!   dropped silently on eviction and the directory only learns at the next
 //!   invalidation round (stale `InvAck`s are tolerated by design).
 
-use row_common::config::CheckConfig;
 use row_common::ids::{CoreId, LineAddr};
 use row_mem::{DirState, MemorySystem, PrivState, ProtocolError};
 
-/// The Blocked-entry queue bound used when the configuration leaves
-/// [`CheckConfig::blocked_queue_bound`] at 0 (auto): every core can have at
-/// most one demand request, one upgrade and one writeback racing for a line,
-/// plus slack for prefetches and stale acks.
+/// The deepest wait queue a Blocked directory entry may hold on a machine of
+/// `cores` cores: every core can have at most one demand request, one
+/// upgrade and one writeback racing for a line, plus slack for prefetches
+/// and stale acks.
 pub fn default_queue_bound(cores: usize) -> usize {
     3 * cores + 4
 }
@@ -43,9 +42,9 @@ pub fn default_queue_bound(cores: usize) -> usize {
 ///    `Uncached` ⇒ no private copy; `Exclusive(o)` ⇒ no copy elsewhere;
 ///    `Shared(s)` ⇒ no M/E copy anywhere and every S copy is in `s`.
 /// 4. **Blocked queue bound** — no Blocked entry queues more requests than
-///    the configured (or derived) bound, which would indicate a wedged
-///    transaction accreting requesters.
-pub fn check_coherence(mem: &MemorySystem, cfg: &CheckConfig) -> Result<(), ProtocolError> {
+///    [`default_queue_bound`], which would indicate a wedged transaction
+///    accreting requesters.
+pub fn check_coherence(mem: &MemorySystem) -> Result<(), ProtocolError> {
     let cores = mem.cores();
 
     // Gather every privately held line once, in line order (core order
@@ -119,11 +118,7 @@ pub fn check_coherence(mem: &MemorySystem, cfg: &CheckConfig) -> Result<(), Prot
     }
 
     // 4. Blocked-entry queue bound.
-    let bound = if cfg.blocked_queue_bound > 0 {
-        cfg.blocked_queue_bound
-    } else {
-        default_queue_bound(cores)
-    };
+    let bound = default_queue_bound(cores);
     for (tile, entry) in mem.blocked_dir_entries() {
         let depth = entry.queued.len();
         if depth > bound {
@@ -163,7 +158,6 @@ mod tests {
     #[test]
     fn random_traffic_never_violates_invariants() {
         let sys = SystemConfig::small(4);
-        let cfg = sys.check;
         let mut mem = MemorySystem::new(&sys);
         let mut rng = SplitMix64::new(0xc0ffee);
         let lines = [100u64, 101, 102, 200, 201];
@@ -214,11 +208,11 @@ mod tests {
                 }
             });
             if c % 64 == 0 {
-                check_coherence(&mem, &cfg).expect("invariant violated on legal traffic");
+                check_coherence(&mem).expect("invariant violated on legal traffic");
             }
             assert_eq!(mem.protocol_error(), None);
         }
-        check_coherence(&mem, &cfg).expect("final sweep");
+        check_coherence(&mem).expect("final sweep");
     }
 
     /// A hand-corrupted second Modified owner must be caught as SWMR.
@@ -238,10 +232,10 @@ mod tests {
             let _ = mem.tick(Cycle::new(c));
         }
         assert_eq!(mem.priv_state(CoreId::new(0), line), Some(PrivState::M));
-        check_coherence(&mem, &sys.check).expect("clean before corruption");
+        check_coherence(&mem).expect("clean before corruption");
 
         mem.corrupt_private_state_for_test(CoreId::new(1), line, Some(PrivState::M));
-        let err = check_coherence(&mem, &sys.check).unwrap_err();
+        let err = check_coherence(&mem).unwrap_err();
         match err {
             ProtocolError::MultipleOwners { line: l, owners } => {
                 assert_eq!(l, line);
@@ -271,7 +265,7 @@ mod tests {
 
         // The home bank now claims the line is uncached.
         mem.corrupt_dir_state_for_test(line, DirState::Uncached);
-        let err = check_coherence(&mem, &sys.check).unwrap_err();
+        let err = check_coherence(&mem).unwrap_err();
         match err {
             ProtocolError::DirectoryMismatch {
                 line: l,
@@ -308,17 +302,17 @@ mod tests {
         }
         assert_eq!(mem.priv_state(CoreId::new(0), line), Some(PrivState::S));
         assert_eq!(mem.priv_state(CoreId::new(1), line), Some(PrivState::S));
-        check_coherence(&mem, &sys.check).expect("two sharers, both tracked");
+        check_coherence(&mem).expect("two sharers, both tracked");
 
         // Silent S-drop at core 1: vector is now a superset — still legal.
         mem.corrupt_private_state_for_test(CoreId::new(1), line, None);
-        check_coherence(&mem, &sys.check).expect("superset sharer vector is legal");
+        check_coherence(&mem).expect("superset sharer vector is legal");
 
         // Directory forgets core 0 while it still holds S: violation.
         let mut only1 = BTreeSet::new();
         only1.insert(CoreId::new(1));
         mem.corrupt_dir_state_for_test(line, DirState::Shared(only1));
-        let err = check_coherence(&mem, &sys.check).unwrap_err();
+        let err = check_coherence(&mem).unwrap_err();
         assert!(
             matches!(err, ProtocolError::DirectoryMismatch { core, .. } if core == CoreId::new(0)),
             "got {err}"
@@ -348,7 +342,7 @@ mod tests {
             mem.corrupt_private_state_for_test(CoreId::new(1), line, Some(PrivState::M));
         }
         for _ in 0..200 {
-            match check_coherence(&mem, &sys.check).unwrap_err() {
+            match check_coherence(&mem).unwrap_err() {
                 ProtocolError::MultipleOwners { line, owners } => {
                     assert_eq!(line, LineAddr::new(9));
                     assert_eq!(owners, vec![CoreId::new(0), CoreId::new(1)]);

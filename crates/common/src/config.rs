@@ -551,10 +551,6 @@ pub struct CheckConfig {
     ///
     /// [`Machine::run`]: ../row_sim/struct.Machine.html#method.run
     pub invariant_every: Option<u64>,
-    /// Maximum tolerated depth of one Blocked directory entry's wait queue.
-    /// `0` selects an automatic bound of `3 * cores + 4` (each core can
-    /// contribute at most a request, a writeback, and a far atomic).
-    pub blocked_queue_bound: usize,
     /// Declare the machine stalled when *no* core commits for this many
     /// cycles (`None` = watchdog off). Must comfortably exceed the cores'
     /// own deadlock-break threshold so the breaker gets to act first.

@@ -48,7 +48,11 @@ pub const MAGIC: &[u8; 8] = b"ROWCKPT\n";
 /// store-set SSIT and LFST and the stride prefetcher's table are sparse
 /// tables ([`row_common::persist::encode_sparse`]): only occupied ways and
 /// trained entries are written.
-pub const FORMAT_VERSION: u32 = 5;
+///
+/// v6: each core payload lost its fetch peek slot (always empty between
+/// steps), each ROB entry its outstanding-miss flag and each atomic-queue
+/// entry its forwarded flag; none was read by the model.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// The checkpoint file frame, bound to the machine's config hash.
 pub(crate) const FILE: FileKind = row_common::file_kind!("checkpoint", MAGIC, FORMAT_VERSION);

@@ -43,7 +43,6 @@ impl ExperimentConfig {
             paper_caches: false,
             check: CheckConfig {
                 invariant_every: Some(4096),
-                blocked_queue_bound: 0,
                 watchdog_window: Some(5_000_000),
                 rewind_every: None,
                 chaos: None,

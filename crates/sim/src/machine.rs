@@ -584,7 +584,7 @@ impl Machine {
 
     /// Runs the coherence invariant sweep against the current state.
     pub fn check_invariants(&self) -> Result<(), ProtocolError> {
-        check_coherence(&self.mem, &self.check)
+        check_coherence(&self.mem)
     }
 
     /// Runs until every core drains or the absolute cycle `limit` is
@@ -625,7 +625,7 @@ impl Machine {
             return Ok(None);
         }
         if self.check.invariant_every.is_some() {
-            check_coherence(&self.mem, &self.check).map_err(SimError::Protocol)?;
+            check_coherence(&self.mem).map_err(SimError::Protocol)?;
         }
         self.check_oracle()?;
         Ok(Some(self.collect()))
@@ -863,7 +863,7 @@ impl Machine {
             if let Some(k) = every {
                 if now.raw().is_multiple_of(k) {
                     let t0 = self.prof.as_ref().map(|_| Instant::now());
-                    let sweep = self.sweeper.sweep(&mut self.mem, &self.check);
+                    let sweep = self.sweeper.sweep(&mut self.mem);
                     if let (Some(acc), Some(t0)) = (self.prof.as_deref_mut(), t0) {
                         acc.check += t0.elapsed();
                     }
@@ -914,7 +914,7 @@ impl Machine {
         incremental: &Result<(), ProtocolError>,
         now: Cycle,
     ) -> Result<(), SimError> {
-        let (missed, error) = match (incremental, check_coherence(&self.mem, &self.check)) {
+        let (missed, error) = match (incremental, check_coherence(&self.mem)) {
             (Ok(()), Err(e)) => (true, e),
             (Err(e), Ok(())) => (false, e.clone()),
             _ => return Ok(()),
@@ -1024,7 +1024,7 @@ impl Machine {
                 .mem
                 .protocol_error()
                 .cloned()
-                .or_else(|| check_coherence(&self.mem, &self.check).err());
+                .or_else(|| check_coherence(&self.mem).err());
             if let Some(e) = err {
                 first_bad = Some(now);
                 first_err = Some(e);

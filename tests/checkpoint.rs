@@ -235,7 +235,7 @@ fn huge_machine_image_size_is_pinned() {
     };
     let sys = SystemConfig::huge(256);
     let m = Machine::new(&sys, bench_streams(Benchmark::Pc, &exp));
-    assert_eq!(m.checkpoint().expect("checkpoint").len(), 755_903);
+    assert_eq!(m.checkpoint().expect("checkpoint").len(), 755_647);
 }
 
 fn restore_err(sys: &SystemConfig, bytes: &[u8]) -> PersistError {
