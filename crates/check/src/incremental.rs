@@ -24,11 +24,18 @@
 //! test hooks, which mark the line dirty too). The first sweep after
 //! construction or [`IncrementalSweep::invalidate`] (post-restore) is a full
 //! sweep, so no pre-existing violation can hide in a never-dirty line.
+//!
+//! Both sweeps run the same two rule functions, the lock rule over every
+//! lock table and the per-line rules in ascending line order, so they
+//! differ only in which lines they visit (the dirty set against every held
+//! or Blocked line) and where a line's holders come from (the holder index
+//! against every cache). With the same violations in view, both report the
+//! same one.
 
 use row_common::ids::{CoreId, LineAddr};
-use row_mem::{DirState, MemorySystem, PrivState, ProtocolError};
+use row_mem::{MemorySystem, PrivState, ProtocolError};
 
-use crate::invariant::{check_coherence, default_queue_bound};
+use crate::invariant::{check_coherence, check_line, check_locks, default_queue_bound};
 
 /// Incremental invariant sweeper; owns the primed flag and scratch buffers.
 #[derive(Clone, Debug, Default)]
@@ -65,81 +72,15 @@ impl IncrementalSweep {
             self.primed = r.is_ok();
             return r;
         }
-        let cores = mem.cores();
-        let bound = default_queue_bound(cores);
-        // Locked ⇒ M, checked once over every held lock (the lock sets are
-        // tiny — bounded by AQ depth) instead of per dirty line × core.
-        for i in 0..cores {
-            let core = CoreId::new(i as u16);
-            for line in mem.locked_lines_iter(core) {
-                let state = mem.priv_state(core, line);
-                if state != Some(PrivState::M) {
-                    return Err(ProtocolError::LockedLineNotModified { core, line, state });
-                }
-            }
-        }
-        let holders = &mut self.holders;
+        // The lock sets are tiny (bounded by AQ depth): check them all.
+        check_locks(mem)?;
+        let bound = default_queue_bound(mem.cores());
         for &line in &self.dirty {
-            check_line(mem, line, bound, holders)?;
+            mem.line_holders(line, &mut self.holders);
+            check_line(mem, line, &self.holders, bound)?;
         }
         Ok(())
     }
-}
-
-/// Checks SWMR, directory agreement, and the Blocked-queue bound for a
-/// single line — the same rules [`check_coherence`] applies globally
-/// (locked ⇒ M is enforced separately over the lock sets).
-fn check_line(
-    mem: &mut MemorySystem,
-    line: LineAddr,
-    bound: usize,
-    holders: &mut Vec<(CoreId, PrivState)>,
-) -> Result<(), ProtocolError> {
-    mem.line_holders(line, holders);
-
-    // SWMR. `holders` is in ascending core order, so `owners` is sorted.
-    let owns = |&&(_, s): &&(CoreId, PrivState)| matches!(s, PrivState::M | PrivState::E);
-    if holders.iter().filter(owns).count() > 1 {
-        let owners = holders.iter().filter(owns).map(|&(c, _)| c).collect();
-        return Err(ProtocolError::MultipleOwners { line, owners });
-    }
-
-    // Directory agreement (Blocked entries are mid-transaction: skip, but
-    // still enforce the queue bound on them).
-    let dir = mem.dir_state(line);
-    if dir == DirState::Blocked {
-        if let Some((tile, depth)) = mem.dir_blocked_depth(line) {
-            if depth > bound {
-                return Err(ProtocolError::BlockedQueueOverflow {
-                    tile,
-                    line,
-                    depth,
-                    bound,
-                });
-            }
-        }
-        return Ok(());
-    }
-    for &(core, state) in holders.iter() {
-        if state == PrivState::Evicting {
-            continue; // PutM in flight; WbStale races are legal
-        }
-        let legal = match &dir {
-            DirState::Uncached => false,
-            DirState::Exclusive(o) => core == *o,
-            DirState::Shared(s) => state == PrivState::S && s.contains(&core),
-            DirState::Blocked => true,
-        };
-        if !legal {
-            return Err(ProtocolError::DirectoryMismatch {
-                line,
-                core,
-                dir: dir.clone(),
-                cache: Some(state),
-            });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -148,6 +89,7 @@ mod tests {
     use row_common::config::SystemConfig;
     use row_common::rng::SplitMix64;
     use row_common::Cycle;
+    use row_mem::DirState;
     use row_mem::{AccessKind, MemEvent, ReqMeta};
     use std::collections::BTreeSet;
 
@@ -288,6 +230,35 @@ mod tests {
         assert!(
             matches!(inc, ProtocolError::DirectoryMismatch { core, .. } if core == CoreId::new(1)),
             "incremental: {inc}"
+        );
+        assert_eq!(inc, full);
+    }
+
+    /// With a directory mismatch on one line and an SWMR violation on a
+    /// higher one, both sweeps report the lower line's mismatch.
+    #[test]
+    fn both_sweeps_report_the_same_violation() {
+        let sys = SystemConfig::small(2);
+        let mut mem = MemorySystem::new(&sys);
+        mem.track_dirty_lines(true);
+        let mut sweep = IncrementalSweep::new();
+        let (low, high) = (LineAddr::new(0x9), LineAddr::new(0x29));
+        for (id, line) in [(1, low), (2, high)] {
+            let write = meta(id, AccessKind::Write);
+            mem.access(CoreId::new(0), line, write, Cycle::ZERO);
+        }
+        for c in 0..3000u64 {
+            let _ = mem.tick(Cycle::new(c));
+        }
+        sweep.sweep(&mut mem).expect("clean (primes)");
+
+        mem.corrupt_dir_state_for_test(low, DirState::Uncached);
+        mem.corrupt_private_state_for_test(CoreId::new(1), high, Some(PrivState::M));
+        let full = check_coherence(&mem).unwrap_err();
+        let inc = sweep.sweep(&mut mem).unwrap_err();
+        assert!(
+            matches!(full, ProtocolError::DirectoryMismatch { line, .. } if line == low),
+            "full: {full}"
         );
         assert_eq!(inc, full);
     }

@@ -35,50 +35,49 @@ pub fn default_queue_bound(cores: usize) -> usize {
 /// The sweep is read-only and safe to run at any cycle boundary (between
 /// [`MemorySystem::tick`] calls). Checked invariants, in order:
 ///
-/// 1. **SWMR** — at most one private cache holds each line in M or E.
-/// 2. **Locked ⇒ M** — every line in a core's lock table is held in M
+/// 1. **Locked ⇒ M** — every line in a core's lock table is held in M
 ///    there (otherwise external requests would not stall against it).
-/// 3. **Directory agreement** — for every line whose home entry is stable:
-///    `Uncached` ⇒ no private copy; `Exclusive(o)` ⇒ no copy elsewhere;
-///    `Shared(s)` ⇒ no M/E copy anywhere and every S copy is in `s`.
-/// 4. **Blocked queue bound** — no Blocked entry queues more requests than
-///    [`default_queue_bound`], which would indicate a wedged transaction
-///    accreting requesters.
+/// 2. Then, for each line that a private cache holds or whose home entry is
+///    Blocked, in ascending line order:
+///    * **SWMR** — at most one private cache holds the line in M or E;
+///    * **Blocked queue bound** — a Blocked entry queues no more requests
+///      than [`default_queue_bound`]; more would indicate a wedged
+///      transaction accreting requesters;
+///    * **Directory agreement** — when the home entry is stable:
+///      `Uncached` ⇒ no private copy; `Exclusive(o)` ⇒ no copy elsewhere;
+///      `Shared(s)` ⇒ no M/E copy anywhere and every S copy is in `s`.
+///
+/// So with several violations a lock violation is reported first, then the
+/// lowest violating line. Each line's holders come from asking every cache,
+/// never from the memory system's holder index: this sweep is the reference
+/// that [`IncrementalSweep`](crate::IncrementalSweep) is audited against,
+/// and the two apply the same rules.
 pub fn check_coherence(mem: &MemorySystem) -> Result<(), ProtocolError> {
-    let cores = mem.cores();
-
-    // Gather every privately held line once, in line order (core order
-    // within a line), so a sweep that finds several violations always
-    // reports the lowest line.
-    let mut held: Vec<(LineAddr, CoreId, PrivState)> = Vec::new();
-    for i in 0..cores {
+    check_locks(mem)?;
+    let mut held: Vec<(LineAddr, Option<(CoreId, PrivState)>)> = Vec::new();
+    for i in 0..mem.cores() {
         let core = CoreId::new(i as u16);
-        held.extend(
-            mem.private_lines(core)
-                .into_iter()
-                .map(|(l, s)| (l, core, s)),
-        );
+        let copies = mem.private_lines(core).into_iter();
+        held.extend(copies.map(|(line, state)| (line, Some((core, state)))));
     }
-    held.sort_by_key(|&(line, ..)| line);
-    let holders = || held.chunk_by(|a, b| a.0 == b.0);
-
-    // 1. SWMR.
-    for hs in holders() {
-        let owners: Vec<CoreId> = hs
-            .iter()
-            .filter(|(_, _, s)| matches!(s, PrivState::M | PrivState::E))
-            .map(|&(_, c, _)| c)
-            .collect();
-        if owners.len() > 1 {
-            return Err(ProtocolError::MultipleOwners {
-                line: hs[0].0,
-                owners,
-            });
-        }
+    // A Blocked line that no cache holds still has a queue to bound.
+    let blocked = mem.blocked_dir_entries().into_iter();
+    held.extend(blocked.map(|(_, b)| (b.line, None)));
+    // A stable sort: each line's holders stay in core order.
+    held.sort_by_key(|&(line, _)| line);
+    let bound = default_queue_bound(mem.cores());
+    let mut holders = Vec::new();
+    for copies in held.chunk_by(|a, b| a.0 == b.0) {
+        holders.clear();
+        holders.extend(copies.iter().filter_map(|&(_, holder)| holder));
+        check_line(mem, copies[0].0, &holders, bound)?;
     }
+    Ok(())
+}
 
-    // 2. Locked lines must be held in M.
-    for i in 0..cores {
+/// Locked ⇒ M: every line in a core's lock table is held in M there.
+pub(crate) fn check_locks(mem: &MemorySystem) -> Result<(), ProtocolError> {
+    for i in 0..mem.cores() {
         let core = CoreId::new(i as u16);
         for line in mem.locked_lines_iter(core) {
             let state = mem.priv_state(core, line);
@@ -87,50 +86,57 @@ pub fn check_coherence(mem: &MemorySystem) -> Result<(), ProtocolError> {
             }
         }
     }
+    Ok(())
+}
 
-    // 3. Directory agreement: every held copy must be legal under its
-    //    line's home entry (only a held copy can disagree with it).
-    for hs in holders() {
-        let line = hs[0].0;
-        let dir = mem.dir_state(line);
-        if dir == DirState::Blocked {
-            continue; // mid-transaction: stable view not meaningful
-        }
-        for &(_, core, state) in hs {
-            if state == PrivState::Evicting {
-                continue; // PutM in flight; WbStale races are legal
-            }
-            let legal = match &dir {
-                DirState::Uncached => false,
-                DirState::Exclusive(o) => core == *o,
-                DirState::Shared(s) => state == PrivState::S && s.contains(&core),
-                DirState::Blocked => true,
-            };
-            if !legal {
-                return Err(ProtocolError::DirectoryMismatch {
-                    line,
-                    core,
-                    dir: dir.clone(),
-                    cache: Some(state),
-                });
-            }
-        }
+/// Checks one line given `holders`, every core that holds it with its
+/// state in ascending core order: SWMR, then the queue bound when the
+/// line's home entry is Blocked, else directory agreement.
+pub(crate) fn check_line(
+    mem: &MemorySystem,
+    line: LineAddr,
+    holders: &[(CoreId, PrivState)],
+    bound: usize,
+) -> Result<(), ProtocolError> {
+    let owns = |&&(_, s): &&(CoreId, PrivState)| matches!(s, PrivState::M | PrivState::E);
+    if holders.iter().filter(owns).count() > 1 {
+        let owners = holders.iter().filter(owns).map(|&(c, _)| c).collect();
+        return Err(ProtocolError::MultipleOwners { line, owners });
     }
 
-    // 4. Blocked-entry queue bound.
-    let bound = default_queue_bound(cores);
-    for (tile, entry) in mem.blocked_dir_entries() {
-        let depth = entry.queued.len();
+    // A Blocked entry is mid-transaction: ownership is changing hands and
+    // its stable view means nothing until the requester's Unblock lands.
+    if let Some((tile, depth)) = mem.dir_blocked_depth(line) {
         if depth > bound {
             return Err(ProtocolError::BlockedQueueOverflow {
                 tile,
-                line: entry.line,
+                line,
                 depth,
                 bound,
             });
         }
+        return Ok(());
     }
-
+    let dir = mem.dir_state(line);
+    for &(core, state) in holders {
+        if state == PrivState::Evicting {
+            continue; // PutM in flight; WbStale races are legal
+        }
+        let legal = match &dir {
+            DirState::Uncached => false,
+            DirState::Exclusive(o) => core == *o,
+            DirState::Shared(s) => state == PrivState::S && s.contains(&core),
+            DirState::Blocked => true,
+        };
+        if !legal {
+            return Err(ProtocolError::DirectoryMismatch {
+                line,
+                core,
+                dir,
+                cache: Some(state),
+            });
+        }
+    }
     Ok(())
 }
 

@@ -33,12 +33,13 @@
 //!   solicited while `Blocked/CollectingAcks`; anywhere else they would be
 //!   stray (and trip the sharer-count underflow check).
 //!
-//! Two more families are unreachable under the *workloads* rather than by
-//! protocol design: `dir:<any>/PutM` needs a capacity eviction of a dirty
-//! line, and both the lock-service working set and the two-line litmus
-//! programs fit the private caches, so no writeback traffic exists. Growing
-//! a workload beyond the private-cache footprint would light those
-//! legitimately.
+//! One more family is unreachable under the *campaign workloads* rather
+//! than by protocol design: `dir:<any>/PutM` needs a capacity eviction of a
+//! dirty line, and both the lock-service working set and the two-line litmus
+//! programs fit the private caches, so they make no writeback traffic. The
+//! memory system's transcript test (`crates/mem/tests/transcript.rs`)
+//! overflows an L2 set with lines other cores want, and lights all five
+//! `PutM` arms.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -82,7 +83,8 @@ struct BlockInfo {
     queue: VecDeque<Msg>,
 }
 
-/// Post-unblock state (cannot itself be Blocked).
+/// A stable entry that is not Uncached: what a request takes out of the
+/// map, and what a Blocked entry becomes on its `Unblock`.
 #[derive(Clone, Debug)]
 enum Entry2 {
     Shared(BTreeSet<CoreId>),
@@ -228,35 +230,31 @@ impl DirBank {
         }
     }
 
-    /// Snapshots of every Blocked entry at this bank (diagnostics).
+    /// Snapshots of every Blocked entry at this bank (diagnostics), sorted
+    /// by line.
     pub fn blocked_entries(&self) -> Vec<BlockedEntrySnapshot> {
-        let mut out = Vec::new();
-        self.blocked_entries_into(&mut out);
-        out
-    }
-
-    /// Appends a snapshot of every Blocked entry at this bank to `out`
-    /// (sorted by line), reusing the caller's buffer — the allocation-free
-    /// form diagnostics paths call repeatedly.
-    pub fn blocked_entries_into(&self, out: &mut Vec<BlockedEntrySnapshot>) {
-        let start = out.len();
-        out.extend(self.entries.iter().filter_map(|(line, e)| {
-            let Entry::Blocked(b) = e else { return None };
-            let phase = match &b.phase {
-                Phase::AwaitUnblock => BlockedPhase::AwaitUnblock,
-                Phase::CollectingAcks { req, pending, far } => BlockedPhase::CollectingAcks {
-                    req: *req,
-                    pending: *pending,
-                    far: far.is_some(),
-                },
-            };
-            Some(BlockedEntrySnapshot {
-                line,
-                phase,
-                queued: b.queue.iter().copied().collect(),
+        let mut out: Vec<BlockedEntrySnapshot> = self
+            .entries
+            .iter()
+            .filter_map(|(line, e)| {
+                let Entry::Blocked(b) = e else { return None };
+                let phase = match &b.phase {
+                    Phase::AwaitUnblock => BlockedPhase::AwaitUnblock,
+                    Phase::CollectingAcks { req, pending, far } => BlockedPhase::CollectingAcks {
+                        req: *req,
+                        pending: *pending,
+                        far: far.is_some(),
+                    },
+                };
+                Some(BlockedEntrySnapshot {
+                    line,
+                    phase,
+                    queued: b.queue.iter().copied().collect(),
+                })
             })
-        }));
-        out[start..].sort_by_key(|s| s.line.raw());
+            .collect();
+        out.sort_by_key(|s| s.line.raw());
+        out
     }
 
     /// Overwrites the entry for `line` with a stable state, bypassing the
@@ -275,14 +273,7 @@ impl DirBank {
                 self.entries.insert(line, Entry::Exclusive(o));
             }
             DirState::Blocked => {
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Exclusive(CoreId::new(0)),
-                        phase: Phase::AwaitUnblock,
-                        queue: VecDeque::new(),
-                    })),
-                );
+                self.block(line, Entry2::Exclusive(CoreId::new(0)), Phase::AwaitUnblock);
             }
         }
     }
@@ -323,6 +314,110 @@ impl DirBank {
         }
     }
 
+    /// Sends `line`'s data from home to `req` (exclusive when `excl`) as
+    /// soon as the L3 slice has it.
+    fn send_data(
+        &mut self,
+        req: CoreId,
+        line: LineAddr,
+        excl: bool,
+        now: Cycle,
+        actions: &mut Vec<CacheAction>,
+    ) {
+        let at = self.data_ready(line, now);
+        let msg = Msg::Data {
+            req,
+            line,
+            excl,
+            from_private: false,
+        };
+        actions.push(CacheAction::Send {
+            to: Endpoint::Core(req),
+            msg,
+            at,
+        });
+    }
+
+    /// Performs `req`'s far atomic `(rmw, req_id)` on `line` at home as soon
+    /// as the L3 slice has the line.
+    fn apply_at_home(
+        &mut self,
+        req: CoreId,
+        line: LineAddr,
+        (rmw, req_id): (RmwKind, u64),
+        now: Cycle,
+        actions: &mut Vec<CacheAction>,
+    ) {
+        let at = self.data_ready(line, now);
+        actions.push(CacheAction::ApplyRmw {
+            req,
+            line,
+            rmw,
+            req_id,
+            at,
+        });
+    }
+
+    /// Sends `msg`, which carries no home data, to core `to` one L3 access
+    /// from `now`.
+    fn send(&self, to: CoreId, msg: Msg, now: Cycle, actions: &mut Vec<CacheAction>) {
+        actions.push(CacheAction::Send {
+            to: Endpoint::Core(to),
+            msg,
+            at: now + self.l3_lat,
+        });
+    }
+
+    /// Invalidates `line` at each of `cores`, in order, and returns how many
+    /// acks to await.
+    fn invalidate(
+        &mut self,
+        cores: impl IntoIterator<Item = CoreId>,
+        line: LineAddr,
+        now: Cycle,
+        actions: &mut Vec<CacheAction>,
+    ) -> usize {
+        let mut sent = 0;
+        for core in cores {
+            self.send(core, Msg::Inv { line }, now, actions);
+            sent += 1;
+        }
+        self.stats.invalidations += sent as u64;
+        sent
+    }
+
+    /// Blocks `line` until its transaction ends in `next`: the only way
+    /// into Blocked. Requests that arrive meanwhile queue behind it.
+    fn block(&mut self, line: LineAddr, next: Entry2, phase: Phase) {
+        let info = BlockInfo {
+            next,
+            phase,
+            queue: VecDeque::new(),
+        };
+        self.entries.insert(line, Entry::Blocked(Box::new(info)));
+    }
+
+    /// Takes `line`'s entry out for the request `msg` to replace (`None`
+    /// when the line is Uncached) rather than cloning it, since a sharer set
+    /// can be arbitrarily large. A Blocked entry stays in place: finding one
+    /// here is a bug, since [`DirBank::handle_msg`] queues requests against
+    /// it.
+    fn take_stable(&mut self, line: LineAddr, msg: Msg) -> Result<Option<Entry2>, ProtocolError> {
+        match self.entries.remove(&line) {
+            None => Ok(None),
+            Some(Entry::Shared(s)) => Ok(Some(Entry2::Shared(s))),
+            Some(Entry::Exclusive(o)) => Ok(Some(Entry2::Exclusive(o))),
+            Some(e @ Entry::Blocked(_)) => {
+                self.entries.insert(line, e);
+                debug_assert!(false, "blocked entries are queued by handle_msg");
+                Err(ProtocolError::BlockedEntryReentered {
+                    tile: self.tile,
+                    msg,
+                })
+            }
+        }
+    }
+
     /// Handles a protocol message addressed to this bank.
     ///
     /// # Errors
@@ -338,15 +433,13 @@ impl DirBank {
         let line = msg.line();
         self.record_coverage(line, &msg);
         // Requests against a blocked entry queue; unblock/acks pass through.
-        if let Some(Entry::Blocked(_)) = self.entries.get(&line) {
+        if let Some(Entry::Blocked(b)) = self.entries.get_mut(&line) {
             match msg {
                 Msg::Unblock { .. } => return self.handle_unblock(line, now, actions),
                 Msg::InvAck { from, .. } => return self.handle_inv_ack(from, line, now, actions),
                 other => {
                     self.stats.queued += 1;
-                    if let Some(Entry::Blocked(b)) = self.entries.get_mut(&line) {
-                        b.queue.push_back(other);
-                    }
+                    b.queue.push_back(other);
                 }
             }
             return Ok(());
@@ -363,15 +456,10 @@ impl DirBank {
                 line,
                 rmw,
                 req_id,
-            } => self.handle_far(req, line, rmw, req_id, now, actions),
-            Msg::Unblock { .. } => {
-                // Unblock for an already-stable entry: ignore (idempotent).
-                Ok(())
-            }
-            Msg::InvAck { .. } => {
-                // Ack raced past a resolved transaction: ignore.
-                Ok(())
-            }
+            } => self.handle_far(req, line, (rmw, req_id), now, actions),
+            // A duplicated Unblock, or an ack that raced past a resolved
+            // transaction: the stable entry is already right.
+            Msg::Unblock { .. } | Msg::InvAck { .. } => Ok(()),
             other => Err(ProtocolError::DirUnexpectedMessage {
                 tile: self.tile,
                 msg: other,
@@ -387,94 +475,37 @@ impl DirBank {
         actions: &mut Vec<CacheAction>,
     ) -> Result<(), ProtocolError> {
         self.stats.gets += 1;
-        // Take the entry out instead of cloning it: every arm installs a
-        // fresh entry, and the sharer sets inside can be arbitrarily large.
-        match self.entries.remove(&line) {
+        let next = match self.take_stable(line, Msg::GetS { req, line })? {
             None => {
                 // Uncached: grant Exclusive (MESI E) straight away.
-                let at = self.data_ready(line, now);
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(req),
-                    msg: Msg::Data {
-                        req,
-                        line,
-                        excl: true,
-                        from_private: false,
-                    },
-                    at,
-                });
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Exclusive(req),
-                        phase: Phase::AwaitUnblock,
-                        queue: VecDeque::new(),
-                    })),
-                );
+                self.send_data(req, line, true, now, actions);
+                Entry2::Exclusive(req)
             }
-            Some(Entry::Shared(mut s)) => {
+            Some(Entry2::Shared(mut s)) => {
                 // Serve from the L3 copy, but block until the requester's
                 // Unblock arrives. Every fill sends an Unblock; if this grant
                 // did not block, that Unblock could land while a *later*
                 // transaction holds the entry Blocked and release it
                 // prematurely (dropping a CollectingAcks phase or replaying
                 // the queue before the new owner has data).
-                let at = self.data_ready(line, now);
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(req),
-                    msg: Msg::Data {
-                        req,
-                        line,
-                        excl: false,
-                        from_private: false,
-                    },
-                    at,
-                });
+                self.send_data(req, line, false, now, actions);
                 s.insert(req);
                 if self.early_unblock_bug {
                     // Planted bug: the seed-era non-blocking grant, exactly
                     // the race described above. The requester's unmatched
                     // Unblock is now free to release a later transaction.
                     self.entries.insert(line, Entry::Shared(s));
-                } else {
-                    self.entries.insert(
-                        line,
-                        Entry::Blocked(Box::new(BlockInfo {
-                            next: Entry2::Shared(s),
-                            phase: Phase::AwaitUnblock,
-                            queue: VecDeque::new(),
-                        })),
-                    );
+                    return Ok(());
                 }
+                Entry2::Shared(s)
             }
-            Some(Entry::Exclusive(owner)) => {
+            Some(Entry2::Exclusive(owner)) => {
                 self.stats.forwards += 1;
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(owner),
-                    msg: Msg::FwdGetS { req, line },
-                    at: now + self.l3_lat,
-                });
-                let mut sharers = BTreeSet::new();
-                sharers.insert(owner);
-                sharers.insert(req);
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Shared(sharers),
-                        phase: Phase::AwaitUnblock,
-                        queue: VecDeque::new(),
-                    })),
-                );
+                self.send(owner, Msg::FwdGetS { req, line }, now, actions);
+                Entry2::Shared(BTreeSet::from([owner, req]))
             }
-            Some(e @ Entry::Blocked(_)) => {
-                self.entries.insert(line, e);
-                debug_assert!(false, "blocked entries are queued by handle_msg");
-                return Err(ProtocolError::BlockedEntryReentered {
-                    tile: self.tile,
-                    msg: Msg::GetS { req, line },
-                });
-            }
-        }
+        };
+        self.block(line, next, Phase::AwaitUnblock);
         Ok(())
     }
 
@@ -486,100 +517,28 @@ impl DirBank {
         actions: &mut Vec<CacheAction>,
     ) -> Result<(), ProtocolError> {
         self.stats.getx += 1;
-        match self.entries.remove(&line) {
-            None => {
-                let at = self.data_ready(line, now);
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(req),
-                    msg: Msg::Data {
-                        req,
-                        line,
-                        excl: true,
-                        from_private: false,
-                    },
-                    at,
-                });
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Exclusive(req),
-                        phase: Phase::AwaitUnblock,
-                        queue: VecDeque::new(),
-                    })),
-                );
+        let phase = match self.take_stable(line, Msg::GetX { req, line })? {
+            Some(Entry2::Exclusive(owner)) => {
+                self.stats.forwards += 1;
+                self.send(owner, Msg::FwdGetX { req, line }, now, actions);
+                Phase::AwaitUnblock
             }
-            Some(Entry::Shared(s)) => {
-                // No scratch Vec: count, then walk the set again for the
-                // invalidation sends.
-                let others = s.iter().filter(|c| **c != req).count();
-                if others == 0 {
-                    let at = self.data_ready(line, now);
-                    actions.push(CacheAction::Send {
-                        to: Endpoint::Core(req),
-                        msg: Msg::Data {
-                            req,
-                            line,
-                            excl: true,
-                            from_private: false,
-                        },
-                        at,
-                    });
-                    self.entries.insert(
-                        line,
-                        Entry::Blocked(Box::new(BlockInfo {
-                            next: Entry2::Exclusive(req),
-                            phase: Phase::AwaitUnblock,
-                            queue: VecDeque::new(),
-                        })),
-                    );
-                } else {
-                    for other in s.iter().filter(|c| **c != req) {
-                        self.stats.invalidations += 1;
-                        actions.push(CacheAction::Send {
-                            to: Endpoint::Core(*other),
-                            msg: Msg::Inv { line },
-                            at: now + self.l3_lat,
-                        });
-                    }
-                    self.entries.insert(
-                        line,
-                        Entry::Blocked(Box::new(BlockInfo {
-                            next: Entry2::Exclusive(req),
-                            phase: Phase::CollectingAcks {
-                                req,
-                                pending: others,
-                                far: None,
-                            },
-                            queue: VecDeque::new(),
-                        })),
-                    );
+            Some(Entry2::Shared(s)) if s.iter().any(|&c| c != req) => {
+                let others = s.into_iter().filter(|&c| c != req);
+                let pending = self.invalidate(others, line, now, actions);
+                Phase::CollectingAcks {
+                    req,
+                    pending,
+                    far: None,
                 }
             }
-            Some(Entry::Exclusive(owner)) => {
-                self.stats.forwards += 1;
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(owner),
-                    msg: Msg::FwdGetX { req, line },
-                    at: now + self.l3_lat,
-                });
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Exclusive(req),
-                        phase: Phase::AwaitUnblock,
-                        queue: VecDeque::new(),
-                    })),
-                );
+            // Uncached, or shared by the requester alone: grant at once.
+            _ => {
+                self.send_data(req, line, true, now, actions);
+                Phase::AwaitUnblock
             }
-            Some(e @ Entry::Blocked(_)) => {
-                self.entries.insert(line, e);
-                debug_assert!(false, "blocked entries are queued by handle_msg");
-                return Err(ProtocolError::BlockedEntryReentered {
-                    tile: self.tile,
-                    msg: Msg::GetX { req, line },
-                });
-            }
-        }
+        };
+        self.block(line, Entry2::Exclusive(req), phase);
         Ok(())
     }
 
@@ -590,23 +549,15 @@ impl DirBank {
         now: Cycle,
         actions: &mut Vec<CacheAction>,
     ) {
-        let is_owner = matches!(self.entries.get(&line), Some(Entry::Exclusive(o)) if *o == from);
-        if is_owner {
+        let reply = if matches!(self.entries.get(&line), Some(Entry::Exclusive(o)) if *o == from) {
             self.stats.writebacks += 1;
             self.entries.remove(&line);
             let _ = self.l3.insert(line, |_| true);
-            actions.push(CacheAction::Send {
-                to: Endpoint::Core(from),
-                msg: Msg::WbAck { line },
-                at: now + self.l3_lat,
-            });
+            Msg::WbAck { line }
         } else {
-            actions.push(CacheAction::Send {
-                to: Endpoint::Core(from),
-                msg: Msg::WbStale { line },
-                at: now + self.l3_lat,
-            });
-        }
+            Msg::WbStale { line }
+        };
+        self.send(from, reply, now, actions);
     }
 
     fn handle_inv_ack(
@@ -633,33 +584,15 @@ impl DirBank {
             return Ok(());
         }
         let req = *req;
-        let far = *far;
-        match far {
+        match *far {
             None => {
                 b.phase = Phase::AwaitUnblock;
-                let at = self.data_ready(line, now);
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(req),
-                    msg: Msg::Data {
-                        req,
-                        line,
-                        excl: true,
-                        from_private: false,
-                    },
-                    at,
-                });
+                self.send_data(req, line, true, now, actions);
             }
-            Some((rmw, req_id)) => {
+            Some(far) => {
                 // All private copies are gone: perform the RMW at home and
                 // release the entry without an unblock round trip.
-                let at = self.data_ready(line, now);
-                actions.push(CacheAction::ApplyRmw {
-                    req,
-                    line,
-                    rmw,
-                    req_id,
-                    at,
-                });
+                self.apply_at_home(req, line, far, now, actions);
                 self.release_blocked(line, now, actions)?;
             }
         }
@@ -672,84 +605,34 @@ impl DirBank {
         &mut self,
         req: CoreId,
         line: LineAddr,
-        rmw: RmwKind,
-        req_id: u64,
+        far: (RmwKind, u64),
         now: Cycle,
         actions: &mut Vec<CacheAction>,
     ) -> Result<(), ProtocolError> {
         self.stats.far_atomics += 1;
-        match self.entries.remove(&line) {
+        let (rmw, req_id) = far;
+        let msg = Msg::AtomicFar {
+            req,
+            line,
+            rmw,
+            req_id,
+        };
+        let pending = match self.take_stable(line, msg)? {
             None => {
-                let at = self.data_ready(line, now);
-                actions.push(CacheAction::ApplyRmw {
-                    req,
-                    line,
-                    rmw,
-                    req_id,
-                    at,
-                });
+                self.apply_at_home(req, line, far, now, actions);
+                return Ok(());
             }
-            Some(Entry::Shared(s)) => {
-                for other in &s {
-                    self.stats.invalidations += 1;
-                    actions.push(CacheAction::Send {
-                        to: Endpoint::Core(*other),
-                        msg: Msg::Inv { line },
-                        at: now + self.l3_lat,
-                    });
-                }
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Shared(BTreeSet::new()),
-                        phase: Phase::CollectingAcks {
-                            req,
-                            pending: s.len(),
-                            far: Some((rmw, req_id)),
-                        },
-                        queue: VecDeque::new(),
-                    })),
-                );
-            }
-            Some(Entry::Exclusive(owner)) => {
-                self.stats.invalidations += 1;
-                actions.push(CacheAction::Send {
-                    to: Endpoint::Core(owner),
-                    msg: Msg::Inv { line },
-                    at: now + self.l3_lat,
-                });
-                self.entries.insert(
-                    line,
-                    Entry::Blocked(Box::new(BlockInfo {
-                        next: Entry2::Shared(BTreeSet::new()),
-                        phase: Phase::CollectingAcks {
-                            req,
-                            pending: 1,
-                            far: Some((rmw, req_id)),
-                        },
-                        queue: VecDeque::new(),
-                    })),
-                );
-            }
-            Some(e @ Entry::Blocked(_)) => {
-                self.entries.insert(line, e);
-                debug_assert!(false, "blocked entries are queued by handle_msg");
-                return Err(ProtocolError::BlockedEntryReentered {
-                    tile: self.tile,
-                    msg: Msg::AtomicFar {
-                        req,
-                        line,
-                        rmw,
-                        req_id,
-                    },
-                });
-            }
-        }
+            Some(Entry2::Shared(s)) => self.invalidate(s, line, now, actions),
+            Some(Entry2::Exclusive(owner)) => self.invalidate([owner], line, now, actions),
+        };
+        let far = Some(far);
+        let phase = Phase::CollectingAcks { req, pending, far };
+        self.block(line, Entry2::Shared(BTreeSet::new()), phase);
         Ok(())
     }
 
-    /// Removes a Blocked entry (the line returns home / Uncached) and
-    /// replays its queued requests in arrival order.
+    /// Ends a far atomic's Blocked entry: the line returns home (Uncached)
+    /// and its queued requests replay.
     fn release_blocked(
         &mut self,
         line: LineAddr,
@@ -759,38 +642,39 @@ impl DirBank {
         let Some(Entry::Blocked(b)) = self.entries.remove(&line) else {
             return Ok(());
         };
-        for msg in b.queue {
-            if let Some(Entry::Blocked(nb)) = self.entries.get_mut(&line) {
-                nb.queue.push_back(msg);
-            } else {
-                self.handle_msg(msg, now + 1, actions)?;
-            }
-        }
-        Ok(())
+        self.replay(line, b.queue, now, actions)
     }
 
+    /// Ends a Blocked entry on its requester's `Unblock`: the entry becomes
+    /// the transaction's stable outcome and its queued requests replay.
     fn handle_unblock(
         &mut self,
         line: LineAddr,
         now: Cycle,
         actions: &mut Vec<CacheAction>,
     ) -> Result<(), ProtocolError> {
-        let Some(Entry::Blocked(b)) = self.entries.remove(&line).map(|e| match e {
-            Entry::Blocked(b) => Entry::Blocked(b),
-            other => other,
-        }) else {
+        let Some(Entry::Blocked(b)) = self.entries.remove(&line) else {
             return Ok(());
         };
         let BlockInfo { next, queue, .. } = *b;
-        self.entries.insert(
-            line,
-            match next {
-                Entry2::Shared(s) => Entry::Shared(s),
-                Entry2::Exclusive(o) => Entry::Exclusive(o),
-            },
-        );
-        // Replay queued requests in arrival order. Each replay may re-block
-        // the entry, in which case the remainder re-queues behind it.
+        let stable = match next {
+            Entry2::Shared(s) => Entry::Shared(s),
+            Entry2::Exclusive(o) => Entry::Exclusive(o),
+        };
+        self.entries.insert(line, stable);
+        self.replay(line, queue, now, actions)
+    }
+
+    /// Replays the requests that queued behind a finished transaction, in
+    /// arrival order, one cycle later: the only way out of Blocked. A replay
+    /// that blocks the entry again re-queues the rest behind it.
+    fn replay(
+        &mut self,
+        line: LineAddr,
+        queue: VecDeque<Msg>,
+        now: Cycle,
+        actions: &mut Vec<CacheAction>,
+    ) -> Result<(), ProtocolError> {
         for msg in queue {
             if let Some(Entry::Blocked(b)) = self.entries.get_mut(&line) {
                 b.queue.push_back(msg);

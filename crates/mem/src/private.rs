@@ -274,35 +274,10 @@ impl PrivateCache {
             }
         }
 
-        let state = self.coh.get(&line).copied();
-        let writable = matches!(state, Some(PrivState::M) | Some(PrivState::E));
-        let readable = matches!(
-            state,
-            Some(PrivState::S) | Some(PrivState::E) | Some(PrivState::M)
-        );
-        let hit = if meta.kind.needs_exclusive() {
-            writable
-        } else {
-            readable
-        };
-        if hit {
-            if meta.kind.needs_exclusive() && state == Some(PrivState::E) {
-                self.coh.insert(line, PrivState::M);
-            }
-            if meta.kind == AccessKind::Rmw {
-                // Cache locking is atomic with the access: no external
-                // request may slip in between the grant and the lock.
-                self.lock(line);
-            }
-            let (lat, source) = self.hit_latency(line);
-            if meta.prefetch {
-                return AccessOutcome::Hit {
-                    complete_at: now,
-                    source,
-                };
-            }
+        if let Some((lat, source)) = self.hit(meta.kind, line) {
+            let complete_at = if meta.prefetch { now } else { now + lat };
             return AccessOutcome::Hit {
-                complete_at: now + lat,
+                complete_at,
                 source,
             };
         }
@@ -314,14 +289,33 @@ impl PrivateCache {
         }
 
         self.stats.misses += 1;
-        self.start_miss(meta, line, now, actions);
+        if !self.place_miss(meta, line, now, actions) {
+            self.pending.push_back(ReqMetaLine { meta, line });
+        }
         AccessOutcome::Pending
     }
 
-    fn hit_latency(&mut self, line: LineAddr) -> (u64, FillSource) {
+    /// Serves a `kind` access to `line` when the private domain holds the
+    /// permission it needs, returning the hit latency and the level that
+    /// served it; `None` on a miss. A write upgrades E to M, and an RMW
+    /// locks the line: cache locking is atomic with the access, so no
+    /// external request may slip in between the grant and the lock.
+    fn hit(&mut self, kind: AccessKind, line: LineAddr) -> Option<(u64, FillSource)> {
+        let state = self.coh.get(&line).copied();
+        match state {
+            Some(PrivState::M | PrivState::E) => {}
+            Some(PrivState::S) if !kind.needs_exclusive() => {}
+            _ => return None,
+        }
+        if kind.needs_exclusive() && state == Some(PrivState::E) {
+            self.coh.insert(line, PrivState::M);
+        }
+        if kind == AccessKind::Rmw {
+            self.lock(line);
+        }
         if self.l1.touch(line) {
             self.stats.l1_hits += 1;
-            (self.l1_lat, FillSource::L1)
+            Some((self.l1_lat, FillSource::L1))
         } else if self.l2.touch(line) {
             self.stats.l2_hits += 1;
             // Refill L1 from L2 (drop silently from L1's victim: L2 is
@@ -330,12 +324,12 @@ impl PrivateCache {
             let _ = self
                 .l1
                 .insert(line, |l| !matches!(locked.get(&l), Some(c) if *c > 0));
-            (self.l1_lat + self.l2_lat, FillSource::L2)
+            Some((self.l1_lat + self.l2_lat, FillSource::L2))
         } else {
             // Resident only via the lock table (all ways were pinned when the
             // fill landed): treat as an L1 hit.
             self.stats.l1_hits += 1;
-            (self.l1_lat, FillSource::L1)
+            Some((self.l1_lat, FillSource::L1))
         }
     }
 
@@ -357,27 +351,30 @@ impl PrivateCache {
         self.send_miss(meta, line, now, actions);
     }
 
-    fn start_miss(
+    /// Places a demand miss: merges it into `line`'s MSHR, or sends a new
+    /// request when an MSHR is free and `line` is not being written back.
+    /// Returns `false` when the request must wait in the pending queue.
+    fn place_miss(
         &mut self,
         meta: ReqMeta,
         line: LineAddr,
         now: Cycle,
         actions: &mut Vec<CacheAction>,
-    ) {
+    ) -> bool {
         if let Some(m) = self.mshrs.get_mut(&line) {
             if m.excl || !meta.kind.needs_exclusive() {
                 m.waiters.push(meta);
             } else {
                 m.upgrade_waiters.push(meta);
             }
-            return;
+            return true;
         }
         if self.mshrs.len() >= self.mshr_limit || self.coh.get(&line) == Some(&PrivState::Evicting)
         {
-            self.pending.push_back(ReqMetaLine { meta, line });
-            return;
+            return false;
         }
         self.send_miss(meta, line, now, actions);
+        true
     }
 
     fn send_miss(
@@ -413,54 +410,22 @@ impl PrivateCache {
     /// Re-examines the pending queue (called each cycle by the system while
     /// the queue is non-empty, and after MSHR-freeing events).
     pub fn promote_pending(&mut self, now: Cycle, actions: &mut Vec<CacheAction>) {
-        while let Some(front) = self.pending.front().copied() {
+        while let Some(ReqMetaLine { meta, line }) = self.pending.front().copied() {
             // A fill may have landed meanwhile and turned this into a hit.
-            let state = self.coh.get(&front.line).copied();
-            let satisfied = if front.meta.kind.needs_exclusive() {
-                matches!(state, Some(PrivState::M) | Some(PrivState::E))
-            } else {
-                matches!(
-                    state,
-                    Some(PrivState::S) | Some(PrivState::E) | Some(PrivState::M)
-                )
-            };
-            if satisfied {
-                self.pending.pop_front();
-                if front.meta.kind.needs_exclusive() && state == Some(PrivState::E) {
-                    self.coh.insert(front.line, PrivState::M);
-                }
-                if front.meta.kind == AccessKind::Rmw {
-                    self.lock(front.line);
-                }
-                let (lat, source) = self.hit_latency(front.line);
+            if let Some((lat, source)) = self.hit(meta.kind, line) {
                 actions.push(CacheAction::Emit(MemEvent::Fill {
                     core: self.id,
-                    req_id: front.meta.req_id,
-                    line: front.line,
+                    req_id: meta.req_id,
+                    line,
                     at: now + lat,
                     issued_at: now,
                     source,
-                    kind: front.meta.kind,
+                    kind: meta.kind,
                 }));
-                continue;
+            } else if !self.place_miss(meta, line, now, actions) {
+                break; // head-of-line blocked
             }
-            if let Some(m) = self.mshrs.get_mut(&front.line) {
-                self.pending.pop_front();
-                if m.excl || !front.meta.kind.needs_exclusive() {
-                    m.waiters.push(front.meta);
-                } else {
-                    m.upgrade_waiters.push(front.meta);
-                }
-                continue;
-            }
-            if self.mshrs.len() < self.mshr_limit
-                && self.coh.get(&front.line) != Some(&PrivState::Evicting)
-            {
-                self.pending.pop_front();
-                self.send_miss(front.meta, front.line, now, actions);
-                continue;
-            }
-            break; // head-of-line blocked
+            self.pending.pop_front();
         }
     }
 
