@@ -15,10 +15,11 @@
 //!   [`ExploreOptions::max_decisions`] decision points (message deliveries,
 //!   atomic commit timings), with two prunes:
 //!   - **dynamic partial-order reduction** — a delivery delay is skipped
-//!     when no other decision within [`ExploreOptions::dpor_window`] cycles
-//!     touches the same line or shares an endpoint (the delay then commutes
-//!     with everything and cannot change the outcome); commit decisions are
-//!     never pruned (an atomic's commit timing is the property under test);
+//!     when no other decision within the largest forced delay (plus one
+//!     delivery quantum) touches the same line or shares an endpoint (the
+//!     delay then commutes with everything and cannot change the outcome);
+//!     commit decisions are never pruned (an atomic's commit timing is the
+//!     property under test);
 //!   - **state dedup** — the machine snapshot ([`Machine::checkpoint`])
 //!     taken right after the last forced decision is consumed is hashed
 //!     with [`fnv1a`](row_common::persist::fnv1a), read off the image's
@@ -79,12 +80,6 @@ pub struct ExploreOptions {
     /// Per-run cycle budget; exhausting it is a livelock violation (a
     /// correct machine finishes a litmus program under any bounded delay).
     pub cycle_limit: u64,
-    /// Cycle window within which two decisions are considered conflicting
-    /// for partial-order reduction. Soundness requires it to be at least the
-    /// largest forced delay ([`choice::delivery_delay`] of the top
-    /// alternative): a held message can only be reordered against decisions
-    /// inside its hold window.
-    pub dpor_window: u64,
     /// Arm the planted early-unblock directory bug (regression hunting).
     pub planted_bug: bool,
     /// Run every schedule in audit mode ([`Machine::set_audit`]), which
@@ -102,7 +97,6 @@ impl Default for ExploreOptions {
             max_delays: 3,
             max_runs: 20_000,
             cycle_limit: 200_000,
-            dpor_window: choice::delivery_delay(choice::N_ALTS - 1) + choice::DELIVERY_QUANTUM,
             planted_bug: false,
             audit: false,
         }
@@ -428,6 +422,11 @@ fn conflicts(decisions: &[DecisionRecord], i: usize, window: u64) -> bool {
 /// [`ExploreViolation`]); otherwise reports the full outcome histogram and
 /// the allowed outcomes that went unwitnessed.
 pub fn explore(test: &LitmusTest, opts: &ExploreOptions) -> Result<ExploreReport, String> {
+    // Two decisions conflict for partial-order reduction only within this
+    // many cycles. Soundness needs at least the largest forced delay
+    // (`choice::delivery_delay` of the top alternative): a held message
+    // can only be reordered against decisions inside its hold window.
+    let window = choice::delivery_delay(choice::N_ALTS - 1) + choice::DELIVERY_QUANTUM;
     let mut report = ExploreReport::new(test, &opts.policy);
     let mut stack: Vec<Vec<u8>> = vec![Vec::new()];
     let mut seen: HashSet<u64> = HashSet::new();
@@ -458,7 +457,7 @@ pub fn explore(test: &LitmusTest, opts: &ExploreOptions) -> Result<ExploreReport
         // Reverse order so the DFS visits positions left to right.
         for i in (prefix.len()..horizon).rev() {
             let d = &run.decisions[i];
-            if !conflicts(&run.decisions, i, opts.dpor_window) {
+            if !conflicts(&run.decisions, i, window) {
                 report.dpor_pruned += u64::from(d.n_alts.saturating_sub(1));
                 continue;
             }
