@@ -57,11 +57,22 @@
 //! dedup on image hashes relies on. [`decode_sparse`] refuses a length
 //! other than the table's and an index past the table or out of order;
 //! every entry it does not list is blank.
+//!
+//! The predictor tables are [`SparseTable`]s, which also keep the set of
+//! entries written since their last restore, a bitset, so they encode and
+//! restore in O(written) plus one word per 64 entries, not O(capacity);
+//! an untrained table reads no entry at all. The written set is
+//! representation, never encoded: it may list entries written back to
+//! blank, which encode drops, so the bytes equal [`encode_sparse`] over the
+//! whole table. In a debug build every encode also scans the whole table
+//! and asserts that no entry outside the written set differs from blank.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
+use std::ops::{Deref, Index, IndexMut};
 
+use crate::bitset::IndexSet;
 use crate::clock::Cycle;
 use crate::ids::{Addr, CoreId, LineAddr, Pc};
 use crate::rmw::RmwKind;
@@ -782,22 +793,93 @@ pub fn decode_sparse<T: Codec>(
     Ok(())
 }
 
-/// Appends `table` in the [sparse layout](self#sparse-tables).
-pub fn encode_table<T: Codec + Default + PartialEq>(table: &[T], w: &mut Writer) {
-    encode_sparse(w, table.len(), table.iter().enumerate());
+/// A fixed-capacity table of `T`s that marks every entry it hands out for
+/// writing, so it [persists](Persist) in the [sparse
+/// layout](self#sparse-tables) by walking only the marked entries, in
+/// ascending order. Reads go through the slice it derefs to; the only
+/// write access is [`IndexMut`], which marks the entry first. The marks
+/// need no allocation until the first write.
+#[derive(Clone, Debug)]
+pub struct SparseTable<T> {
+    entries: Vec<T>,
+    /// A superset of the entries that differ from blank: each entry written
+    /// since the last restore, and each the restored image listed.
+    written: Option<IndexSet>,
 }
 
-/// Overwrites `table` from the [sparse layout](self#sparse-tables): each
-/// listed entry, and blank everywhere else.
-///
-/// # Errors
-/// As [`decode_sparse`]; `table` may then be partly overwritten.
-pub fn restore_table<T: Codec + Default>(
-    table: &mut [T],
-    r: &mut Reader<'_>,
-) -> Result<(), PersistError> {
-    table.fill_with(T::default);
-    decode_sparse(r, table.len(), |i, v| table[i] = v)
+impl<T: Clone + Default> SparseTable<T> {
+    /// A table of `len` blank entries.
+    pub fn new(len: usize) -> Self {
+        SparseTable {
+            entries: vec![T::default(); len],
+            written: None,
+        }
+    }
+}
+
+impl<T> SparseTable<T> {
+    fn is_written(&self, i: usize) -> bool {
+        self.written.as_ref().is_some_and(|s| s.contains(i))
+    }
+}
+
+impl<T> Deref for SparseTable<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.entries
+    }
+}
+
+impl<T> Index<usize> for SparseTable<T> {
+    type Output = T;
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        &self.entries[i]
+    }
+}
+
+impl<T> IndexMut<usize> for SparseTable<T> {
+    /// Entry `i`, marked written.
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        let len = self.entries.len();
+        let entry = &mut self.entries[i];
+        self.written
+            .get_or_insert_with(|| IndexSet::new(len))
+            .insert(i);
+        entry
+    }
+}
+
+impl<T: Codec + Default + PartialEq> Persist for SparseTable<T> {
+    fn persist(&self, w: &mut Writer) {
+        if cfg!(debug_assertions) {
+            let blank = T::default();
+            for (i, v) in self.entries.iter().enumerate() {
+                assert!(
+                    *v == blank || self.is_written(i),
+                    "a sparse table entry differs from blank outside the written set"
+                );
+            }
+        }
+        let marked = self.written.iter().flat_map(IndexSet::iter);
+        encode_sparse(w, self.len(), marked.map(|i| (i, &self.entries[i])));
+    }
+
+    /// Blanks the marked entries, then writes and marks each entry the
+    /// image lists. On error the table may be partly overwritten, its
+    /// marks still covering every entry that differs from blank.
+    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
+        if let Some(written) = self.written.as_mut() {
+            let mut next = written.next_from(0);
+            while let Some(i) = next {
+                self.entries[i] = T::default();
+                written.remove(i);
+                next = written.next_from(i + 1);
+            }
+        }
+        decode_sparse(r, self.len(), |i, v| self[i] = v)
+    }
 }
 
 impl<T: Codec> Codec for VecDeque<T> {
@@ -1119,14 +1201,34 @@ mod tests {
         }
     }
 
+    /// `table` in the sparse layout, scanned whole: the bytes a
+    /// [`SparseTable`] with the same entries must write.
+    fn encode_table<T: Codec + Default + PartialEq>(table: &[T], w: &mut Writer) {
+        encode_sparse(w, table.len(), table.iter().enumerate());
+    }
+
+    fn image<T: Codec + Default + PartialEq>(table: &SparseTable<T>) -> Vec<u8> {
+        let mut w = Writer::new();
+        table.persist(&mut w);
+        w.into_bytes()
+    }
+
+    /// The entries a table's written set lists, ascending.
+    fn marks<T>(table: &SparseTable<T>) -> Vec<usize> {
+        table.written.iter().flat_map(IndexSet::iter).collect()
+    }
+
     /// A table of `len` `i8`s, decoded from `bytes` onto a table full of
     /// 7s: the bytes must be read to the end.
     fn decode_i8s(bytes: &[u8], len: usize) -> Result<Vec<i8>, PersistError> {
-        let mut table = vec![7i8; len];
+        let mut table = SparseTable::new(len);
+        for i in 0..len {
+            table[i] = 7i8;
+        }
         let mut r = Reader::new(bytes);
-        restore_table(&mut table, &mut r)?;
+        table.restore(&mut r)?;
         assert!(r.is_empty(), "unread bytes");
-        Ok(table)
+        Ok(table.to_vec())
     }
 
     #[test]
@@ -1144,6 +1246,77 @@ mod tests {
         let mut w = Writer::new();
         encode_sparse(&mut w, 6, [(1, &5i8), (3, &0), (4, &-1)]);
         assert_eq!(w.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn sparse_table_encodes_like_a_scan_of_the_whole_table() {
+        // 300 entries span five words of the written set. Each round writes
+        // a few entries, some back to blank, then checks the image and a
+        // restore of it into a table that holds other entries.
+        let mut rng = crate::rng::SplitMix64::new(3);
+        let mut table = SparseTable::new(300);
+        let mut other = SparseTable::new(300);
+        for round in 0..40 {
+            for _ in 0..6 {
+                let i = (rng.next_u64() % 300) as usize;
+                table[i] = (rng.next_u64() % 4) as i8 - 1;
+                other[(rng.next_u64() % 300) as usize] = 9;
+            }
+            let bytes = image(&table);
+            let mut whole = Writer::new();
+            encode_table(&table, &mut whole);
+            assert_eq!(bytes, whole.into_bytes(), "round {round}");
+            other.restore(&mut Reader::new(&bytes)).unwrap();
+            assert_eq!(*other, *table, "round {round}");
+            assert_eq!(image(&other), bytes, "round {round}");
+        }
+    }
+
+    #[test]
+    fn entries_written_back_to_blank_are_not_listed() {
+        let mut table = SparseTable::new(6);
+        table[1] = 5i8;
+        table[4] = -1;
+        table[1] = 0;
+        assert_eq!(marks(&table), [1, 4]);
+        let mut expected = Writer::new();
+        encode_table(&[0i8, 0, 0, 0, -1, 0], &mut expected);
+        assert_eq!(image(&table), expected.into_bytes());
+        table[4] = 0;
+        assert_eq!(image(&table), image(&SparseTable::<i8>::new(6)));
+    }
+
+    #[test]
+    fn restore_into_a_used_table_blanks_its_marks_and_marks_the_image() {
+        let mut source = SparseTable::new(130);
+        source[3] = 1i8;
+        source[70] = 2;
+        source[129] = 0;
+        let mut used = SparseTable::new(130);
+        used[3] = 9i8;
+        used[64] = 9;
+        used[128] = 9;
+        used.restore(&mut Reader::new(&image(&source))).unwrap();
+        assert_eq!(*used, *source);
+        // The marks are the entries the image listed, not what was written
+        // before or what the source marked but left blank.
+        assert_eq!(marks(&used), [3, 70]);
+        // A blank image leaves a blank, unmarked table.
+        used.restore(&mut Reader::new(&image(&SparseTable::<i8>::new(130))))
+            .unwrap();
+        assert!(used.iter().all(|&v| v == 0) && marks(&used).is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside the written set")]
+    fn an_unmarked_write_fails_the_debug_check() {
+        let mut table = SparseTable::new(8);
+        table[1] = 4i8;
+        // A write that bypasses `IndexMut`, as a mutable accessor that
+        // forgot to mark would make.
+        table.entries[6] = 5;
+        image(&table);
     }
 
     #[test]

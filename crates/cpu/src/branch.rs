@@ -7,9 +7,7 @@
 //! standard provider/altpred, useful-bit, and allocation-on-mispredict rules.
 
 use row_common::ids::Pc;
-use row_common::persist::{
-    encode_table, restore_table, Codec, Persist, PersistError, Reader, Writer,
-};
+use row_common::persist::{Codec, Persist, PersistError, Reader, SparseTable, Writer};
 
 const BIMODAL_BITS: usize = 12; // 4096 entries
 const TAGGED_ENTRIES_BITS: usize = 10; // 1024 entries per table
@@ -67,8 +65,8 @@ impl History {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TageLite {
-    bimodal: Vec<i8>, // 2-bit counters, taken when >= 0 (-2..=1)
-    tables: Vec<Vec<TaggedEntry>>,
+    bimodal: SparseTable<i8>, // 2-bit counters, taken when >= 0 (-2..=1)
+    tables: Vec<SparseTable<TaggedEntry>>,
     hist: History,
     /// Deterministic LFSR for the allocation tie-break.
     lfsr: u32,
@@ -99,10 +97,10 @@ impl TageLite {
     /// Creates a predictor with cleared tables.
     pub fn new() -> Self {
         TageLite {
-            bimodal: vec![0; 1 << BIMODAL_BITS],
+            bimodal: SparseTable::new(1 << BIMODAL_BITS),
             tables: HISTORIES
                 .iter()
-                .map(|_| vec![TaggedEntry::default(); 1 << TAGGED_ENTRIES_BITS])
+                .map(|_| SparseTable::new(1 << TAGGED_ENTRIES_BITS))
                 .collect(),
             hist: History::default(),
             lfsr: 0xace1,
@@ -230,18 +228,18 @@ impl Persist for TageLite {
     // The bimodal table, then each tagged table, sparse: only trained
     // entries are written.
     fn persist(&self, w: &mut Writer) {
-        encode_table(&self.bimodal, w);
+        self.bimodal.persist(w);
         for t in &self.tables {
-            encode_table(t, w);
+            t.persist(w);
         }
         w.put_u128(self.hist.bits);
         w.put_u32(self.lfsr);
         self.stats.encode(w);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        restore_table(&mut self.bimodal, r)?;
+        self.bimodal.restore(r)?;
         for t in &mut self.tables {
-            restore_table(t, r)?;
+            t.restore(r)?;
         }
         self.hist = History {
             bits: r.get_u128()?,

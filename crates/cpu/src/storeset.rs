@@ -9,7 +9,7 @@
 //! id to the most recently dispatched in-flight store of that set.
 
 use row_common::ids::Pc;
-use row_common::persist::{encode_table, restore_table, Persist, PersistError, Reader, Writer};
+use row_common::persist::{Persist, PersistError, Reader, SparseTable, Writer};
 
 const SSIT_BITS: usize = 10; // 1024 entries
 const MAX_SETS: usize = 256;
@@ -30,8 +30,8 @@ const MAX_SETS: usize = 256;
 /// ```
 #[derive(Clone, Debug)]
 pub struct StoreSets {
-    ssit: Vec<Option<u16>>,
-    lfst: Vec<Option<u64>>,
+    ssit: SparseTable<Option<u16>>,
+    lfst: SparseTable<Option<u64>>,
     next_set: u16,
 }
 
@@ -39,8 +39,8 @@ impl StoreSets {
     /// Creates cleared tables.
     pub fn new() -> Self {
         StoreSets {
-            ssit: vec![None; 1 << SSIT_BITS],
-            lfst: vec![None; MAX_SETS],
+            ssit: SparseTable::new(1 << SSIT_BITS),
+            lfst: SparseTable::new(MAX_SETS),
             next_set: 0,
         }
     }
@@ -116,13 +116,13 @@ impl Default for StoreSets {
 impl Persist for StoreSets {
     // Both tables sparse: only trained SSIT entries and in-flight stores.
     fn persist(&self, w: &mut Writer) {
-        encode_table(&self.ssit, w);
-        encode_table(&self.lfst, w);
+        self.ssit.persist(w);
+        self.lfst.persist(w);
         w.put_u16(self.next_set);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        restore_table(&mut self.ssit, r)?;
-        restore_table(&mut self.lfst, r)?;
+        self.ssit.restore(r)?;
+        self.lfst.restore(r)?;
         self.next_set = r.get_u16()?;
         Ok(())
     }

@@ -5,7 +5,7 @@
 //! entry, after which the next `degree` lines along the stride are prefetched.
 
 use row_common::ids::{Addr, LineAddr, Pc};
-use row_common::persist::{encode_table, restore_table, Persist, PersistError, Reader, Writer};
+use row_common::persist::{Persist, PersistError, Reader, SparseTable, Writer};
 
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct StrideEntry {
@@ -30,7 +30,7 @@ struct StrideEntry {
 /// ```
 #[derive(Clone, Debug)]
 pub struct IpStridePrefetcher {
-    table: Vec<StrideEntry>,
+    table: SparseTable<StrideEntry>,
     degree: u64,
 }
 
@@ -43,7 +43,7 @@ impl IpStridePrefetcher {
     pub fn new(entries: usize, degree: u64) -> Self {
         assert!(entries > 0, "prefetcher needs at least one entry");
         IpStridePrefetcher {
-            table: vec![StrideEntry::default(); entries],
+            table: SparseTable::new(entries),
             degree,
         }
     }
@@ -97,10 +97,10 @@ impl Persist for IpStridePrefetcher {
     // Table size and degree are config-derived; only the training state
     // moves, written sparse.
     fn persist(&self, w: &mut Writer) {
-        encode_table(&self.table, w);
+        self.table.persist(w);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        restore_table(&mut self.table, r)
+        self.table.restore(r)
     }
 }
 
