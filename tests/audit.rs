@@ -210,3 +210,50 @@ fn dropped_dirty_mark_is_caught_at_the_next_sweep() {
     };
     assert_eq!(bad, line, "{err}");
 }
+
+/// Two hidden violations: with the lower line's dirty mark lost, the
+/// incremental sweep names the higher line while a full sweep names the
+/// lower one. Both fail, but the audit requires the same violation from
+/// both, so it fails at that sweep's cycle and names both.
+#[test]
+fn sweeps_naming_different_violations_are_caught_naming_both() {
+    let mut m = pc_machine(&Variant::eager(), 2, |_| {});
+    m.set_audit(true);
+    assert!(m.run_for(4_000).expect("runs clean").is_none());
+    let low = held_line(&m, 0, &[PrivState::E, PrivState::M]);
+    let high = m
+        .memory()
+        .private_lines(CoreId::new(0))
+        .into_iter()
+        .filter(|&(line, s)| line > low && matches!(s, PrivState::E | PrivState::M))
+        .map(|(line, _)| line)
+        .min()
+        .expect("core 0 holds a second line in E or M");
+    for line in [low, high] {
+        m.memory_mut()
+            .corrupt_dir_state_for_test(line, DirState::Uncached);
+    }
+    m.memory_mut().drop_dirty_mark_for_test(low);
+    let err = m
+        .run(5_000_000)
+        .expect_err("the disagreement must be caught");
+    let SimError::Audit(failure) = &err else {
+        panic!("expected an audit failure, got {err}");
+    };
+    assert_eq!(failure.cycle.raw(), 4_096, "{err}");
+    let Shortcut::SweepErrors { incremental, full } = &failure.shortcut else {
+        panic!("expected the sweeps to name different violations, got {err}");
+    };
+    let (
+        ProtocolError::DirectoryMismatch { line: inc, .. },
+        ProtocolError::DirectoryMismatch { line: full, .. },
+    ) = (&**incremental, &**full)
+    else {
+        panic!("expected two directory mismatches, got {err}");
+    };
+    assert_eq!((*inc, *full), (high, low), "{err}");
+    let text = err.to_string();
+    for part in [&high.to_string(), &low.to_string(), "cycle 4096"] {
+        assert!(text.contains(part), "{text}");
+    }
+}
