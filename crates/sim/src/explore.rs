@@ -53,7 +53,7 @@ use row_cpu::instr::{InstrStream, VecStream};
 use row_workloads::litmus::{LitmusTest, OutcomeClass, Probe};
 
 use crate::fuzz::violation_kind;
-use crate::machine::{Machine, SimError};
+use crate::machine::{HashedConfig, Machine, SimError};
 use crate::shrink::zero_knobs;
 use crate::sweep::Variant;
 use crate::triage;
@@ -150,13 +150,24 @@ pub fn run_schedule_full(
     opts: &ExploreOptions,
     forced: &[u8],
 ) -> Result<(ScheduleRun, Machine), String> {
-    let sys = opts.system(test.cores())?;
+    let sys = HashedConfig::new(opts.system(test.cores())?);
+    Ok(run_in(&sys, test, opts, forced))
+}
+
+/// [`run_schedule_full`] on the cell's configuration `sys`, which the
+/// explorer hashes once for all of a cell's schedules.
+fn run_in(
+    sys: &HashedConfig,
+    test: &LitmusTest,
+    opts: &ExploreOptions,
+    forced: &[u8],
+) -> (ScheduleRun, Machine) {
     let streams: Vec<Box<dyn InstrStream>> = test
         .programs
         .iter()
         .map(|p| Box::new(VecStream::new(p.clone())) as _)
         .collect();
-    let mut m = Machine::new(&sys, streams);
+    let mut m = Machine::build(sys, streams);
     m.set_audit(opts.audit);
     if opts.planted_bug {
         m.memory_mut().inject_early_unblock_for_test();
@@ -199,7 +210,7 @@ pub fn run_schedule_full(
             }
         }
     }
-    Ok((
+    (
         ScheduleRun {
             outcome,
             error,
@@ -212,7 +223,7 @@ pub fn run_schedule_full(
             coverage: m.coverage(),
         },
         m,
-    ))
+    )
 }
 
 /// Reads the outcome tuple off a completed machine.
@@ -369,6 +380,7 @@ pub fn run_litmus(
     samples: u64,
     seed: u64,
 ) -> Result<ExploreReport, String> {
+    let sys = HashedConfig::new(opts.system(test.cores())?);
     let mut report = ExploreReport::new(test, &opts.policy);
     for k in 0..samples.max(1) {
         let forced = if k == 0 {
@@ -383,9 +395,9 @@ pub fn run_litmus(
                 .map(|_| ((rng.next_u64() & 3) as u8).saturating_sub(1))
                 .collect()
         };
-        let run = run_schedule(test, opts, &forced)?;
+        let (run, _) = run_in(&sys, test, opts, &forced);
         if report.absorb(test, &run, &forced) {
-            finalize_violation(test, opts, &mut report);
+            finalize_violation(&sys, test, opts, &mut report);
             break;
         }
     }
@@ -427,6 +439,7 @@ pub fn explore(test: &LitmusTest, opts: &ExploreOptions) -> Result<ExploreReport
     // (`choice::delivery_delay` of the top alternative): a held message
     // can only be reordered against decisions inside its hold window.
     let window = choice::delivery_delay(choice::N_ALTS - 1) + choice::DELIVERY_QUANTUM;
+    let sys = HashedConfig::new(opts.system(test.cores())?);
     let mut report = ExploreReport::new(test, &opts.policy);
     let mut stack: Vec<Vec<u8>> = vec![Vec::new()];
     let mut seen: HashSet<u64> = HashSet::new();
@@ -435,9 +448,9 @@ pub fn explore(test: &LitmusTest, opts: &ExploreOptions) -> Result<ExploreReport
             report.truncated = true;
             break;
         }
-        let run = run_schedule(test, opts, &prefix)?;
+        let (run, _) = run_in(&sys, test, opts, &prefix);
         if report.absorb(test, &run, &prefix) {
-            finalize_violation(test, opts, &mut report);
+            finalize_violation(&sys, test, opts, &mut report);
             break;
         }
         // Expand children only from frontier states not seen before.
@@ -474,18 +487,18 @@ pub fn explore(test: &LitmusTest, opts: &ExploreOptions) -> Result<ExploreReport
 
 /// Minimizes the violating schedule in `report` and records the replayed
 /// minimized detail.
-fn finalize_violation(test: &LitmusTest, opts: &ExploreOptions, report: &mut ExploreReport) {
+fn finalize_violation(
+    sys: &HashedConfig,
+    test: &LitmusTest,
+    opts: &ExploreOptions,
+    report: &mut ExploreReport,
+) {
     let Some(v) = report.violation.as_mut() else {
         return;
     };
-    v.minimized = minimize_schedule(&v.schedule, |s| {
-        run_schedule(test, opts, s)
-            .map(|r| violation_of(test, &r).is_some())
-            .unwrap_or(false)
-    });
-    v.minimized_detail = run_schedule(test, opts, &v.minimized)
-        .ok()
-        .and_then(|r| violation_of(test, &r))
+    let violation = |s: &[u8]| violation_of(test, &run_in(sys, test, opts, s).0);
+    v.minimized = minimize_schedule(&v.schedule, |s| violation(s).is_some());
+    v.minimized_detail = violation(&v.minimized)
         .map(|(kind, detail)| format!("{kind}: {detail}"))
         .unwrap_or_else(|| "violation did not reproduce on minimized schedule".to_string());
 }
