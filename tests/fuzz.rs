@@ -5,6 +5,8 @@
 //! policy; and campaigns are byte-identical across worker counts and
 //! across kill-and-resume.
 
+mod bundle;
+
 use norush::sim::fuzz::{self, FuzzOptions, FuzzState, ScheduleGenome};
 
 /// Budget used by the planted-bug tests — must stay within the CI smoke
@@ -44,6 +46,19 @@ fn fuzzer_finds_planted_early_unblock_bug() {
     let hex = finding.minimized.to_hex();
     let decoded = ScheduleGenome::from_hex(&hex).expect("hex genome round-trips");
     assert_eq!(decoded, finding.minimized);
+    // Its triage bundle is pinned byte for byte.
+    let dir = std::env::temp_dir().join(format!("norush-fuzz-planted-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    fuzz::write_triage(&opts, &finding, &dir).expect("triage bundle written");
+    bundle::assert_pinned(
+        &dir,
+        &[
+            ("fuzz.ckpt", "f8e0f5454636d955"),
+            ("fuzz_failure.txt", "639536bf64c068c4"),
+            ("journal_tail.txt", "08e248171ea9bcc5"),
+        ],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -7,6 +7,8 @@
 //! four tests (SB/MP/LB/IRIW), and the planted `--inject-early-unblock`
 //! directory bug must be found and minimize to a deterministic repro.
 
+mod bundle;
+
 use norush::sim::{explore, run_litmus, run_schedule, ExploreOptions};
 use norush::workloads::litmus::{LitmusTest, OutcomeClass};
 
@@ -162,6 +164,21 @@ fn planted_early_unblock_bug_is_found_and_minimizes() {
             .as_ref()
             .is_some_and(|out| test.classify(out) != OutcomeClass::Allowed);
     assert!(violated, "minimized replay did not reproduce");
+    // Its triage bundle is pinned byte for byte.
+    let dir = std::env::temp_dir().join(format!("norush-explore-planted-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp repro dir");
+    norush::sim::explore::write_triage(&test, &o, &v, &dir);
+    // The online checker observed no record before the violation, so the
+    // journal tail is empty.
+    bundle::assert_pinned(
+        &dir,
+        &[
+            ("explore_failure.txt", "efd9c0091d71a6c1"),
+            ("journal_tail.txt", "cbf29ce484222325"),
+        ],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

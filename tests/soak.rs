@@ -8,6 +8,8 @@
 
 use std::path::Path;
 
+mod bundle;
+
 use norush::common::config::{AtomicPolicy, FaultConfig, RowConfig};
 use norush::common::json;
 use norush::cpu::instr::InstrStream;
@@ -209,6 +211,8 @@ fn injected_net_zero_faa_fails_the_soak_with_a_triage_bundle() {
             corrupt_ppm: 0,
         },
         inject: 50,
+        // Short enough that a restore point precedes the violation.
+        ckpt_every: 1_000,
         ..soak_opts("inject")
     };
     let outcomes = soak::soak(&opts, |_| {}).expect("known policy");
@@ -224,5 +228,13 @@ fn injected_net_zero_faa_fails_the_soak_with_a_triage_bundle() {
     assert!(failure.contains("--inject-net-zero-faa 50"));
     assert!(opts.repro_dir.join("journal_tail.txt").exists());
     assert!(!opts.repro_dir.join("chaos_repro.txt").exists());
+    bundle::assert_pinned(
+        &opts.repro_dir,
+        &[
+            ("journal_tail.txt", "fd9defc48cb140f6"),
+            ("soak_failure.txt", "c2a2df309c686d35"),
+            ("soak_p0_lazy.ckpt", "90c947c204f91a9b"),
+        ],
+    );
     let _ = std::fs::remove_dir_all(&opts.repro_dir);
 }
