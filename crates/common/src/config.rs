@@ -374,8 +374,11 @@ impl Default for NocConfig {
 /// timeout-with-backoff retransmission), which masks the faults; delay-only
 /// configurations keep the exact pre-transport behaviour, timing included.
 ///
+/// The [`Default`] config perturbs nothing. [`Display`](std::fmt::Display)
+/// prints the rates, not the seed: `latency 40 drop 200ppm dup 0ppm corrupt 0ppm`.
+///
 /// [`SplitMix64`]: crate::rng::SplitMix64
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FaultConfig {
     /// Seed of the perturbation stream. Equal seeds give equal schedules.
     pub seed: u64,
@@ -437,6 +440,16 @@ impl FaultConfig {
     /// engages the recoverable transport layer.
     pub fn lossy(&self) -> bool {
         self.drop_ppm > 0 || self.dup_ppm > 0 || self.corrupt_ppm > 0
+    }
+}
+
+impl std::fmt::Display for FaultConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "latency {} drop {}ppm dup {}ppm corrupt {}ppm",
+            self.max_extra_latency, self.drop_ppm, self.dup_ppm, self.corrupt_ppm
+        )
     }
 }
 
@@ -795,6 +808,27 @@ impl Default for SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one text form of a chaos config, shared by every log line and
+    /// triage bundle that prints one.
+    #[test]
+    fn fault_config_text_is_its_rates() {
+        let f = FaultConfig {
+            seed: 9,
+            max_extra_latency: 40,
+            drop_ppm: 200,
+            dup_ppm: 0,
+            corrupt_ppm: 100,
+        };
+        assert_eq!(
+            f.to_string(),
+            "latency 40 drop 200ppm dup 0ppm corrupt 100ppm"
+        );
+        assert_eq!(
+            FaultConfig::default().to_string(),
+            "latency 0 drop 0ppm dup 0ppm corrupt 0ppm"
+        );
+    }
 
     #[test]
     fn table1_parameters_match_paper() {

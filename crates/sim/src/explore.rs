@@ -140,22 +140,13 @@ pub fn run_schedule(
     opts: &ExploreOptions,
     forced: &[u8],
 ) -> Result<ScheduleRun, String> {
-    run_schedule_full(test, opts, forced).map(|(run, _)| run)
-}
-
-/// [`run_schedule`], also returning the finished [`Machine`] so triage can
-/// pull its online-checker journal tail.
-pub fn run_schedule_full(
-    test: &LitmusTest,
-    opts: &ExploreOptions,
-    forced: &[u8],
-) -> Result<(ScheduleRun, Machine), String> {
     let sys = HashedConfig::new(opts.system(test.cores())?);
-    Ok(run_in(&sys, test, opts, forced))
+    Ok(run_in(&sys, test, opts, forced).0)
 }
 
-/// [`run_schedule_full`] on the cell's configuration `sys`, which the
-/// explorer hashes once for all of a cell's schedules.
+/// [`run_schedule`] on the cell's configuration `sys`, which the explorer
+/// hashes once for all of a cell's schedules, also returning the finished
+/// [`Machine`] so triage can pull its online-checker journal tail.
 fn run_in(
     sys: &HashedConfig,
     test: &LitmusTest,
@@ -553,29 +544,28 @@ pub fn repro_command(test: &LitmusTest, opts: &ExploreOptions, sched: &[u8]) -> 
 /// journal tail from replaying the minimized schedule. Progress and write
 /// errors go to stderr.
 pub fn write_triage(test: &LitmusTest, opts: &ExploreOptions, v: &ExploreViolation, dir: &Path) {
-    let desc = format!(
-        "explore failure\ntest: {}\npolicy: {}\nkind: {}\ndetail: {}\n\
-         schedule: {}\nminimized: {}\nminimized detail: {}\nrepro: {}\n",
-        test.name,
-        opts.policy,
-        v.kind,
-        v.detail,
-        schedule_to_hex(&v.schedule),
-        schedule_to_hex(&v.minimized),
-        v.minimized_detail,
-        repro_command(test, opts, &v.minimized),
-    );
-    match triage::write_failure(dir, "explore_failure.txt", &desc) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("cannot write explore_failure.txt: {e}"),
+    let m = opts
+        .system(test.cores())
+        .map(|sys| run_in(&HashedConfig::new(sys), test, opts, &v.minimized).1);
+    if let Err(e) = &m {
+        eprintln!("cannot replay minimized schedule for journal tail: {e}");
     }
-    match run_schedule_full(test, opts, &v.minimized) {
-        Ok((_, m)) => match triage::write_journal_tail(dir, &m) {
-            Ok(Some(path)) => eprintln!("wrote {}", path.display()),
-            Ok(None) => {}
-            Err(e) => eprintln!("cannot write journal_tail.txt: {e}"),
-        },
-        Err(e) => eprintln!("cannot replay minimized schedule for journal tail: {e}"),
+    let written = triage::write_bundle(dir, "explore", None, m.as_ref().ok(), |_| {
+        format!(
+            "explore failure\ntest: {}\npolicy: {}\nkind: {}\ndetail: {}\n\
+             schedule: {}\nminimized: {}\nminimized detail: {}\nrepro: {}\n",
+            test.name,
+            opts.policy,
+            v.kind,
+            v.detail,
+            schedule_to_hex(&v.schedule),
+            schedule_to_hex(&v.minimized),
+            v.minimized_detail,
+            repro_command(test, opts, &v.minimized),
+        )
+    });
+    if let Err(e) = written {
+        eprintln!("cannot write the triage bundle: {e}");
     }
 }
 

@@ -27,6 +27,9 @@
 //!   soak-style triage bundle (repro command, journal tail, pre-violation
 //!   checkpoint) lands in the repro directory.
 //!
+//! Each schedule runs on the lock-service cell soak also runs
+//! ([`ServiceCell`]), with the genome's chaos and delay bursts.
+//!
 //! The report (`norush-fuzz-v1`, schema in `results/README.md`) carries the
 //! per-domain coverage summary plus the names of every never-exercised
 //! transition — a dead-protocol-arm report — and deliberately contains no
@@ -44,14 +47,14 @@ use row_common::persist::{
     fnv1a, from_hex, to_bytes, to_hex, write_atomic, Codec, FileKind, PersistError, Reader, Writer,
 };
 use row_common::rng::SplitMix64;
-use row_common::SystemConfig;
-use row_cpu::instr::InstrStream;
 use row_mem::ProtocolError;
-use row_workloads::{LockServiceConfig, LockServiceStream, ServiceKernel};
+use row_workloads::{LockServiceConfig, ServiceKernel};
 
+use crate::cell::ServiceCell;
 use crate::machine::{Machine, SimError};
 use crate::shrink::{bisect_knobs, shrink_chaos, zero_knobs};
-use crate::sweep::{parallel_map, Variant};
+use crate::sweep::parallel_map;
+use crate::triage;
 
 /// Schema tag of the machine-readable fuzz report.
 pub const FUZZ_SCHEMA: &str = "norush-fuzz-v1";
@@ -121,14 +124,7 @@ impl ScheduleGenome {
     pub fn describe(&self) -> String {
         let mut parts = Vec::new();
         if self.chaos_active() {
-            parts.push(format!(
-                "chaos(seed {} latency {} drop {}ppm dup {}ppm corrupt {}ppm)",
-                self.fault.seed,
-                self.fault.max_extra_latency,
-                self.fault.drop_ppm,
-                self.fault.dup_ppm,
-                self.fault.corrupt_ppm
-            ));
+            parts.push(format!("chaos(seed {} {})", self.fault.seed, self.fault));
         }
         for b in self.perturb.active() {
             if b.len > 0 && b.extra > 0 {
@@ -234,34 +230,24 @@ impl FuzzOptions {
         )
     }
 
-    fn system(&self, genome: &ScheduleGenome) -> Result<SystemConfig, String> {
-        let mut sys = Variant::by_name(&self.policy)?.apply(SystemConfig::small(self.cores));
-        sys.check.oracle_online = true;
-        sys.check.invariant_every = Some(4_096);
-        sys.check.watchdog_window = Some(self.watchdog);
-        sys.check.chaos = genome.chaos_active().then_some(genome.fault);
-        sys.check.perturb = (!genome.perturb.is_empty()).then_some(genome.perturb);
-        sys.validate()?;
-        Ok(sys)
-    }
-
-    fn streams(&self) -> Vec<Box<dyn InstrStream>> {
-        let mut svc = LockServiceConfig::soak(self.kernel);
-        svc.ops_per_thread = self.ops_per_thread;
-        (0..self.cores)
-            .map(|t| Box::new(LockServiceStream::new(svc, t, self.cores, self.seed)) as _)
-            .collect()
-    }
-
-    /// A fresh machine executing `genome`'s schedule, online checker armed,
-    /// planted bug injected when requested.
+    /// A fresh machine executing `genome`'s schedule on the campaign's cell,
+    /// online checker armed, planted bug injected when requested.
     pub fn machine(&self, genome: &ScheduleGenome) -> Result<Machine, String> {
-        let sys = self.system(genome)?;
-        let mut m = Machine::new(&sys, self.streams());
-        if self.planted_bug {
-            m.memory_mut().inject_early_unblock_for_test();
+        ServiceCell {
+            policy: &self.policy,
+            cores: self.cores,
+            svc: LockServiceConfig {
+                ops_per_thread: self.ops_per_thread,
+                ..LockServiceConfig::soak(self.kernel)
+            },
+            seed: self.seed,
+            watchdog: self.watchdog,
+            chaos: genome.chaos_active().then_some(genome.fault),
+            perturb: (!genome.perturb.is_empty()).then_some(genome.perturb),
+            net_zero_faa: 0,
+            early_unblock: self.planted_bug,
         }
-        Ok(m)
+        .machine()
     }
 }
 
@@ -584,9 +570,9 @@ pub fn fuzz(
 ) -> Result<FuzzOutcome, String> {
     // Validate the policy and the resumed corpus once up front: mutation
     // keeps every schedule inside the bounds.
-    opts.system(&ScheduleGenome::neutral())?;
+    opts.machine(&ScheduleGenome::neutral())?;
     for entry in &state.corpus {
-        opts.system(&entry.genome)?;
+        opts.machine(&entry.genome)?;
     }
     let mut finding = None;
     while state.runs_done < opts.budget && finding.is_none() {
@@ -714,70 +700,53 @@ pub fn repro_command(opts: &FuzzOptions, genome: &ScheduleGenome) -> String {
     )
 }
 
-/// Replays the minimized schedule once more, capturing the soak-style triage
-/// bundle into `repro_dir`: `fuzz_failure.txt` (description, repro command,
-/// error), `journal_tail.txt` (the online checker's last records), and
-/// `fuzz.ckpt` (the last pre-violation checkpoint, when one was reachable).
+/// Replays the minimized schedule once more, to the campaign's cycle limit
+/// with a restore point every 50,000 cycles, and writes the soak-style
+/// triage bundle into `repro_dir`: `fuzz_failure.txt` (description, repro
+/// command, error), `journal_tail.txt` (the online checker's last records),
+/// and `fuzz.ckpt` (the last restore point before the violation, when one
+/// was reachable).
+///
+/// # Errors
+/// A schedule the configuration refuses, or the first bundle file that
+/// could not be written.
 pub fn write_triage(
     opts: &FuzzOptions,
     finding: &Finding,
     repro_dir: &Path,
 ) -> std::io::Result<()> {
-    std::fs::create_dir_all(repro_dir)?;
-    // Re-run in checkpointed slices so a recent restore point survives the
-    // violation (a wedged/corrupt machine refuses to checkpoint).
     let mut m = opts
         .machine(&finding.minimized)
         .map_err(|e| std::io::Error::other(format!("triage machine: {e}")))?;
-    let mut last_ckpt: Option<Vec<u8>> = None;
-    let err = loop {
-        match m.run_for(50_000) {
-            Err(e) => break Some(e),
-            Ok(Some(_)) => break None,
-            Ok(None) => {
-                if m.now().raw() >= opts.cycle_limit {
-                    break None;
-                }
-                if let Ok(bytes) = m.checkpoint() {
-                    last_ckpt = Some(bytes);
-                }
-            }
-        }
-    };
-    let ckpt_note = match &last_ckpt {
-        Some(bytes) => {
-            let path = repro_dir.join("fuzz.ckpt");
-            crate::checkpoint::write_checkpoint(&path, bytes).map_err(std::io::Error::other)?;
-            path.display().to_string()
-        }
-        None => "none reachable before the failure".to_string(),
-    };
-    let desc = format!(
-        "fuzz failure\npolicy: {}\nkernel: {}\nseed: {}\ncores: {}\nops_per_thread: {}\n\
-         planted_bug: {}\nfound: generation {} candidate {}\nkind: {}\n\
-         schedule: {}\nminimized: {}\nminimized genome: {}\ncheckpoint: {}\n\
-         repro: {}\nerror:\n{}\nminimized replay error:\n{}\n",
-        opts.policy,
-        opts.kernel.name(),
-        opts.seed,
-        opts.cores,
-        opts.ops_per_thread,
-        opts.planted_bug,
-        finding.generation,
-        finding.candidate,
-        finding.kind,
-        finding.genome.describe(),
-        finding.minimized.describe(),
-        finding.minimized.to_hex(),
-        ckpt_note,
-        repro_command(opts, &finding.minimized),
-        finding.error,
-        err.map(|e| e.to_string())
-            .unwrap_or_else(|| finding.minimized_error.clone()),
-    );
-    crate::triage::write_failure(repro_dir, "fuzz_failure.txt", &desc)?;
-    crate::triage::write_journal_tail(repro_dir, &m)?;
-    Ok(())
+    let (res, image) = m.run_with_restore_point(opts.cycle_limit, 50_000, None);
+    let image = image.map(|b| ("fuzz.ckpt".to_string(), b));
+    triage::write_bundle(repro_dir, "fuzz", image, Some(&m), |ckpt| {
+        let ckpt = ckpt.map_or("none reachable before the failure".into(), |p| {
+            p.display().to_string()
+        });
+        format!(
+            "fuzz failure\npolicy: {}\nkernel: {}\nseed: {}\ncores: {}\nops_per_thread: {}\n\
+             planted_bug: {}\nfound: generation {} candidate {}\nkind: {}\n\
+             schedule: {}\nminimized: {}\nminimized genome: {}\ncheckpoint: {ckpt}\n\
+             repro: {}\nerror:\n{}\nminimized replay error:\n{}\n",
+            opts.policy,
+            opts.kernel.name(),
+            opts.seed,
+            opts.cores,
+            opts.ops_per_thread,
+            opts.planted_bug,
+            finding.generation,
+            finding.candidate,
+            finding.kind,
+            finding.genome.describe(),
+            finding.minimized.describe(),
+            finding.minimized.to_hex(),
+            repro_command(opts, &finding.minimized),
+            finding.error,
+            res.err()
+                .map_or_else(|| finding.minimized_error.clone(), |e| e.to_string()),
+        )
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@
 //!   scoped-thread worker pool with deterministic job-order aggregation,
 //!   timeout retry, incremental `BENCH_<figure>.json` persistence
 //!   ([`FigureResults`]) and fingerprint-matched resume.
+//! * [`cell`] — [`ServiceCell`](cell::ServiceCell), the lock-service
+//!   machine both `soak` and `fuzz` build.
 //! * [`fuzz`](mod@fuzz) — the coverage-guided protocol-schedule fuzzer behind
 //!   `norush fuzz`: delay-burst/chaos genomes mutated against the
 //!   transition-coverage map, deterministic generation batches over the
@@ -32,12 +34,12 @@
 //!   its report renderer and triage bundle writer.
 //! * [`soak`] — the phased lock-service soak behind `norush soak`:
 //!   kernel-rotating, chaos-escalating phases with the online
-//!   linearizability checker armed, checkpointed cells under cycle and wall
-//!   budgets, triage on the first violation, and the `norush-soak-v1`
-//!   report.
-//! * [`triage`] — the shared failure-triage bundle writers (`--repro-dir`
-//!   rotation, failure/journal-tail/checkpoint files, chaos
-//!   shrink-and-report) used by `run`, `soak`, `fuzz`, and `explore`.
+//!   linearizability checker armed, cells under cycle and wall budgets,
+//!   triage on the first violation, and the `norush-soak-v1` report.
+//! * [`triage`] — the shared failure-triage plumbing (`--repro-dir`
+//!   rotation, the one bundle writer for failure/journal-tail/checkpoint
+//!   files, chaos shrink-and-report) used by `run`, `soak`, `fuzz`, and
+//!   `explore`.
 //!
 //! The five command-line policy names (`eager`, `lazy`, `row`, `row-fwd`,
 //! `far`) resolve in one place, [`Variant::by_name`].
@@ -58,6 +60,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cell;
 pub mod checkpoint;
 pub mod experiment;
 pub mod explore;
@@ -73,8 +76,8 @@ pub use experiment::{
     run_microbench, run_microbench_result, ExperimentConfig, RowVariant,
 };
 pub use explore::{
-    explore, fmt_outcome, run_litmus, run_schedule, run_schedule_full, schedule_from_hex,
-    schedule_to_hex, ExploreOptions, ExploreReport, ExploreViolation, ScheduleRun, LITMUS_SCHEMA,
+    explore, fmt_outcome, run_litmus, run_schedule, schedule_from_hex, schedule_to_hex,
+    ExploreOptions, ExploreReport, ExploreViolation, ScheduleRun, LITMUS_SCHEMA,
 };
 pub use fuzz::{
     fuzz, minimize, report_json, write_triage, Finding, FuzzOptions, FuzzOutcome, FuzzState,

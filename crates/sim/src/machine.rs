@@ -738,6 +738,40 @@ impl Machine {
         Err(self.timeout_error(limit))
     }
 
+    /// Runs to the absolute cycle `limit` in slices of `every` cycles like
+    /// [`Machine::run_checkpointed`], but keeps only the image of the last
+    /// slice boundary before `limit`, in memory, for a campaign's triage
+    /// bundle. Stops before a slice once the wall clock passes `deadline`.
+    ///
+    /// Returns the outcome (`Ok(None)`: the deadline stopped the run; errors
+    /// as [`Machine::run_checkpointed`]) and the last boundary's image.
+    ///
+    /// # Panics
+    /// Panics if `every` is zero.
+    pub fn run_with_restore_point(
+        &mut self,
+        limit: u64,
+        every: u64,
+        deadline: Option<Instant>,
+    ) -> (Result<Option<RunResult>, SimError>, Option<Vec<u8>>) {
+        assert!(every > 0, "slice length must be non-zero");
+        let mut image = None;
+        let res = loop {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                break Ok(None);
+            }
+            match self.run_for(every.min(limit.saturating_sub(self.now.raw()))) {
+                Ok(None) if self.now.raw() < limit => match self.checkpoint() {
+                    Ok(bytes) => image = Some(bytes),
+                    Err(e) => break Err(e),
+                },
+                Ok(None) => break Err(self.timeout_error(limit)),
+                done => break done,
+            }
+        };
+        (res, image)
+    }
+
     /// One machine cycle: wake the sleepers that are due, route the memory
     /// system's events, then step the awake cores. When `trace` is given,
     /// delivered events are recorded into it (bounded to
@@ -1209,6 +1243,32 @@ mod tests {
         assert_eq!(t.last_commit.len(), 2);
         assert_eq!(t.report.cores.len(), 2);
         assert!(!t.to_string().is_empty());
+    }
+
+    /// The restore-point loop stops exactly at its limit with the standard
+    /// timeout and keeps the last slice boundary before the limit; a passed
+    /// wall deadline stops it before it runs anything.
+    #[test]
+    fn restore_point_loop_stops_at_the_limit_and_the_deadline() {
+        let cfg = SystemConfig::small(2);
+        let streams =
+            || -> Vec<Box<dyn InstrStream>> { (0..2).map(|_| faa_prog(500, 0xddd000)).collect() };
+        let mut m = Machine::new(&cfg, streams());
+        let (res, image) = m.run_with_restore_point(2_500, 1_000, None);
+        let Err(SimError::Timeout(t)) = res else {
+            panic!("expected a timeout, got {res:?}");
+        };
+        assert_eq!((t.limit, m.now().raw()), (2_500, 2_500));
+        let mut restored = Machine::new(&cfg, streams());
+        restored
+            .restore(&image.expect("a boundary precedes the limit"))
+            .expect("the image restores");
+        assert_eq!(restored.now().raw(), 2_000);
+
+        let mut late = Machine::new(&cfg, streams());
+        let (res, image) = late.run_with_restore_point(2_500, 1_000, Some(Instant::now()));
+        assert!(matches!(res, Ok(None)) && image.is_none());
+        assert_eq!(late.now().raw(), 0);
     }
 
     /// A contended-lock run that exhausts its budget must name the stalled

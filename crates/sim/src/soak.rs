@@ -5,26 +5,26 @@
 //! phases under every policy in [`SoakOptions::policies`], with the online
 //! per-operation linearizability checker armed. Each phase rotates the
 //! service kernel and escalates the lossy chaos rates; each phase × policy
-//! cell runs under a cycle budget in checkpointed slices, and the whole soak
-//! under a wall-clock budget. The first violation stops the soak and writes
-//! a triage bundle into [`SoakOptions::repro_dir`]: `soak_failure.txt` with a
-//! single-phase repro command, the checker's `journal_tail.txt`, the latest
-//! pre-violation checkpoint and, when chaos was active, a shrunk
+//! cell ([`ServiceCell`]) runs under a cycle budget, keeping a restore point
+//! every [`SoakOptions::ckpt_every`] cycles, and the whole soak under a
+//! wall-clock budget. The first violation stops the soak and writes a triage
+//! bundle into [`SoakOptions::repro_dir`]: `soak_failure.txt` with a
+//! single-phase repro command, the checker's `journal_tail.txt`, the last
+//! restore point before the violation and, when chaos was active, a shrunk
 //! `chaos_repro.txt`. [`report_json`] renders the `norush-soak-v1` report
 //! (schema in `results/README.md`).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use row_common::config::{CheckConfig, FaultConfig, SystemConfig};
+use row_common::config::FaultConfig;
 use row_common::json::{self, Value};
 use row_common::object;
 use row_common::stats::LogHistogram;
-use row_cpu::instr::InstrStream;
-use row_workloads::{LockServiceConfig, LockServiceStream, ServiceKernel};
+use row_workloads::{LockServiceConfig, ServiceKernel};
 
-use crate::machine::{Machine, RunResult, SimError};
-use crate::sweep::Variant;
+use crate::cell::ServiceCell;
+use crate::machine::{Machine, SimError};
 use crate::triage;
 
 /// Schema tag of the machine-readable soak report.
@@ -56,11 +56,12 @@ pub struct SoakOptions {
     pub phase_cycles: u64,
     /// Wall-clock budget of the whole soak, in seconds.
     pub wall_secs: u64,
-    /// Cycles between on-disk checkpoints.
+    /// Cycles between restore points. A cell keeps its latest in memory
+    /// and writes it into the triage bundle only when it fails.
     pub ckpt_every: u64,
     /// Deadlock-watchdog window, in cycles.
     pub watchdog: u64,
-    /// Where checkpoints and the triage bundle land.
+    /// Where the triage bundle lands, failing cell's restore point included.
     pub repro_dir: PathBuf,
     /// Test-only atomicity bug: lose the Nth FAA and double-apply the next
     /// one on the same word (0 = off). Exercises the triage pipeline.
@@ -124,40 +125,29 @@ impl SoakOptions {
         (f.max_extra_latency > 0 || f.lossy()).then_some(f)
     }
 
-    fn streams_for(&self, phase: usize) -> Vec<Box<dyn InstrStream>> {
-        let svc = LockServiceConfig {
-            kernel: self.kernel_for(phase),
-            ..self.svc
-        };
-        let seed = self.seed_for(phase);
-        (0..self.cores)
-            .map(|t| Box::new(LockServiceStream::new(svc, t, self.cores, seed)) as _)
-            .collect()
-    }
-
-    /// A fresh machine for one phase × policy cell under `chaos`, online
-    /// checker armed and the injected bug (if any) planted. The phase loop
-    /// passes [`SoakOptions::chaos_for`]; the shrinker passes candidates.
-    fn machine(
+    /// One phase × policy cell under `chaos`, the injected bug (if any)
+    /// planted. The phase loop passes [`SoakOptions::chaos_for`]; the
+    /// shrinker passes candidates.
+    fn cell<'a>(
         &self,
         phase: usize,
-        policy: &str,
+        policy: &'a str,
         chaos: Option<FaultConfig>,
-    ) -> Result<Machine, String> {
-        let sys = Variant::by_name(policy)?
-            .apply(SystemConfig::small(self.cores))
-            .with_check(CheckConfig {
-                invariant_every: Some(4_096),
-                watchdog_window: Some(self.watchdog),
-                oracle_online: true,
-                chaos,
-                ..CheckConfig::default()
-            });
-        let mut m = Machine::new(&sys, self.streams_for(phase));
-        if self.inject > 0 {
-            m.memory_mut().inject_net_zero_faa_for_test(self.inject);
+    ) -> ServiceCell<'a> {
+        ServiceCell {
+            policy,
+            cores: self.cores,
+            svc: LockServiceConfig {
+                kernel: self.kernel_for(phase),
+                ..self.svc
+            },
+            seed: self.seed_for(phase),
+            watchdog: self.watchdog,
+            chaos,
+            perturb: None,
+            net_zero_faa: self.inject,
+            early_unblock: false,
         }
-        Ok(m)
     }
 
     /// A single-phase command replaying one phase × policy cell exactly:
@@ -192,47 +182,6 @@ impl SoakOptions {
             cmd.push_str(&format!(" --inject-net-zero-faa {}", self.inject));
         }
         cmd
-    }
-}
-
-/// How one soak phase × policy cell ended.
-enum PhaseFailure {
-    /// The machine failed (violation, stall, timeout against the phase's
-    /// cycle budget, checkpoint error).
-    Sim(SimError),
-    /// The whole-soak wall budget ran out mid-phase.
-    Wall,
-}
-
-/// Drives one cell to completion in checkpointed slices: every `every`
-/// cycles the machine snapshot lands in `ckpt` (atomically), so a violation
-/// leaves a recent restore point for the triage bundle, and the wall-clock
-/// `deadline` is re-checked between slices.
-fn run_soak_phase(
-    m: &mut Machine,
-    cycle_budget: u64,
-    every: u64,
-    ckpt: &Path,
-    deadline: Instant,
-) -> Result<RunResult, PhaseFailure> {
-    let limit = m.now().raw().saturating_add(cycle_budget);
-    loop {
-        if Instant::now() >= deadline {
-            return Err(PhaseFailure::Wall);
-        }
-        let remaining = limit - m.now().raw();
-        if remaining == 0 {
-            // Budget exhausted: surface the standard timeout diagnostics.
-            return m.run(limit).map_err(PhaseFailure::Sim);
-        }
-        match m.run_for(every.min(remaining)).map_err(PhaseFailure::Sim)? {
-            Some(r) => return Ok(r),
-            None => {
-                let bytes = m.checkpoint().map_err(PhaseFailure::Sim)?;
-                crate::checkpoint::write_checkpoint(ckpt, &bytes)
-                    .map_err(|e| PhaseFailure::Sim(SimError::Checkpoint(e)))?;
-            }
-        }
     }
 }
 
@@ -282,7 +231,8 @@ pub fn failed(outcomes: &[SoakOutcome]) -> bool {
 /// (progress on stderr).
 ///
 /// # Errors
-/// `unknown policy` for a policy name outside [`Variant::by_name`].
+/// A cell [`ServiceCell::machine`] cannot build: an unknown policy, or a
+/// setting the system configuration's validation refuses.
 pub fn soak(
     opts: &SoakOptions,
     mut progress: impl FnMut(SoakEvent<'_>),
@@ -293,9 +243,9 @@ pub fn soak(
         progress(SoakEvent::Phase(phase));
         let chaos = opts.chaos_for(phase);
         for policy in &opts.policies {
-            let mut m = opts.machine(phase, policy, chaos)?;
-            let ckpt = opts.repro_dir.join(format!("soak_p{phase}_{policy}.ckpt"));
-            let res = run_soak_phase(&mut m, opts.phase_cycles, opts.ckpt_every, &ckpt, deadline);
+            let mut m = opts.cell(phase, policy, chaos).machine()?;
+            let (res, image) =
+                m.run_with_restore_point(opts.phase_cycles, opts.ckpt_every, Some(deadline));
             let mut o = SoakOutcome {
                 phase,
                 kernel: opts.kernel_for(phase).name(),
@@ -312,97 +262,67 @@ pub fn soak(
                     .map(|c| (c.ops_seen(), c.rmws(), c.live_words())),
             };
             match &res {
-                Ok(r) => {
+                Ok(Some(r)) => {
                     o.cycles = r.cycles;
                     o.ipc = r.ipc();
                     o.atomics = r.total.atomics;
                     o.lat = Some(r.total.atomic_latency.clone());
                 }
-                Err(PhaseFailure::Wall) => {
+                Ok(None) => {
                     o.status = "wall-budget";
                     o.error = Some(format!("wall budget exhausted at cycle {}", o.cycles));
                 }
-                Err(PhaseFailure::Sim(e)) => {
+                Err(e) => {
                     o.status = "violation";
                     o.error = Some(e.to_string());
                 }
             }
             progress(SoakEvent::Cell(&o));
             outcomes.push(o);
-            match res {
-                // The cell finished: its checkpoint is spent.
-                Ok(_) => {
-                    std::fs::remove_file(&ckpt).ok();
-                }
-                Err(PhaseFailure::Wall) => return Ok(outcomes),
-                Err(PhaseFailure::Sim(e)) => {
-                    write_triage(opts, phase, policy, &e, &m, &ckpt);
-                    return Ok(outcomes);
-                }
+            if let Err(e) = &res {
+                write_triage(opts, phase, policy, e, &m, image);
+            }
+            if !matches!(res, Ok(Some(_))) {
+                return Ok(outcomes);
             }
         }
     }
     Ok(outcomes)
 }
 
-/// On a cell failure: write the triage bundle (failure description, repro
-/// command, online-checker journal tail; the latest checkpoint is already in
-/// the repro dir) and, when chaos was active, shrink it to a minimal repro.
+/// On a cell failure: write the triage bundle (failure description with its
+/// repro command, online-checker journal tail, the cell's last restore
+/// point) and, when chaos was active, shrink it to a minimal repro.
 fn write_triage(
     opts: &SoakOptions,
     phase: usize,
     policy: &str,
     err: &SimError,
     m: &Machine,
-    ckpt: &Path,
+    image: Option<Vec<u8>>,
 ) {
     let chaos = opts.chaos_for(phase);
-    let mut desc = format!(
-        "soak failure\nphase: {phase}\npolicy: {policy}\nkernel: {}\nseed: {}\ncores: {}\n",
-        opts.kernel_for(phase).name(),
-        opts.seed_for(phase),
-        opts.cores,
-    );
-    match chaos {
-        Some(f) => desc.push_str(&format!(
-            "chaos: seed {} latency {} drop {}ppm dup {}ppm corrupt {}ppm\n",
-            f.seed, f.max_extra_latency, f.drop_ppm, f.dup_ppm, f.corrupt_ppm
-        )),
-        None => desc.push_str("chaos: off\n"),
-    }
-    if opts.inject > 0 {
-        desc.push_str(&format!(
-            "injected net-zero FAA bug: countdown {}\n",
-            opts.inject
-        ));
-    }
-    desc.push_str(&format!(
-        "checkpoint: {}\n",
-        if ckpt.exists() {
-            ckpt.display().to_string()
-        } else {
-            "none written before the failure".to_string()
-        }
-    ));
-    let unshrunk = chaos.unwrap_or(FaultConfig {
-        seed: 0,
-        max_extra_latency: 0,
-        drop_ppm: 0,
-        dup_ppm: 0,
-        corrupt_ppm: 0,
+    let image = image.map(|b| (format!("soak_p{phase}_{policy}.ckpt"), b));
+    let written = triage::write_bundle(&opts.repro_dir, "soak", image, Some(m), |ckpt| {
+        let chaos_text = chaos.map_or("off".into(), |f| format!("seed {} {f}", f.seed));
+        let bug = match opts.inject {
+            0 => String::new(),
+            n => format!("injected net-zero FAA bug: countdown {n}\n"),
+        };
+        let ckpt = ckpt.map_or("none written before the failure".into(), |p| {
+            p.display().to_string()
+        });
+        format!(
+            "soak failure\nphase: {phase}\npolicy: {policy}\nkernel: {}\nseed: {}\ncores: {}\n\
+             chaos: {chaos_text}\n{bug}checkpoint: {ckpt}\nrepro: {}\nerror:\n{err}\n",
+            opts.kernel_for(phase).name(),
+            opts.seed_for(phase),
+            opts.cores,
+            opts.repro_cmd(phase, policy, &chaos.unwrap_or_default()),
+        )
     });
-    desc.push_str(&format!(
-        "repro: {}\nerror:\n{err}\n",
-        opts.repro_cmd(phase, policy, &unshrunk)
-    ));
-    match triage::write_failure(&opts.repro_dir, "soak_failure.txt", &desc) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("cannot write soak_failure.txt: {e}"),
-    }
-    match triage::write_journal_tail(&opts.repro_dir, m) {
-        Ok(Some(path)) => eprintln!("wrote {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("cannot write journal_tail.txt: {e}"),
+    if let Err(e) = written {
+        eprintln!("cannot write the triage bundle: {e}");
     }
     let Some(initial) = chaos else {
         eprintln!("no chaos was active; nothing to shrink");
@@ -413,7 +333,8 @@ fn write_triage(
         initial,
         &|min| opts.repro_cmd(phase, policy, min),
         &mut |cand| {
-            opts.machine(phase, policy, Some(*cand))
+            opts.cell(phase, policy, Some(*cand))
+                .machine()
                 .is_ok_and(|mut pm| pm.run(opts.phase_cycles).is_err())
         },
     );
@@ -502,6 +423,6 @@ mod tests {
         assert!(cmd.starts_with("norush soak --phases 1 --policies row --kernel mpmc-queue"));
         assert!(cmd.contains(&format!("--seed {}", opts.seed_for(1))));
         assert!(cmd.ends_with("--chaos-escalation 1 --inject-net-zero-faa 50"));
-        assert!(opts.machine(0, "nonesuch", None).is_err());
+        assert!(opts.cell(0, "nonesuch", None).machine().is_err());
     }
 }

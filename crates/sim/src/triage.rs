@@ -8,13 +8,15 @@
 //! chaos failures) a shrunk `chaos_repro.txt`. This module owns the pieces
 //! the four modes ([`crate::soak`], [`crate::fuzz`](mod@crate::fuzz),
 //! [`crate::explore`](mod@crate::explore) and the CLI's `run`) share: marker
-//! naming, stale-bundle rotation, the failure and journal-tail writers, and
+//! naming, stale-bundle rotation, the one bundle writer ([`write_bundle`];
+//! each campaign supplies only its description text and repro command), and
 //! the chaos shrink-and-report step ([`shrink_and_report`]).
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use row_common::config::FaultConfig;
+use row_common::persist::write_atomic;
 
 use crate::machine::Machine;
 use crate::shrink::shrink_chaos;
@@ -91,29 +93,46 @@ pub fn prepare_repro_dir(dir: &Path) -> io::Result<()> {
     rotate_stale_bundle(dir)
 }
 
-/// Writes the failure description `desc` to `<dir>/<marker>` and returns the
-/// path. `marker` should be one of [`BUNDLE_MARKERS`] so rotation finds it.
-pub fn write_failure(dir: &Path, marker: &str, desc: &str) -> io::Result<PathBuf> {
-    debug_assert!(BUNDLE_MARKERS.contains(&marker), "unknown marker {marker}");
-    let path = dir.join(marker);
-    std::fs::write(&path, desc)?;
-    Ok(path)
-}
-
-/// Writes the machine's online-checker journal tail to
-/// `<dir>/journal_tail.txt`. Returns the path, or `None` when the machine
-/// has no online checker (nothing is written).
-pub fn write_journal_tail(dir: &Path, m: &Machine) -> io::Result<Option<PathBuf>> {
-    let Some(checker) = m.online_checker() else {
-        return Ok(None);
+/// Writes one failure's triage bundle into `dir`, creating it if needed:
+/// the checkpoint `image` (file name, bytes) when there is one, then
+/// `<mode>_failure.txt` holding what `desc` renders from the checkpoint's
+/// path, then the online checker's last records as `journal_tail.txt` when
+/// `m` has a checker. Notes each file written on stderr.
+///
+/// # Errors
+/// The first file that could not be written, naming it.
+pub fn write_bundle(
+    dir: &Path,
+    mode: &str,
+    image: Option<(String, Vec<u8>)>,
+    m: Option<&Machine>,
+    desc: impl FnOnce(Option<&Path>) -> String,
+) -> io::Result<()> {
+    let marker = format!("{mode}_failure.txt");
+    debug_assert!(
+        BUNDLE_MARKERS.contains(&marker.as_str()),
+        "unknown marker {marker}"
+    );
+    std::fs::create_dir_all(dir)?;
+    let write = |name: &str, bytes: &[u8]| {
+        let path = dir.join(name);
+        write_atomic(&path, bytes)
+            .map_err(|e| io::Error::other(format!("{}: {e}", path.display())))?;
+        eprintln!("wrote {}", path.display());
+        Ok::<_, io::Error>(path)
     };
-    let mut tail = String::new();
-    for (idx, rec) in (checker.tail_start_index()..).zip(checker.tail()) {
-        tail.push_str(&format!("{idx}: {rec:?}\n"));
+    let ckpt = image
+        .map(|(name, bytes)| write(&name, &bytes))
+        .transpose()?;
+    write(&marker, desc(ckpt.as_deref()).as_bytes())?;
+    if let Some(checker) = m.and_then(Machine::online_checker) {
+        let tail: String = (checker.tail_start_index()..)
+            .zip(checker.tail())
+            .map(|(idx, rec)| format!("{idx}: {rec:?}\n"))
+            .collect();
+        write("journal_tail.txt", tail.as_bytes())?;
     }
-    let path = dir.join("journal_tail.txt");
-    std::fs::write(&path, tail)?;
-    Ok(Some(path))
+    Ok(())
 }
 
 /// A failing chaos run: minimizes the fault config while `fails` keeps
@@ -130,10 +149,7 @@ pub fn shrink_and_report(
     eprintln!("shrinking the failing chaos config (one run per probe)...");
     let min = shrink_chaos(initial, fails);
     let repro = repro_cmd(&min);
-    eprintln!(
-        "minimal failing chaos config: latency {} drop {}ppm dup {}ppm corrupt {}ppm",
-        min.max_extra_latency, min.drop_ppm, min.dup_ppm, min.corrupt_ppm
-    );
+    eprintln!("minimal failing chaos config: {min}");
     eprintln!("repro: {repro}");
     let path = repro_dir.join("chaos_repro.txt");
     if let Err(e) = std::fs::write(&path, format!("{repro}\n")) {
@@ -182,8 +198,9 @@ mod tests {
         let d = tmpdir("clean");
         prepare_repro_dir(&d).unwrap();
         assert!(!PathBuf::from(format!("{}.1", d.display())).exists());
-        let path = write_failure(&d, "explore_failure.txt", "desc\n").unwrap();
-        assert_eq!(std::fs::read_to_string(path).unwrap(), "desc\n");
+        write_bundle(&d, "explore", None, None, |ckpt| format!("{ckpt:?}\n")).unwrap();
+        let desc = std::fs::read_to_string(d.join("explore_failure.txt")).unwrap();
+        assert_eq!(desc, "None\n");
         let _ = std::fs::remove_dir_all(&d);
     }
 }

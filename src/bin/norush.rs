@@ -110,14 +110,8 @@ impl Args {
     }
 
     /// Parses `--{name}` as a fault probability in `[0, 0.05]` and converts
-    /// it to parts-per-million; absent means 0 (off).
-    fn prob_ppm(&self, name: &str) -> Result<u32, Box<dyn std::error::Error>> {
-        self.prob_ppm_or(name, 0)
-    }
-
-    /// Like [`Args::prob_ppm`], but an absent flag means `default_ppm`
-    /// (soak arms baseline chaos unless explicitly zeroed).
-    fn prob_ppm_or(&self, name: &str, default_ppm: u32) -> Result<u32, Box<dyn std::error::Error>> {
+    /// it to parts-per-million; absent means `default_ppm`.
+    fn prob_ppm(&self, name: &str, default_ppm: u32) -> Result<u32, Box<dyn std::error::Error>> {
         let Some(v) = self.flags.get(name) else {
             return Ok(default_ppm);
         };
@@ -187,6 +181,26 @@ fn summarize(name: &str, s: &norush::common::stats::JobStats, baseline: Option<u
     );
 }
 
+/// Reads the chaos flags over `base`, the chaos a command runs when none is
+/// given: `--chaos S` sets the seed, `--chaos-latency N` the delivery jitter
+/// cap, and `--chaos-drop/-dup/-corrupt P` the per-message fault
+/// probabilities (each at most 0.05).
+fn chaos_over(args: &Args, base: FaultConfig) -> Result<FaultConfig, Box<dyn std::error::Error>> {
+    Ok(FaultConfig {
+        seed: args.num("chaos", base.seed)?,
+        max_extra_latency: args.num_in(
+            "chaos-latency",
+            base.max_extra_latency,
+            0,
+            MAX_CHAOS_LATENCY,
+            "delivery jitter cap",
+        )?,
+        drop_ppm: args.prob_ppm("chaos-drop", base.drop_ppm)?,
+        dup_ppm: args.prob_ppm("chaos-dup", base.dup_ppm)?,
+        corrupt_ppm: args.prob_ppm("chaos-corrupt", base.corrupt_ppm)?,
+    })
+}
+
 fn exp_from(args: &Args) -> Result<ExperimentConfig, Box<dyn std::error::Error>> {
     let mut exp = ExperimentConfig::quick();
     exp.cores = args.num_in("cores", 8, 1, 512, "simulated cores")? as usize;
@@ -198,7 +212,7 @@ fn exp_from(args: &Args) -> Result<ExperimentConfig, Box<dyn std::error::Error>>
     // invariant sweep every K cycles plus the deadlock watchdog; `--watchdog N`
     // sets the watchdog window (and enables the watchdog on its own);
     // `--rewind K` keeps an in-memory checkpoint every K cycles and replays
-    // from it on a violation; `--chaos S` turns on delivery perturbation.
+    // from it on a violation.
     let watchdog = args.num_in("watchdog", 5_000_000, 1, u64::MAX, "watchdog window")?;
     if args.switches.contains("check") {
         exp.check.invariant_every = Some(2_048);
@@ -214,42 +228,13 @@ fn exp_from(args: &Args) -> Result<ExperimentConfig, Box<dyn std::error::Error>>
         exp.check.rewind_every =
             Some(args.num_in("rewind", 65_536, 1, u64::MAX, "checkpoint interval")?);
     }
-    if args.switches.contains("chaos") {
-        exp.check.chaos = Some(FaultConfig::with_seed(1));
-    } else if args.flags.contains_key("chaos") {
-        exp.check.chaos = Some(FaultConfig::with_seed(args.num("chaos", 1)?));
-    }
-    // Lossy chaos: `--chaos-drop/-dup/-corrupt P` inject per-message faults
-    // at probability P (≤ 0.05), `--chaos-latency N` caps the delivery
-    // jitter. Any of them implies `--chaos` (seed 1 unless given).
-    let latency = args
-        .flags
-        .contains_key("chaos-latency")
-        .then(|| {
-            args.num_in(
-                "chaos-latency",
-                0,
-                0,
-                MAX_CHAOS_LATENCY,
-                "delivery jitter cap",
-            )
-        })
-        .transpose()?;
-    let drop_ppm = args.prob_ppm("chaos-drop")?;
-    let dup_ppm = args.prob_ppm("chaos-dup")?;
-    let corrupt_ppm = args.prob_ppm("chaos-corrupt")?;
-    if latency.is_some() || drop_ppm > 0 || dup_ppm > 0 || corrupt_ppm > 0 {
-        let f = exp
-            .check
-            .chaos
-            .get_or_insert(FaultConfig::with_seed(args.num("chaos", 1)?));
-        if let Some(l) = latency {
-            f.max_extra_latency = l;
-        }
-        f.drop_ppm = drop_ppm;
-        f.dup_ppm = dup_ppm;
-        f.corrupt_ppm = corrupt_ppm;
-    }
+    // Chaos is off unless `--chaos [S]` (seed 1 by default) or
+    // `--chaos-latency` is given, or a fault probability is nonzero.
+    let chaos = chaos_over(args, FaultConfig::with_seed(1))?;
+    let asked = args.switches.contains("chaos")
+        || args.flags.contains_key("chaos")
+        || args.flags.contains_key("chaos-latency");
+    exp.check.chaos = (asked || chaos.lossy()).then_some(chaos);
     // `--oracle`: journal every architectural write and differentially
     // check the finished run against a sequential golden model.
     if args.switches.contains("oracle") {
@@ -298,7 +283,9 @@ fn cmd_run(args: &Args) -> CliResult {
         Ok(r) => r,
         Err(e) => {
             eprintln!("simulation failed:\n{e}");
-            if every == 0 && args.switches.contains("chaos-shrink") {
+            // The shrink's probes are fresh, unsliced runs, so a
+            // checkpointed run shrinks like any other.
+            if args.switches.contains("chaos-shrink") {
                 if let Some(initial) = exp.check.chaos {
                     let dir = repro_dir_from(args, ".")?;
                     triage::shrink_and_report(
@@ -338,12 +325,8 @@ fn cmd_run(args: &Args) -> CliResult {
     println!("{bench} on {} cores, policy {policy}:", exp.cores);
     if let Some(f) = exp.check.chaos {
         println!(
-            "  chaos             seed {} latency {} drop {}ppm dup {}ppm corrupt {}ppm{}",
+            "  chaos             seed {} {f}{}",
             f.seed,
-            f.max_extra_latency,
-            f.drop_ppm,
-            f.dup_ppm,
-            f.corrupt_ppm,
             if exp.check.oracle { ", oracle on" } else { "" }
         );
     } else if exp.check.oracle {
@@ -499,19 +482,7 @@ fn soak_opts(args: &Args) -> Result<(SoakOptions, PathBuf), Box<dyn std::error::
         policies,
         kernel,
         svc,
-        chaos: FaultConfig {
-            seed: args.num("chaos", d.chaos.seed)?,
-            max_extra_latency: args.num_in(
-                "chaos-latency",
-                d.chaos.max_extra_latency,
-                0,
-                MAX_CHAOS_LATENCY,
-                "delivery jitter cap",
-            )?,
-            drop_ppm: args.prob_ppm_or("chaos-drop", d.chaos.drop_ppm)?,
-            dup_ppm: args.prob_ppm_or("chaos-dup", d.chaos.dup_ppm)?,
-            corrupt_ppm: args.prob_ppm_or("chaos-corrupt", d.chaos.corrupt_ppm)?,
-        },
+        chaos: chaos_over(args, d.chaos)?,
         escalation: args.f64_in(
             "chaos-escalation",
             d.escalation,
@@ -566,11 +537,7 @@ fn cmd_soak(args: &Args) -> CliResult {
         SoakEvent::Phase(phase) => {
             let kernel = opts.kernel_for(phase).name();
             match opts.chaos_for(phase) {
-                Some(f) => println!(
-                    "phase {phase}: kernel {kernel}, chaos latency {} drop {}ppm dup {}ppm \
-                     corrupt {}ppm",
-                    f.max_extra_latency, f.drop_ppm, f.dup_ppm, f.corrupt_ppm
-                ),
+                Some(f) => println!("phase {phase}: kernel {kernel}, chaos {f}"),
                 None => println!("phase {phase}: kernel {kernel}, chaos off"),
             }
         }
@@ -876,22 +843,45 @@ fn cmd_litmus(args: &Args) -> CliResult {
     let json = explore::report_json("sample", &[("samples", samples), ("seed", seed)], &reports);
     write_atomic(&out_path, json)?;
     println!("report written to {}", out_path.display());
-    if let Some((idx, v)) = reports
+    exit_on_violation(&reports, |i| (test_of(i), &cells[i]), &repro_dir);
+    Ok(())
+}
+
+/// Exits 1 on the first cell of `reports` with a violation, after printing
+/// it and its minimized schedule, writing its triage bundle into
+/// `repro_dir` and printing the repro command; `cell` names cell `i`'s test
+/// and options.
+fn exit_on_violation<'a>(
+    reports: &[norush::sim::ExploreReport],
+    cell: impl Fn(usize) -> (&'a LitmusTest, &'a norush::sim::ExploreOptions),
+    repro_dir: &std::path::Path,
+) {
+    use norush::sim::explore;
+    let Some((idx, v)) = reports
         .iter()
         .enumerate()
         .find_map(|(i, r)| r.violation.as_ref().map(|v| (i, v)))
-    {
-        let (test, o) = (test_of(idx), &cells[idx]);
-        eprintln!(
-            "VIOLATION ({}) in {}/{}: {}",
-            v.kind, test.name, o.policy, v.detail
-        );
-        explore::write_triage(test, o, v, &repro_dir);
-        eprintln!("triage bundle in {}", repro_dir.display());
-        eprintln!("repro: {}", explore::repro_command(test, o, &v.minimized));
-        std::process::exit(1);
-    }
-    Ok(())
+    else {
+        return;
+    };
+    let (test, opts) = cell(idx);
+    eprintln!(
+        "VIOLATION ({}) in {}/{}: {}",
+        v.kind, test.name, opts.policy, v.detail
+    );
+    eprintln!(
+        "minimized schedule: {} ({} of {} decisions nonzero)",
+        explore::schedule_to_hex(&v.minimized),
+        v.minimized.iter().filter(|&&a| a != 0).count(),
+        v.minimized.len(),
+    );
+    explore::write_triage(test, opts, v, repro_dir);
+    eprintln!("triage bundle in {}", repro_dir.display());
+    eprintln!(
+        "repro: {}",
+        explore::repro_command(test, opts, &v.minimized)
+    );
+    std::process::exit(1);
 }
 
 /// `norush explore` — bounded-exhaustive schedule exploration of litmus
@@ -987,30 +977,7 @@ fn cmd_explore(args: &Args) -> CliResult {
         explore::report_json("explore", &params, &reports),
     )?;
     println!("report written to {}", out_path.display());
-    if let Some((idx, v)) = reports
-        .iter()
-        .enumerate()
-        .find_map(|(i, r)| r.violation.as_ref().map(|v| (i, v)))
-    {
-        let test = &tests[idx];
-        eprintln!(
-            "VIOLATION ({}) in {}/{}: {}",
-            v.kind, test.name, opts.policy, v.detail
-        );
-        eprintln!(
-            "minimized schedule: {} ({} of {} decisions nonzero)",
-            explore::schedule_to_hex(&v.minimized),
-            v.minimized.iter().filter(|&&a| a != 0).count(),
-            v.minimized.len(),
-        );
-        explore::write_triage(test, &opts, v, &repro_dir);
-        eprintln!("triage bundle in {}", repro_dir.display());
-        eprintln!(
-            "repro: {}",
-            explore::repro_command(test, &opts, &v.minimized)
-        );
-        std::process::exit(1);
-    }
+    exit_on_violation(&reports, |i| (&tests[i], &opts), &repro_dir);
     if require_witness && reports.iter().any(|r| !r.unwitnessed.is_empty()) {
         eprintln!("--require-witness: some allowed outcomes went unwitnessed (see warnings)");
         std::process::exit(1);

@@ -236,6 +236,40 @@ fn audited_explore_writes_the_plain_report() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--chaos-shrink` shrinks a failing checkpointed run too: its probes are
+/// fresh, unsliced runs, so the checkpoint interval does not matter.
+#[test]
+fn checkpointed_run_shrinks_its_chaos() {
+    let dir = std::env::temp_dir().join(format!("norush-cli-shrink-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ckpt, repro) = (dir.join("ckpt"), dir.join("repro"));
+    let out = norush(&[
+        "run",
+        "pc",
+        "--cores",
+        "2",
+        "--instr",
+        "2000",
+        "--cycles",
+        "3000",
+        "--chaos",
+        "1",
+        "--chaos-shrink",
+        "--checkpoint-every",
+        "1000",
+        "--ckpt-dir",
+        ckpt.to_str().unwrap(),
+        "--repro-dir",
+        repro.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let shrunk = std::fs::read_to_string(repro.join("chaos_repro.txt"))
+        .expect("the shrunk repro is written");
+    assert!(shrunk.starts_with("norush run pc --cores 2"), "{shrunk}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn unknown_flag_error_names_the_flag() {
     let out = Command::new(BIN)
