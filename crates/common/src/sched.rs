@@ -160,6 +160,30 @@ impl<T> EventQueue<T> {
         self.far.first_key_value().map(|(&k, _)| Cycle::new(k))
     }
 
+    /// Every pending event with its cycle, in delivery order: ascending
+    /// cycle, FIFO within a cycle.
+    pub fn iter(&self) -> impl Iterator<Item = (Cycle, &T)> {
+        let window = if self.near_len > 0 { WHEEL } else { 0 };
+        let near = (0..window).flat_map(move |d| {
+            let c = self.cur + d;
+            let q = &self.near[Self::bucket(c)];
+            q.iter().map(move |item| (Cycle::new(c), item))
+        });
+        let far = self.far.iter();
+        near.chain(far.flat_map(|(&k, q)| q.iter().map(move |item| (Cycle::new(k), item))))
+    }
+
+    /// The event pushed last of those due at `at`: the one a push at `at`
+    /// would queue right behind.
+    pub fn last_mut(&mut self, at: Cycle) -> Option<&mut T> {
+        let at = at.raw().max(self.cur);
+        if at < self.cur + WHEEL {
+            self.near[Self::bucket(at)].back_mut()
+        } else {
+            self.far.get_mut(&at)?.back_mut()
+        }
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.near_len + self.far_len
@@ -179,23 +203,12 @@ impl<T> Default for EventQueue<T> {
 
 impl<T: Codec> Codec for EventQueue<T> {
     fn encode(&self, w: &mut Writer) {
-        // Encode in delivery order — ascending cycle, FIFO within a cycle —
-        // the same wire format (and bytes) as the pre-wheel heap layout.
+        // Encode in delivery order — the same wire format (and bytes) as
+        // the pre-wheel heap layout.
         w.put_len(self.len());
-        if self.near_len > 0 {
-            for d in 0..WHEEL {
-                let c = self.cur + d;
-                for item in &self.near[Self::bucket(c)] {
-                    Cycle::new(c).encode(w);
-                    item.encode(w);
-                }
-            }
-        }
-        for (&k, q) in &self.far {
-            for item in q {
-                Cycle::new(k).encode(w);
-                item.encode(w);
-            }
+        for (at, item) in self.iter() {
+            at.encode(w);
+            item.encode(w);
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
@@ -267,6 +280,25 @@ mod tests {
         }
         assert_eq!(orig, rest);
         assert_eq!(orig, vec![2, 4, 1, 3]);
+    }
+
+    #[test]
+    fn iter_and_last_mut_follow_delivery_order() {
+        let mut q = EventQueue::new();
+        q.push(Cycle::new(WHEEL + 9), 5u32); // far
+        q.push(Cycle::new(3), 1);
+        q.push(Cycle::new(7), 3);
+        q.push(Cycle::new(3), 2);
+        let seen: Vec<(u64, u32)> = q.iter().map(|(c, &v)| (c.raw(), v)).collect();
+        assert_eq!(seen, vec![(3, 1), (3, 2), (7, 3), (WHEEL + 9, 5)]);
+        *q.last_mut(Cycle::new(3)).expect("due at 3") = 20;
+        *q.last_mut(Cycle::new(WHEEL + 9)).expect("far") = 50;
+        assert_eq!(q.last_mut(Cycle::new(4)), None);
+        let mut drained = Vec::new();
+        while let Some(v) = q.pop_ready(Cycle::new(2 * WHEEL)) {
+            drained.push(v);
+        }
+        assert_eq!(drained, vec![1, 20, 3, 50]);
     }
 
     #[test]

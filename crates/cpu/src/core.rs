@@ -71,6 +71,11 @@ enum Comp {
     AtomicValue,
     /// An SB entry's write to the L1D completed.
     SbWrite,
+    /// Re-checks the next run of parked writes, whose oldest write's uid
+    /// rides in the event's uid slot (see [`Core::park`]). Never persisted:
+    /// [`Core::persist`] writes each in its place as the `SbWrite` events of
+    /// its run.
+    Parked,
 }
 
 #[derive(Clone, Debug)]
@@ -225,6 +230,14 @@ pub struct Core {
     aq: VecDeque<AqEntry>,
     barriers: BTreeSet<u64>,
     exec_done: EventQueue<(u64, Comp)>,
+    /// Runs of SB writes that completed behind an older write and wait to
+    /// reach the head: one per `Comp::Parked` marker on the wheel, in marker
+    /// order, each holding uids in the order their re-checks run (see
+    /// [`Core::park`]). Derived state: a restore empties it, and the image's
+    /// `SbWrite` events park again when they pop.
+    parked: VecDeque<VecDeque<u64>>,
+    /// Emptied run buffers for [`Core::park`] to reuse. Never persisted.
+    run_pool: Vec<VecDeque<u64>>,
     sb_miss_inflight: bool,
 
     branch_stall: Option<u64>,
@@ -255,6 +268,9 @@ pub struct Core {
     /// [`Core::inject_oversleep_for_test`]. Zero outside tests; never
     /// persisted.
     oversleep: u64,
+    /// Set by [`Core::drop_recheck_for_test`]; false outside tests; never
+    /// persisted.
+    drop_recheck: bool,
 }
 
 impl Core {
@@ -290,6 +306,8 @@ impl Core {
             aq: VecDeque::new(),
             barriers: BTreeSet::new(),
             exec_done: EventQueue::new(),
+            parked: VecDeque::new(),
+            run_pool: Vec::new(),
             sb_miss_inflight: false,
             branch_stall: None,
             fetch_resume_at: Cycle::ZERO,
@@ -305,6 +323,7 @@ impl Core {
             commit_release: None,
             head_wait: None,
             oversleep: 0,
+            drop_recheck: false,
         }
     }
 
@@ -625,6 +644,7 @@ impl Core {
         while let Some((uid, comp)) = self.exec_done.pop_ready(now) {
             match comp {
                 Comp::SbWrite => self.sb_write_done(uid, now, mem),
+                Comp::Parked => self.recheck(uid, now, mem),
                 _ if !self.entries.contains_key(&uid) => {} // squashed
                 Comp::Exec => self.complete(uid, now),
                 Comp::AddrCalc => self.addr_calc_done(uid, now, mem),
@@ -1037,8 +1057,8 @@ impl Core {
     // ------------------------------------------------------------------
 
     /// The store-buffer entry `drain_sb` writes next, with its line: the
-    /// oldest entry not yet in flight, once it has committed. `None` while a
-    /// write miss serializes the drain.
+    /// oldest entry not yet in flight, once it has committed. `None` while
+    /// the last write started missed and no write has retired since.
     fn next_sb_write(&self) -> Option<(usize, LineAddr)> {
         if self.sb_miss_inflight {
             return None;
@@ -1059,7 +1079,10 @@ impl Core {
             let (uid, pc, owned) = (s.uid, s.pc, s.atomic || mem.owns(self.id, line));
             self.request(uid, pc, line, AccessKind::Write, now, mem);
             if !owned {
-                // A write miss serializes the drain (TSO order).
+                // A write miss stops the drain until the next write retires.
+                // That may be an older hit, not the miss: younger owned
+                // writes then start while the miss is in flight, and wait
+                // for it at the head.
                 self.sb_miss_inflight = true;
                 return;
             }
@@ -1067,16 +1090,20 @@ impl Core {
     }
 
     fn sb_write_done(&mut self, uid: u64, now: Cycle, mem: &mut MemorySystem) {
-        let Some(pos) = self.sb.iter().position(|s| s.uid == uid) else {
+        // SB uids rise from head to tail (dispatch hands them out in program
+        // order), so a uid below the head's belongs to a retired write.
+        let Some(head) = self.sb.front() else {
             return;
         };
-        if pos != 0 {
-            // An older write is still in flight (e.g. it hit in L2 while this
-            // one hit in L1). TSO: retire strictly in order — retry shortly.
-            self.exec_done.push(now + 1, (uid, Comp::SbWrite));
+        if head.uid != uid {
+            if head.uid < uid {
+                // An older write is still in flight (e.g. it hit in L2 while
+                // this one hit in L1). TSO: retire strictly in order.
+                self.park(uid, now);
+            }
             return;
         }
-        let s = self.sb.remove(pos).expect("present");
+        let s = self.sb.pop_front().expect("present");
         self.sb_miss_inflight = false;
         if self.sb.is_empty() && !self.lazy_wait.is_empty() {
             self.coverage.record(cpu_slot(CpuEvent::SbDrain));
@@ -1090,6 +1117,60 @@ impl Core {
             }
             self.ss.store_completed(s.pc, uid);
         }
+    }
+
+    /// Holds completed write `uid` until a re-check at `now + 1` finds it at
+    /// the SB head. The re-check runs where an `SbWrite` event pushed now
+    /// would pop, so the write retires in the cycle, and at the point of
+    /// it, that retrying every cycle would give.
+    fn park(&mut self, uid: u64, now: Cycle) {
+        let mut run = self.run_pool.pop().unwrap_or_default();
+        run.push_back(uid);
+        self.repark(run, uid, now + 1);
+    }
+
+    /// Parks `run`, whose oldest write is `oldest`, for a re-check at
+    /// `next`. One `Comp::Parked` marker stands for each run of writes
+    /// parked with nothing else pushed for `next` between them, so `run`
+    /// joins the run of the marker pushed last for `next` if nothing
+    /// followed it, and gets a marker of its own otherwise.
+    fn repark(&mut self, mut run: VecDeque<u64>, oldest: u64, next: Cycle) {
+        let Some((last_oldest, Comp::Parked)) = self.exec_done.last_mut(next) else {
+            self.parked.push_back(run);
+            if !std::mem::take(&mut self.drop_recheck) {
+                self.exec_done.push(next, (oldest, Comp::Parked));
+            }
+            return;
+        };
+        *last_oldest = (*last_oldest).min(oldest);
+        // Append `run` to the last run, moving whichever is shorter.
+        let last = self.parked.back_mut().expect("the marker's run");
+        if last.len() <= run.len() {
+            while let Some(uid) = last.pop_back() {
+                run.push_front(uid);
+            }
+            std::mem::swap(last, &mut run);
+        } else {
+            last.append(&mut run);
+        }
+        self.run_pool.push(run);
+    }
+
+    /// Re-checks the run behind the marker that popped at `now`, whose
+    /// oldest write is `oldest`, in the order its writes parked.
+    fn recheck(&mut self, oldest: u64, now: Cycle, mem: &mut MemorySystem) {
+        let mut run = self.parked.pop_front().expect("a marker's run");
+        if self.sb.front().is_some_and(|head| head.uid < oldest) {
+            // The head is older than the whole run, so each write would
+            // park again in turn: the run waits one more cycle as it is.
+            self.repark(run, oldest, now + 1);
+            return;
+        }
+        for &uid in &run {
+            self.sb_write_done(uid, now, mem);
+        }
+        run.clear();
+        self.run_pool.push(run);
     }
 
     /// The `store_unlock` wrote: perform the functional RMW, release the
@@ -1584,6 +1665,112 @@ impl Core {
         }
         self.last_commit = now; // rearm either way
     }
+
+    // ------------------------------------------------------------------
+    // Parked writes: image and audit
+    // ------------------------------------------------------------------
+
+    /// Writes the event wheel with each `Comp::Parked` marker replaced, in
+    /// place, by an `SbWrite` event for each write of its run: the events
+    /// of a core that retries a waiting write every cycle, so an image does
+    /// not tell whether writes were parked.
+    fn encode_wheel(&self, w: &mut Writer) {
+        let mut runs = self.parked.iter();
+        let mut len = 0;
+        for (_, &(_, comp)) in self.exec_done.iter() {
+            len += match comp {
+                Comp::Parked => runs.next().map_or(0, VecDeque::len),
+                _ => 1,
+            };
+        }
+        w.put_len(len);
+        let mut runs = self.parked.iter();
+        for (at, &(uid, comp)) in self.exec_done.iter() {
+            if matches!(comp, Comp::Parked) {
+                for &uid in runs.next().into_iter().flatten() {
+                    at.encode(w);
+                    (uid, Comp::SbWrite).encode(w);
+                }
+            } else {
+                at.encode(w);
+                (uid, comp).encode(w);
+            }
+        }
+    }
+
+    /// Audit mode's check of the parked writes after the step at `now`,
+    /// where `awake` says whether the machine steps the core next cycle:
+    /// each names a committed, in-flight SB entry; the wheel holds one
+    /// marker per run, due at `now + 1` and naming the run's oldest write;
+    /// and the core is awake.
+    pub fn parked_fault(&self, now: Cycle, awake: bool) -> Option<ParkedFault> {
+        if self.parked.is_empty() {
+            return None;
+        }
+        let in_flight = |&uid: &u64| {
+            self.sb
+                .iter()
+                .any(|s| s.uid == uid && s.committed && s.inflight)
+        };
+        if let Some(&uid) = self.parked.iter().flatten().find(|&u| !in_flight(u)) {
+            return Some(ParkedFault::NotInFlight { uid });
+        }
+        let mut runs = self.parked.iter();
+        for (at, &(oldest, comp)) in self.exec_done.iter() {
+            if matches!(comp, Comp::Parked) {
+                let run_oldest = runs.next().and_then(|run| run.iter().min());
+                if at != now + 1 || run_oldest != Some(&oldest) {
+                    return Some(ParkedFault::NoRecheck);
+                }
+            }
+        }
+        if runs.next().is_some() {
+            return Some(ParkedFault::NoRecheck);
+        }
+        (!awake).then_some(ParkedFault::Asleep)
+    }
+
+    /// Test instrumentation: the next time this core parks a write that
+    /// starts a run, it pushes no marker, so the run waits with no re-check
+    /// on the wheel. `Machine::set_audit` must catch this. Not persisted
+    /// across checkpoint/restore.
+    #[doc(hidden)]
+    pub fn drop_recheck_for_test(&mut self) {
+        self.drop_recheck = true;
+    }
+}
+
+/// What audit mode found wrong with a core's parked writes (see
+/// [`Core::parked_fault`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ParkedFault {
+    /// A parked write names no committed, in-flight store-buffer entry.
+    NotInFlight {
+        /// The parked write's uid.
+        uid: u64,
+    },
+    /// The wheel does not hold exactly one re-check, due next cycle, for
+    /// each run of parked writes.
+    NoRecheck,
+    /// The core sleeps with writes parked.
+    Asleep,
+}
+
+impl std::fmt::Display for ParkedFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParkedFault::NotInFlight { uid } => {
+                write!(
+                    f,
+                    "write #{uid} is not a committed, in-flight store-buffer entry"
+                )
+            }
+            ParkedFault::NoRecheck => {
+                f.write_str("the wheel does not re-check each run next cycle")
+            }
+            ParkedFault::Asleep => f.write_str("the core sleeps"),
+        }
+    }
 }
 
 impl std::fmt::Debug for Core {
@@ -1605,6 +1792,7 @@ row_common::codec_enum!(Comp {
     3 => LoadDone { forwarded },
     4 => AtomicValue,
     5 => SbWrite,
+    6 => Parked,
 });
 
 row_common::codec_struct!(RobEntry {
@@ -1670,7 +1858,7 @@ impl Persist for Core {
         self.sb.encode(w);
         self.aq.encode(w);
         self.barriers.encode(w);
-        self.exec_done.encode(w);
+        self.encode_wheel(w);
         w.put_bool(self.sb_miss_inflight);
         self.branch_stall.encode(w);
         self.fetch_resume_at.encode(w);
@@ -1709,6 +1897,13 @@ impl Persist for Core {
         self.aq = VecDeque::<AqEntry>::decode(r)?;
         self.barriers = BTreeSet::<u64>::decode(r)?;
         self.exec_done = EventQueue::<(u64, Comp)>::decode(r)?;
+        if self
+            .exec_done
+            .iter()
+            .any(|(_, (_, c))| matches!(c, Comp::Parked))
+        {
+            return Err(PersistError::Corrupt("parked-write marker in a core image"));
+        }
         self.sb_miss_inflight = r.get_bool()?;
         self.branch_stall = Option::<u64>::decode(r)?;
         self.fetch_resume_at = Cycle::decode(r)?;
@@ -1726,6 +1921,7 @@ impl Persist for Core {
         self.commit_release = Option::<(u64, Cycle)>::decode(r)?;
         // Derived caches restart cold.
         self.head_wait = None;
+        self.parked.clear();
         Ok(())
     }
 }

@@ -50,6 +50,6 @@ pub mod instr;
 pub mod stats;
 pub mod storeset;
 
-pub use crate::core::{Core, LoadObservation, Sleep, SleepCause, WakeSource};
+pub use crate::core::{Core, LoadObservation, ParkedFault, Sleep, SleepCause, WakeSource};
 pub use crate::instr::{Instr, InstrStream, Op, RmwKind};
 pub use crate::stats::CoreStats;

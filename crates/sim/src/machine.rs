@@ -16,7 +16,7 @@ use row_common::persist::{fnv1a, Codec, Persist, PersistError, Writer};
 use row_common::stats::{AccuracyCounter, RunningMean, TransportStats};
 use row_common::{Cycle, SystemConfig};
 use row_cpu::instr::InstrStream;
-use row_cpu::{Core, CoreStats, Sleep};
+use row_cpu::{Core, CoreStats, ParkedFault, Sleep};
 use row_mem::{MemorySystem, OpRecord, ProtocolError};
 use row_oracle::{OnlineChecker, OracleMismatch};
 
@@ -157,6 +157,15 @@ pub enum Shortcut {
         /// The violation the full sweep reported.
         full: Box<ProtocolError>,
     },
+    /// The core's parked store-buffer writes, which wait for a re-check
+    /// instead of retrying every cycle, broke their invariant
+    /// ([`Core::parked_fault`]).
+    ParkedWrites {
+        /// The core holding the writes.
+        core: u16,
+        /// What was wrong.
+        fault: ParkedFault,
+    },
 }
 
 impl std::fmt::Display for AuditFailure {
@@ -193,6 +202,10 @@ impl std::fmt::Display for AuditFailure {
                 f,
                 "audit: at cycle {cycle} the incremental sweep and a full sweep \
                  named different violations: incremental: {incremental}; full: {full}"
+            ),
+            Shortcut::ParkedWrites { core, fault } => write!(
+                f,
+                "audit: core {core}'s parked store-buffer writes at cycle {cycle}: {fault}"
             ),
         }
     }
@@ -524,18 +537,20 @@ impl Machine {
     /// persisted state (its `Persist` bytes): its sleep proof
     /// ([`Core::sleep_until`]) was wrong. It also checks each cycle that
     /// every private cache with queued requests is in the memory system's
-    /// pending set and, while the sweep is armed, that every line a cache
-    /// holds is in the holder index; and each periodic incremental sweep
-    /// must pass or fail with a full sweep of the same state and, when both
-    /// fail, name the same violation. Simulated time is unchanged. Each
-    /// audited step of a sleeping core costs a core image, which in a
-    /// release build costs what the core holds (predictor tables write only
-    /// their written entries; a debug build also scans every entry to check
-    /// that), so an audited `explore` runs about 15× slower than a plain
-    /// one and audit suits small machines. Turning audit on wakes every
-    /// sleeping core so each later sleep is recorded with its proof. A
-    /// method rather than a [`CheckConfig`] field, so it leaves config
-    /// hashes alone; not persisted.
+    /// pending set, that each core's parked store-buffer writes are in
+    /// flight, awake and re-checked next cycle, and, while the sweep is
+    /// armed, that every line a cache holds is in the holder index; and
+    /// each periodic incremental sweep must pass or fail with a full sweep
+    /// of the same state and, when both fail, name the same violation.
+    /// Simulated time is unchanged. Each audited step of a sleeping core
+    /// costs a core image, which in a release build costs what the core
+    /// holds (predictor tables write only their written entries; a debug
+    /// build also scans every entry to check that), so an audited `explore`
+    /// runs about 15× slower than a plain one and audit suits small
+    /// machines. Turning audit on wakes every sleeping core so each later
+    /// sleep is recorded with its proof. A method rather than a
+    /// [`CheckConfig`] field, so it leaves config hashes alone; not
+    /// persisted.
     pub fn set_audit(&mut self, on: bool) {
         self.audit = on.then(|| vec![None; self.cores.len()]);
         if on {
@@ -896,6 +911,13 @@ impl Machine {
                 let (core, line) = self.mem.unindexed_holder()?;
                 let core = core.index() as u16;
                 Some(Shortcut::HolderIndex { core, line })
+            })
+            .or_else(|| {
+                self.active.iter().find_map(|i| {
+                    let fault = self.cores[i].parked_fault(now, self.awake.contains(i))?;
+                    let core = i as u16;
+                    Some(Shortcut::ParkedWrites { core, fault })
+                })
             });
         if let Some(shortcut) = failure {
             return Err(AuditFailure {

@@ -243,6 +243,21 @@ fn exp_from(args: &Args) -> Result<ExperimentConfig, Box<dyn std::error::Error>>
     Ok(exp)
 }
 
+/// The flags of `args` besides the workload and chaos ones that decide how
+/// a `run` behaves, as ` --flag [value]` text in a fixed order, so a
+/// shrunk chaos repro replays the run that failed.
+fn run_flags(args: &Args) -> String {
+    let mut text = String::new();
+    for name in ["policy", "cycles", "check", "watchdog", "rewind", "oracle"] {
+        if let Some(v) = args.flags.get(name) {
+            text += &format!(" --{name} {v}");
+        } else if args.switches.contains(name) {
+            text += &format!(" --{name}");
+        }
+    }
+    text
+}
+
 fn cmd_run(args: &Args) -> CliResult {
     let bench = bench_by_name(args.positional.first().ok_or("usage: run <benchmark>")?)?;
     let exp = exp_from(args)?;
@@ -295,7 +310,7 @@ fn cmd_run(args: &Args) -> CliResult {
                             format!(
                                 "norush run {} --cores {} --instr {} --seed {} --chaos {} \
                                  --chaos-latency {} --chaos-drop {} --chaos-dup {} \
-                                 --chaos-corrupt {}",
+                                 --chaos-corrupt {}{}",
                                 bench.name(),
                                 exp.cores,
                                 exp.instructions,
@@ -305,6 +320,7 @@ fn cmd_run(args: &Args) -> CliResult {
                                 min.drop_ppm as f64 / 1e6,
                                 min.dup_ppm as f64 / 1e6,
                                 min.corrupt_ppm as f64 / 1e6,
+                                run_flags(args),
                             )
                         },
                         &mut |cand| {

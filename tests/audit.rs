@@ -1,14 +1,15 @@
 //! Audit mode (`Machine::set_audit`): the simulation loop's shortcuts —
-//! sleeping cores, the pending-cache set, the holder index and the
-//! incremental sweep — checked against doing all the work, on small cells
-//! under every policy, the explorer and lossy chaos. An audited run must
-//! also match the plain run exactly.
+//! sleeping cores, the pending-cache set, parked store-buffer writes, the
+//! holder index and the incremental sweep — checked against doing all the
+//! work, on small cells under every policy, the explorer and lossy chaos.
+//! An audited run must also match the plain run exactly.
 
 use norush::common::config::FaultConfig;
 use norush::common::ids::{Addr, CoreId, LineAddr, Pc};
 use norush::common::persist::fnv1a;
 use norush::common::SystemConfig;
 use norush::cpu::instr::{Instr, InstrStream, Op, VecStream};
+use norush::cpu::ParkedFault;
 use norush::mem::{DirState, PrivState, ProtocolError};
 use norush::sim::{
     bench_streams, explore, ExperimentConfig, ExploreOptions, Machine, Shortcut, SimError, Variant,
@@ -144,6 +145,29 @@ fn planted_oversleep_is_caught_naming_core_and_cycle() {
         text.contains(&format!("cycle {}", failure.cycle.raw())),
         "{text}"
     );
+}
+
+/// A store-buffer write parked without its re-check would wait with
+/// nothing on the wheel to retire it; the audit catches that in the cycle
+/// it parks and names the core.
+#[test]
+fn dropped_recheck_of_a_parked_write_is_caught_naming_the_core() {
+    let mut m = pc_machine(&Variant::eager(), 2, |_| {});
+    m.set_audit(true);
+    m.core_mut(1).drop_recheck_for_test();
+    let err = m
+        .run(5_000_000)
+        .expect_err("the dropped re-check must be caught");
+    let SimError::Audit(failure) = &err else {
+        panic!("expected an audit failure, got {err}");
+    };
+    let fault = ParkedFault::NoRecheck;
+    assert_eq!(failure.shortcut, Shortcut::ParkedWrites { core: 1, fault });
+    let text = err.to_string();
+    let cycle = format!("cycle {}", failure.cycle.raw());
+    for part in ["core 1", "parked", &cycle] {
+        assert!(text.contains(part), "{text}");
+    }
 }
 
 /// The lowest line `core` holds in one of `states`.

@@ -270,6 +270,38 @@ fn checkpointed_run_shrinks_its_chaos() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The shrunk repro replays the failing run: it keeps `--cycles` (and the
+/// other flags that decide the outcome), so it fails the same way.
+#[test]
+fn shrunk_chaos_repro_replays_the_failing_run() {
+    let dir = std::env::temp_dir().join(format!("norush-cli-repro-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = norush(&[
+        "run",
+        "pc",
+        "--cores",
+        "2",
+        "--instr",
+        "2000",
+        "--cycles",
+        "3000",
+        "--chaos",
+        "1",
+        "--chaos-shrink",
+        "--repro-dir",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let repro =
+        std::fs::read_to_string(dir.join("chaos_repro.txt")).expect("the shrunk repro is written");
+    let args: Vec<&str> = repro.split_whitespace().skip(1).collect();
+    assert!(args.contains(&"--cycles"), "{repro}");
+    let replay = norush(&args);
+    assert_eq!(replay.status.code(), Some(1), "{repro}: {replay:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn unknown_flag_error_names_the_flag() {
     let out = Command::new(BIN)
