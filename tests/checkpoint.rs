@@ -148,6 +148,39 @@ fn kernel_streams_resume_bit_exactly() {
     }
 }
 
+/// An image taken while store-buffer writes wait for the head holds each
+/// as the `SbWrite` event a core retrying every cycle would hold, and a
+/// restored core drops the writes it had parked and parks the image's
+/// again as they pop. `barnes` on 4 cores with the paper's caches: each
+/// 500-cycle image (26 of its 43 hold waiting writes), restored into one
+/// machine (fresh the first time, then holding the state the previous
+/// check ran it into, parked writes included) and run to the next
+/// boundary, must give the straight run's next image.
+#[test]
+fn images_with_waiting_writes_resume_bit_exactly() {
+    let exp = ExperimentConfig {
+        cores: 4,
+        instructions: 2_000,
+        paper_caches: true,
+        ..ExperimentConfig::quick()
+    };
+    let sys = exp.system();
+    let fresh = || Machine::new(&sys, bench_streams(Benchmark::Barnes, &exp));
+    let mut straight = fresh();
+    let mut images = Vec::new();
+    while straight.run_for(500).expect("clean run").is_none() {
+        images.push(straight.checkpoint().expect("checkpointable"));
+    }
+    assert_eq!(images.len(), 43);
+    let mut m = fresh();
+    for (k, pair) in images.windows(2).enumerate() {
+        m.restore(&pair[0]).expect("restore");
+        assert!(m.run_for(500).expect("clean run").is_none());
+        let next = m.checkpoint().expect("checkpointable");
+        assert!(next == pair[1], "image {k} resumed to a different image");
+    }
+}
+
 /// `run_checkpointed` + `restore` is the crash-recovery path: kill a run
 /// after some checkpoints landed on disk, restore the newest file into a
 /// fresh machine, and the finished result matches the uninterrupted run.
