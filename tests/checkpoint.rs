@@ -433,6 +433,59 @@ fn rewind_names_a_first_offending_cycle_before_detection() {
     );
 }
 
+/// A rewind replays the run that failed. `canneal` on 4 cores under a
+/// 250-cycle watchdog stalls at cycle 3,085; replays from the last slice
+/// boundary of four intervals start at four cycles, and each must deliver
+/// the forward run's events at the forward run's cycles. So every trace
+/// line from the latest start on is the same in all four. A replay that
+/// stepped its first cycle twice would list some of them a cycle early.
+#[test]
+fn rewind_replays_the_run_that_failed() {
+    let exp = ExperimentConfig {
+        cores: 4,
+        instructions: 3_000,
+        ..ExperimentConfig::quick()
+    };
+    let mut sys = exp.system();
+    sys.check.watchdog_window = Some(250);
+    let mut reports = Vec::new();
+    for every in [97, 101, 150, 233] {
+        sys.check.rewind_every = Some(every);
+        let mut m = Machine::new(&sys, bench_streams(Benchmark::Canneal, &exp));
+        match m.run(exp.cycle_limit) {
+            Err(SimError::Rewind(report)) => reports.push(report),
+            other => panic!("interval {every}: expected a rewind report, got {other:?}"),
+        }
+    }
+    let starts: Vec<u64> = reports.iter().map(|r| r.checkpoint_at.raw()).collect();
+    assert_eq!(starts, [3_007, 3_030, 3_000, 3_029]);
+    for r in &reports {
+        assert!(matches!(*r.cause, SimError::Stall(_)), "cause: {}", r.cause);
+        assert_eq!(r.detected_at.raw(), 3_085);
+        assert_eq!(r.first_bad_cycle, None);
+    }
+    let latest = starts.iter().copied().max().unwrap_or(0);
+    let shared = |trace: &[String]| -> Vec<String> {
+        trace
+            .iter()
+            .filter(|line| {
+                let cycle = line.split(':').next().and_then(|c| c.parse::<u64>().ok());
+                cycle.expect("a trace line starts with its cycle") >= latest
+            })
+            .cloned()
+            .collect()
+    };
+    let first = shared(&reports[0].trace);
+    assert!(!first.is_empty(), "the replays share no event");
+    for (r, every) in reports.iter().zip([97, 101, 150, 233]).skip(1) {
+        assert_eq!(
+            shared(&r.trace),
+            first,
+            "interval {every}'s replay and interval 97's list different events"
+        );
+    }
+}
+
 /// With rewind disabled (the default), the same failure surfaces as the
 /// plain protocol/stall error — existing behaviour is unchanged.
 #[test]

@@ -302,6 +302,35 @@ fn shrunk_chaos_repro_replays_the_failing_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--rewind` replays the failed run from its last slice boundary: core 3's
+/// L1 fill of request 782 arrives at cycle 3,031, the tick after its
+/// access, in the replay as in the forward run.
+#[test]
+fn rewind_replay_lists_the_forward_runs_events() {
+    let out = norush(&[
+        "run",
+        "canneal",
+        "--cores",
+        "4",
+        "--instr",
+        "3000",
+        "--watchdog",
+        "250",
+        "--rewind",
+        "101",
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("rewind replay from checkpoint at cycle 3030 (detected at cycle 3085)"),
+        "{err}"
+    );
+    assert!(
+        err.contains("3031: Fill { core: CoreId(3), req_id: 782"),
+        "{err}"
+    );
+}
+
 #[test]
 fn unknown_flag_error_names_the_flag() {
     let out = Command::new(BIN)
