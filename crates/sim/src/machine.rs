@@ -40,7 +40,7 @@ pub struct SimTimeout {
     pub unfinished: Vec<u16>,
     /// Per-core committed-instruction counts at the timeout.
     pub committed: Vec<u64>,
-    /// Per-core cycle of the most recent commit.
+    /// Per-core [`Core::last_commit`].
     pub last_commit: Vec<Cycle>,
     /// Full diagnostic snapshot of the wedged machine.
     pub report: StallReport,
@@ -73,9 +73,10 @@ pub enum SimError {
     Protocol(ProtocolError),
     /// A checkpoint could not be written, read, or restored.
     Checkpoint(PersistError),
-    /// A violation was detected and replayed from the last in-memory
-    /// checkpoint with per-cycle checking (`CheckConfig::rewind_every`); the
-    /// report localizes the first offending cycle.
+    /// A violation was detected and replayed from the image of the run's
+    /// last slice boundary with per-cycle checking
+    /// (`CheckConfig::rewind_every`); the report localizes the first
+    /// offending cycle.
     Rewind(Box<RewindReport>),
     /// The linearizability oracle (`CheckConfig::oracle` or
     /// `oracle_online`) found the run's journal inconsistent with the
@@ -214,14 +215,15 @@ impl std::fmt::Display for AuditFailure {
 impl std::error::Error for AuditFailure {}
 
 /// The result of a rewind-on-violation replay: the original failure plus the
-/// tighter localization obtained by re-running from the last in-memory
-/// checkpoint with the invariant sweep on every cycle.
+/// tighter localization obtained by re-running from the image of the run's
+/// last slice boundary with the invariant sweep on every cycle.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RewindReport {
     /// The error the forward run originally hit (watchdog stall or a
     /// protocol violation found by the periodic sweep).
     pub cause: Box<SimError>,
-    /// Cycle of the checkpoint the replay started from.
+    /// The first cycle the replay stepped: the run's last slice boundary,
+    /// whose image it restored.
     pub checkpoint_at: Cycle,
     /// Cycle at which the forward run detected the failure.
     pub detected_at: Cycle,
@@ -439,9 +441,9 @@ pub struct Machine {
     /// checkpoint so a restore into a differently-configured machine is
     /// refused instead of silently misinterpreted.
     cfg_hash: u64,
-    /// Last in-memory checkpoint for rewind-on-violation
-    /// (`CheckConfig::rewind_every`).
-    rewind_ckpt: Option<(Cycle, Vec<u8>)>,
+    /// The event trace, on only during a rewind replay: the last
+    /// [`REWIND_TRACE_LIMIT`] delivered memory events as `"<cycle>: <event>"`.
+    trace: Option<VecDeque<String>>,
     /// Streaming per-operation linearizability checker
     /// (`CheckConfig::oracle_online`); fed by draining the memory system's
     /// journal every cycle, so journal memory stays O(one cycle's ops).
@@ -450,8 +452,8 @@ pub struct Machine {
     /// allocation on the hot path).
     online_buf: Vec<OpRecord>,
     /// Incremental invariant sweeper driving the periodic in-run check off
-    /// the memory system's dirty-line set (full sweeps remain at drain, on
-    /// demand, and during rewind replay).
+    /// the memory system's dirty-line set (full sweeps remain at drain and
+    /// on demand).
     sweeper: IncrementalSweep,
     /// Cores that have not finished. `Core::finished()` is monotonic, so a
     /// core leaves exactly once and drained cores cost nothing per cycle.
@@ -515,7 +517,7 @@ impl Machine {
             check: cfg.check,
             now: Cycle::ZERO,
             cfg_hash: hashed.hash,
-            rewind_ckpt: None,
+            trace: None,
             online: cfg
                 .check
                 .oracle_online
@@ -652,9 +654,10 @@ impl Machine {
     /// Robustness hooks from [`CheckConfig`] run inside the loop: the
     /// coherence invariant sweep every `invariant_every` cycles (and once on
     /// drain), a deadlock watchdog that fires when no core commits for
-    /// `watchdog_window` cycles, and — when `rewind_every` is set — an
-    /// in-memory checkpoint that turns any stall/protocol failure into a
-    /// [`SimError::Rewind`] replay localizing the first offending cycle.
+    /// `watchdog_window` cycles, and — when `rewind_every` is set — a run in
+    /// slices of that many cycles whose last boundary image turns any
+    /// stall/protocol failure into a [`SimError::Rewind`] replay localizing
+    /// the first offending cycle.
     ///
     /// # Errors
     /// [`SimError::Timeout`] when the budget is exhausted (the error carries
@@ -662,7 +665,7 @@ impl Machine {
     /// [`SimError::Stall`] when the watchdog fires,
     /// [`SimError::Protocol`] when a coherence invariant is violated, and
     /// [`SimError::Rewind`] for either of the latter two when rewind is
-    /// enabled and a checkpoint was available.
+    /// enabled.
     pub fn run(&mut self, limit: u64) -> Result<RunResult, SimError> {
         match self.run_for(limit.saturating_sub(self.now.raw()))? {
             Some(r) => Ok(r),
@@ -679,7 +682,11 @@ impl Machine {
     /// Same failure modes as [`Machine::run`] except [`SimError::Timeout`].
     pub fn run_for(&mut self, cycles: u64) -> Result<Option<RunResult>, SimError> {
         let target = self.now.raw().saturating_add(cycles);
-        if !self.advance(target)? {
+        let drained = match self.check.rewind_every {
+            Some(k) => self.advance_in_slices(target, k)?,
+            None => self.advance(target)?,
+        };
+        if !drained {
             return Ok(None);
         }
         if self.check.invariant_every.is_some() {
@@ -788,14 +795,9 @@ impl Machine {
     }
 
     /// One machine cycle: wake the sleepers that are due, route the memory
-    /// system's events, then step the awake cores. When `trace` is given,
-    /// delivered events are recorded into it (bounded to
-    /// [`REWIND_TRACE_LIMIT`] entries).
-    fn step_cycle(
-        &mut self,
-        now: Cycle,
-        mut trace: Option<&mut VecDeque<String>>,
-    ) -> Result<(), AuditFailure> {
+    /// system's events, then step the awake cores. While the event trace is
+    /// on, delivered events are recorded into it.
+    fn step_cycle(&mut self, now: Cycle) -> Result<(), AuditFailure> {
         let t0 = self.prof.as_ref().map(|_| Instant::now());
         while let Some(&(at, i)) = self.sleepers.first() {
             if at > now {
@@ -807,7 +809,7 @@ impl Machine {
         let mut events = 0u64;
         for ev in self.mem.tick(now) {
             events += 1;
-            if let Some(t) = trace.as_deref_mut() {
+            if let Some(t) = self.trace.as_mut() {
                 if t.len() >= REWIND_TRACE_LIMIT {
                     t.pop_front();
                 }
@@ -953,10 +955,9 @@ impl Machine {
                 return Ok(true);
             }
             let now = self.now;
-            self.step_cycle(now, None).map_err(SimError::Audit)?;
+            self.step_cycle(now).map_err(SimError::Audit)?;
             if let Some(e) = self.mem.protocol_error() {
-                let e = e.clone();
-                return Err(self.maybe_rewind(SimError::Protocol(e), now));
+                return Err(SimError::Protocol(e.clone()));
             }
             self.pump_online()?;
             if let Some(k) = every {
@@ -969,9 +970,7 @@ impl Machine {
                     if self.audit.is_some() {
                         self.audit_sweep(&sweep, now)?;
                     }
-                    if let Err(e) = sweep {
-                        return Err(self.maybe_rewind(SimError::Protocol(e), now));
-                    }
+                    sweep.map_err(SimError::Protocol)?;
                 }
             }
             if let Some(w) = window {
@@ -982,28 +981,68 @@ impl Machine {
                         .map(|i| self.cores[i].last_commit())
                         .max();
                     if latest.is_some_and(|t| now.saturating_since(t) >= w) {
-                        let stall = SimError::Stall(Box::new(StallReport::capture(
+                        return Err(SimError::Stall(Box::new(StallReport::capture(
                             &self.cores,
                             &self.mem,
                             now,
                             Some(w),
-                        )));
-                        return Err(self.maybe_rewind(stall, now));
-                    }
-                }
-            }
-            // Refresh the rewind checkpoint only after every check passed:
-            // it must capture a provably-coherent state to replay from.
-            if let Some(k) = self.check.rewind_every {
-                if now.raw().is_multiple_of(k) {
-                    if let Ok(bytes) = self.checkpoint() {
-                        self.rewind_ckpt = Some((now, bytes));
+                        ))));
                     }
                 }
             }
             self.now += 1;
         }
         Ok(self.active.is_empty())
+    }
+
+    /// [`Machine::advance`] to `target` in slices of `k` cycles from the
+    /// current one, keeping the image of the latest slice boundary (the
+    /// first is the current cycle). A stall or protocol failure rewinds to
+    /// that image ([`Machine::rewind`]).
+    fn advance_in_slices(&mut self, target: u64, k: u64) -> Result<bool, SimError> {
+        loop {
+            let (at, image) = (self.now, self.checkpoint()?);
+            match self.advance(target.min(at.raw().saturating_add(k))) {
+                Ok(false) if self.now.raw() < target => {}
+                Err(cause @ (SimError::Stall(_) | SimError::Protocol(_))) => {
+                    return Err(self.rewind(cause, at, &image))
+                }
+                done => return done,
+            }
+        }
+    }
+
+    /// Restores `image`, taken between two cycles with `at` the next, and
+    /// runs [`Machine::advance`] through the cycle that detected `cause`
+    /// with the invariant sweep every cycle and the event trace on. The
+    /// replay steps the very cycles the run stepped, so the first violation
+    /// it sweeps is the run's. Falls back to `cause` if the replay fails
+    /// some other way.
+    fn rewind(&mut self, cause: SimError, at: Cycle, image: &[u8]) -> SimError {
+        let (detected_at, check) = (self.now, self.check);
+        self.check.invariant_every = Some(1);
+        self.trace = Some(VecDeque::new());
+        let replay = self.restore(image).and_then(|()| {
+            // The sweep is the incremental one: it needs the dirty lines.
+            self.mem.track_dirty_lines(true);
+            self.advance(detected_at.raw() + 1)
+        });
+        self.check = check;
+        self.mem.track_dirty_lines(check.invariant_every.is_some());
+        let trace = self.trace.take().unwrap_or_default().into();
+        let (first_bad_cycle, first_error) = match replay {
+            Err(SimError::Protocol(e)) => (Some(self.now), Some(e)),
+            Ok(_) | Err(SimError::Stall(_)) => (None, None),
+            Err(_) => return cause,
+        };
+        SimError::Rewind(Box::new(RewindReport {
+            cause: Box::new(cause),
+            checkpoint_at: at,
+            detected_at,
+            first_bad_cycle,
+            first_error,
+            trace,
+        }))
     }
 
     /// Audit mode's check of a periodic incremental sweep: a full sweep of
@@ -1092,60 +1131,6 @@ impl Machine {
         }))
     }
 
-    /// On a stall/protocol failure with rewind enabled and a checkpoint in
-    /// hand: restore it and replay with the invariant sweep on *every*
-    /// cycle, producing a [`RewindReport`] that names the first cycle the
-    /// machine actually went wrong. Falls back to the original error when no
-    /// checkpoint exists or the replay itself cannot run.
-    fn maybe_rewind(&mut self, cause: SimError, detected_at: Cycle) -> SimError {
-        if self.check.rewind_every.is_none() {
-            return cause;
-        }
-        let Some((checkpoint_at, bytes)) = self.rewind_ckpt.take() else {
-            return cause;
-        };
-        match self.replay_from(&bytes, detected_at) {
-            Ok((first_bad_cycle, first_error, trace)) => SimError::Rewind(Box::new(RewindReport {
-                cause: Box::new(cause),
-                checkpoint_at,
-                detected_at,
-                first_bad_cycle,
-                first_error,
-                trace,
-            })),
-            Err(_) => cause,
-        }
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn replay_from(
-        &mut self,
-        bytes: &[u8],
-        detected_at: Cycle,
-    ) -> Result<(Option<Cycle>, Option<ProtocolError>, Vec<String>), SimError> {
-        self.restore(bytes)?;
-        let mut trace: VecDeque<String> = VecDeque::new();
-        let mut first_bad = None;
-        let mut first_err = None;
-        while self.now <= detected_at {
-            let now = self.now;
-            self.step_cycle(now, Some(&mut trace))
-                .map_err(SimError::Audit)?;
-            let err = self
-                .mem
-                .protocol_error()
-                .cloned()
-                .or_else(|| check_coherence(&self.mem).err());
-            if let Some(e) = err {
-                first_bad = Some(now);
-                first_err = Some(e);
-                break;
-            }
-            self.now += 1;
-        }
-        Ok((first_bad, first_err, trace.into_iter().collect()))
-    }
-
     /// Serializes the whole machine — memory system, every core, stream
     /// positions, RNGs, and statistics — into a self-validating byte image
     /// (see [`crate::checkpoint`] for the layout). Restoring the image into
@@ -1204,7 +1189,6 @@ impl Machine {
         checkpoint::FILE.finish(&r)?;
         self.online = online;
         self.now = now;
-        self.rewind_ckpt = None;
         // Derived state: the active set is a pure function of core state,
         // every active core starts awake (stepping an inert core is a
         // no-op), and the incremental sweeper must re-validate the whole
