@@ -394,7 +394,8 @@ impl Core {
         self.aq.len()
     }
 
-    /// Cycle of the most recent commit (`Cycle::ZERO` before the first).
+    /// Cycle of the most recent commit, or of the deadlock breaker's latest
+    /// rearm when that is later (`Cycle::ZERO` before either).
     pub fn last_commit(&self) -> Cycle {
         self.last_commit
     }
