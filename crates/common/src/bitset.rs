@@ -4,7 +4,8 @@
 //! cores to step this cycle and the private caches with queued requests.
 //! Both must be visited in ascending index (message sequencing depends on
 //! it), membership changes in O(1), and a set over `n` indices costs
-//! `n / 8` bytes.
+//! `n / 8` bytes. Each core also keeps its ready instructions in one, by
+//! program order modulo its ROB's size rounded up to a power of two.
 //!
 //! # Example
 //!
@@ -55,6 +56,11 @@ impl IndexSet {
         self.words
             .get(i / 64)
             .is_some_and(|w| w & (1 << (i % 64)) != 0)
+    }
+
+    /// Removes every member.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
     }
 
     /// Whether the set has no members.

@@ -2,8 +2,8 @@
 //!
 //! [`FastMap`] replaces `std::collections::HashMap` where lookups happen
 //! every simulated cycle (directory entries, private-cache coherence and
-//! MSHR state, ROB entry bookkeeping). It differs from the std map in the
-//! three ways the hot loop cares about:
+//! MSHR state, the core's dependency lists). It differs from the std map
+//! in the three ways the hot loop cares about:
 //!
 //! * **No SipHash.** Keys are small integers (line addresses, instruction
 //!   uids, core ids); a single multiplicative mix replaces the keyed SipHash

@@ -146,8 +146,11 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// The cycle of the earliest pending event. O(WHEEL) scan — diagnostics
-    /// only, not on the simulation hot path.
+    /// The cycle of the earliest pending event. It scans the wheel's
+    /// buckets from the current cycle to the first non-empty one, all
+    /// `WHEEL` of them when the next event is in the overflow map. This is
+    /// on the simulation hot path: `Core::sleep_until` calls it after every
+    /// core step whose phases are all idle.
     pub fn next_cycle(&self) -> Option<Cycle> {
         if self.near_len > 0 {
             for d in 0..WHEEL {

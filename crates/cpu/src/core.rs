@@ -41,6 +41,7 @@ use crate::branch::TageLite;
 use crate::instr::{Instr, InstrStream, Op, RmwKind, NUM_REGS};
 use crate::stats::CoreStats;
 use crate::storeset::StoreSets;
+use crate::window::{RobEntry, Window};
 
 /// Cycles without a commit before the deadlock breaker fires (plus a
 /// per-core stagger so two cores never break simultaneously).
@@ -76,18 +77,6 @@ enum Comp {
     /// [`Core::persist`] writes each in its place as the `SbWrite` events of
     /// its run.
     Parked,
-}
-
-#[derive(Clone, Debug)]
-struct RobEntry {
-    order: u64,
-    instr: Instr,
-    pending_deps: u32,
-    in_iq: bool,
-    issued_at: Option<Cycle>,
-    completed_at: Option<Cycle>,
-    /// For loads: which store forwarded to it (uid, order).
-    forwarded_from: Option<(u64, u64)>,
 }
 
 #[derive(Clone, Debug)]
@@ -209,11 +198,11 @@ pub struct Core {
     next_order: u64,
     next_uid: u64,
 
-    rob: VecDeque<u64>,
-    entries: FastMap<u64, RobEntry>,
+    /// The in-flight window: the ROB's uids and entries, the ready set and
+    /// the load queue, indexed by program order.
+    rob: Window,
     rename: [Option<u64>; NUM_REGS],
     waiters: FastMap<u64, Vec<u64>>,
-    ready: BTreeMap<u64, u64>,
     lazy_wait: BTreeMap<u64, u64>,
     waiting_on_store: FastMap<u64, Vec<u64>>,
     /// Recycled dependency-list allocations for `waiters`/`waiting_on_store`:
@@ -225,7 +214,6 @@ pub struct Core {
     /// persisted.
     scratch_pick: Vec<u64>,
     iq_used: usize,
-    lq: BTreeMap<u64, u64>,
     sb: VecDeque<SbEntry>,
     aq: VecDeque<AqEntry>,
     barriers: BTreeSet<u64>,
@@ -259,10 +247,11 @@ pub struct Core {
     /// RMW first became commit-ready. `None` between atomics. Without an
     /// explorer schedule the release is the ready cycle itself.
     commit_release: Option<(u64, Cycle)>,
-    /// ROB-head uid known to still be incomplete (`completed_at == None`),
-    /// so `commit` can break without a map lookup on stalled cycles. Cleared
-    /// whenever that uid completes or is squashed. Derived cache — never
-    /// persisted (cleared on restore) or compared.
+    /// ROB-head uid that `commit` found incomplete (`completed_at == None`);
+    /// `commit_stall` reports the stall from it until the uid completes,
+    /// which clears it (a squashed uid never heads the ROB again). Derived
+    /// cache — never persisted (cleared on restore) or compared; audit mode
+    /// checks it after every step ([`Core::head_wait_is_stale`]).
     head_wait: Option<u64>,
     /// Cycles [`Core::sleep_until`] adds to every wake it reports; see
     /// [`Core::inject_oversleep_for_test`]. Zero outside tests; never
@@ -271,6 +260,9 @@ pub struct Core {
     /// Set by [`Core::drop_recheck_for_test`]; false outside tests; never
     /// persisted.
     drop_recheck: bool,
+    /// Set by [`Core::plant_head_wait_for_test`]; false outside tests;
+    /// never persisted.
+    plant_head_wait: bool,
 }
 
 impl Core {
@@ -291,17 +283,14 @@ impl Core {
             replay: VecDeque::new(),
             next_order: 0,
             next_uid: 1,
-            rob: VecDeque::new(),
-            entries: FastMap::new(),
+            rob: Window::new(cfg.rob_entries),
             rename: [None; NUM_REGS],
             waiters: FastMap::new(),
-            ready: BTreeMap::new(),
             lazy_wait: BTreeMap::new(),
             waiting_on_store: FastMap::new(),
             waiter_pool: Vec::new(),
             scratch_pick: Vec::new(),
             iq_used: 0,
-            lq: BTreeMap::new(),
             sb: VecDeque::new(),
             aq: VecDeque::new(),
             barriers: BTreeSet::new(),
@@ -324,6 +313,7 @@ impl Core {
             head_wait: None,
             oversleep: 0,
             drop_recheck: false,
+            plant_head_wait: false,
         }
     }
 
@@ -403,8 +393,7 @@ impl Core {
     /// A human-readable description of the ROB-head instruction, if any —
     /// the instruction the core is stuck on when it stops committing.
     pub fn head_instr(&self) -> Option<String> {
-        let uid = *self.rob.front()?;
-        let e = self.entries.get(&uid)?;
+        let (_, e) = self.rob.head()?;
         let i = &e.instr;
         let what = match i.op {
             Op::Alu { latency } => format!("alu(lat {latency})"),
@@ -477,15 +466,15 @@ impl Core {
                     self.exec_done.push(at.max(now), (uid, Comp::SbWrite));
                     return;
                 }
-                if !self.entries.contains_key(&uid) {
+                let Some(e) = self.rob.get(uid) else {
                     // Squashed instruction's fill. An Rmw auto-locked the
                     // line; release it.
                     if kind == AccessKind::Rmw {
                         mem.unlock(self.id, line, now);
                     }
                     return;
-                }
-                match self.entries[&uid].instr.op {
+                };
+                match e.instr.op {
                     Op::Load { .. } => {
                         self.exec_done
                             .push(at.max(now), (uid, Comp::LoadDone { forwarded: false }));
@@ -529,7 +518,7 @@ impl Core {
             }
             MemEvent::FarDone { req_id, at, .. } => {
                 let uid = req_id >> 1;
-                if !self.entries.contains_key(&uid) {
+                if !self.rob.contains(uid) {
                     return; // squashed far atomic: nothing to release
                 }
                 let done_at = at.max(now);
@@ -557,21 +546,19 @@ impl Core {
         }
     }
 
+    /// Squashes from the oldest completed load that read `line` without
+    /// forwarding (TSO: another core's write to it became visible).
     fn squash_loads_on_line(&mut self, line: LineAddr, now: Cycle, mem: &mut MemorySystem) {
-        // Arena walk: `entries` holds exactly the ROB's live set, and taking
-        // the minimum order matches the old oldest-first ROB scan.
-        let mut squash_order: Option<u64> = None;
-        for (_, e) in self.entries.iter() {
-            if let Op::Load { addr } = e.instr.op {
+        let squash_order = self.rob.lq_from(0).find_map(|e| match e.instr.op {
+            Op::Load { addr }
                 if addr.line() == line
                     && e.completed_at.is_some()
-                    && e.forwarded_from.is_none()
-                    && squash_order.is_none_or(|o| e.order < o)
-                {
-                    squash_order = Some(e.order);
-                }
+                    && e.forwarded_from.is_none() =>
+            {
+                Some(e.order)
             }
-        }
+            _ => None,
+        });
         if let Some(order) = squash_order {
             self.stats.inv_squashes += 1;
             self.squash_from(order, now, mem);
@@ -646,7 +633,7 @@ impl Core {
             match comp {
                 Comp::SbWrite => self.sb_write_done(uid, now, mem),
                 Comp::Parked => self.recheck(uid, now, mem),
-                _ if !self.entries.contains_key(&uid) => {} // squashed
+                _ if !self.rob.contains(uid) => {} // squashed
                 Comp::Exec => self.complete(uid, now),
                 Comp::AddrCalc => self.addr_calc_done(uid, now, mem),
                 Comp::AtomicAddrOnly => self.atomic_addr_only_done(uid, now, mem),
@@ -658,7 +645,7 @@ impl Core {
 
     /// Marks `uid` completed and wakes dependents.
     fn complete(&mut self, uid: u64, now: Cycle) {
-        let e = self.entries.get_mut(&uid).expect("completing live entry");
+        let e = self.rob.get_mut(uid).expect("completing live entry");
         if e.completed_at.is_some() {
             return;
         }
@@ -678,10 +665,11 @@ impl Core {
         }
         if let Some(mut ws) = self.waiters.remove(&uid) {
             for &w in ws.iter() {
-                if let Some(c) = self.entries.get_mut(&w) {
+                if let Some(c) = self.rob.get_mut(w) {
                     c.pending_deps -= 1;
                     if c.pending_deps == 0 {
-                        self.ready.insert(c.order, w);
+                        let order = c.order;
+                        self.rob.set_ready(order);
                     }
                 }
             }
@@ -691,14 +679,14 @@ impl Core {
     }
 
     fn addr_calc_done(&mut self, uid: u64, now: Cycle, mem: &mut MemorySystem) {
-        let e = &self.entries[&uid];
+        let e = self.rob.get(uid).expect("live memory op");
         match e.instr.op {
             Op::Load { addr } => {
                 let pc = e.instr.pc;
                 // StoreSet: wait for a predicted-conflicting older store
                 // whose address is still unknown.
                 if let Some(dep) = self.ss.dependence_for_load(pc) {
-                    if let Some(se) = self.entries.get(&dep) {
+                    if let Some(se) = self.rob.get(dep) {
                         let addr_unknown = self.sb.iter().any(|s| s.uid == dep && s.addr.is_none());
                         if se.order < e.order && addr_unknown {
                             let pool = &mut self.waiter_pool;
@@ -720,7 +708,7 @@ impl Core {
                 self.check_violations(uid, addr, now, mem);
                 if let Some(mut loads) = self.waiting_on_store.remove(&uid) {
                     for &l in &loads {
-                        if let Some(le) = self.entries.get(&l) {
+                        if let Some(le) = self.rob.get(l) {
                             if let Op::Load { addr } = le.instr.op {
                                 self.issue_load_mem(l, addr, now, mem);
                             }
@@ -738,7 +726,8 @@ impl Core {
     }
 
     fn issue_load_mem(&mut self, uid: u64, addr: Addr, now: Cycle, mem: &mut MemorySystem) {
-        let order = self.entries[&uid].order;
+        let e = self.rob.get(uid).expect("live load");
+        let (order, pc) = (e.order, e.instr.pc);
         let word = addr.raw() & !7;
         // Store→load forwarding: youngest older store with a matching word.
         let fwd = self
@@ -750,18 +739,17 @@ impl Core {
         if let Some(st) = fwd {
             let (st_uid, st_order) = (st.uid, st.order);
             self.stats.loads_forwarded += 1;
-            let e = self.entries.get_mut(&uid).expect("live load");
+            let e = self.rob.get_mut(uid).expect("live load");
             e.forwarded_from = Some((st_uid, st_order));
             self.exec_done
                 .push(now + self.l1_lat, (uid, Comp::LoadDone { forwarded: true }));
             return;
         }
-        let pc = self.entries[&uid].instr.pc;
         self.request(uid, pc, addr.line(), AccessKind::Read, now, mem);
     }
 
     fn load_done(&mut self, uid: u64, now: Cycle, forwarded: bool, mem: &mut MemorySystem) {
-        let e = &self.entries[&uid];
+        let e = self.rob.get(uid).expect("live load");
         let (Op::Load { addr }, pc) = (e.instr.op, e.instr.pc) else {
             unreachable!("load completion for a non-load")
         };
@@ -785,24 +773,24 @@ impl Core {
     /// read the same word without forwarding from it (memory-order
     /// violation), and train StoreSet.
     fn check_violations(&mut self, store_uid: u64, addr: Addr, now: Cycle, mem: &mut MemorySystem) {
-        let store = &self.entries[&store_uid];
+        let store = self.rob.get(store_uid).expect("live store");
         let (st_order, st_pc) = (store.order, store.instr.pc);
         let word = addr.raw() & !7;
-        // Arena walk (see `squash_loads_on_line`): min order == oldest-first.
-        let mut victim: Option<(u64, Pc)> = None;
-        for (_, e) in self.entries.iter() {
-            if e.order <= st_order {
-                continue;
-            }
-            if let Op::Load { addr: la } = e.instr.op {
-                if la.raw() & !7 == word && e.completed_at.is_some() {
-                    let fwd_ok = e.forwarded_from.is_some_and(|(_, fo)| fo > st_order);
-                    if !fwd_ok && victim.is_none_or(|(o, _)| e.order < o) {
-                        victim = Some((e.order, e.instr.pc));
-                    }
+        // The oldest younger load that read the word and did not forward
+        // from a store younger than this one.
+        let victim = self
+            .rob
+            .lq_from(st_order + 1)
+            .find_map(|e| match e.instr.op {
+                Op::Load { addr: la }
+                    if la.raw() & !7 == word
+                        && e.completed_at.is_some()
+                        && e.forwarded_from.is_none_or(|(_, fo)| fo <= st_order) =>
+                {
+                    Some((e.order, e.instr.pc))
                 }
-            }
-        }
+                _ => None,
+            });
         if let Some((order, load_pc)) = victim {
             self.stats.violations += 1;
             self.ss.train_violation(load_pc, st_pc);
@@ -834,7 +822,7 @@ impl Core {
             return;
         }
         self.coverage.record(cpu_slot(CpuEvent::LazyWait));
-        let order = self.entries[&uid].order;
+        let order = self.rob.get(uid).expect("live atomic").order;
         self.lazy_wait.insert(order, uid);
     }
 
@@ -847,22 +835,15 @@ impl Core {
 
     /// Issues the atomic's real memory request (the `load_lock`).
     fn atomic_mem_request(&mut self, uid: u64, addr: Addr, now: Cycle, mem: &mut MemorySystem) {
-        let e = self.entries.get_mut(&uid).expect("live atomic");
-        let (order, pc) = (e.order, e.instr.pc);
+        let i = self.rob.index_of(uid).expect("live atomic");
+        let entries = self.rob.entries();
+        let (order, pc) = (entries[i].order, entries[i].instr.pc);
         // Fig. 4 probes.
-        let mut older_unexecuted = 0u64;
-        let mut younger_started = 0u64;
-        for &u in &self.rob {
-            let o = &self.entries[&u];
-            if o.order < order && o.completed_at.is_none() {
-                older_unexecuted += 1;
-            }
-            if o.order > order && o.issued_at.is_some() {
-                younger_started += 1;
-            }
-        }
-        self.stats.older_unexecuted_at_issue.add(older_unexecuted);
-        self.stats.younger_started_at_issue.add(younger_started);
+        let older = entries.range(..i).filter(|o| o.completed_at.is_none());
+        let younger = entries.range(i + 1..).filter(|o| o.issued_at.is_some());
+        let (older, younger) = (older.count() as u64, younger.count() as u64);
+        self.stats.older_unexecuted_at_issue.add(older);
+        self.stats.younger_started_at_issue.add(younger);
 
         let fwd = self.cfg.forward_to_atomics && self.sb_forward_match(order, addr);
         {
@@ -887,8 +868,9 @@ impl Core {
         }));
         if self.iq_used > 0 {
             // The atomic's IQ entry is released on its real issue.
-            if self.entries.get_mut(&uid).expect("live").in_iq {
-                self.entries.get_mut(&uid).expect("live").in_iq = false;
+            let e = self.rob.get_mut(uid).expect("live");
+            if e.in_iq {
+                e.in_iq = false;
                 self.iq_used -= 1;
             }
         }
@@ -942,7 +924,7 @@ impl Core {
     }
 
     fn lazy_eligible(&self, order: u64) -> bool {
-        let older_load = self.lq.keys().next().is_some_and(|&o| o < order);
+        let older_load = self.rob.oldest_lq_order().is_some_and(|o| o < order);
         let older_store = self.sb.front().is_some_and(|s| s.order < order);
         !older_load && !older_store
     }
@@ -956,13 +938,12 @@ impl Core {
     /// `commit` has work at its head: retiring it, memoizing it as
     /// incomplete, or asking for a ready atomic's release.
     fn commit_stall(&self, now: Cycle) -> Option<(SleepCause, Option<Cycle>)> {
-        let &uid = self.rob.front()?;
+        let (uid, e) = self.rob.head()?;
         // Memoized stall: the head is known incomplete and nothing has
-        // completed it since — skip the entry lookup entirely.
+        // completed it since.
         if self.head_wait == Some(uid) {
             return Some((SleepCause::IncompleteHead, None));
         }
-        let e = &self.entries[&uid];
         if !matches!(e.instr.op, Op::Atomic { .. }) || e.completed_at.is_none() {
             return None;
         }
@@ -994,9 +975,10 @@ impl Core {
             if self.commit_stall(now).is_some() {
                 break;
             }
-            let Some(&uid) = self.rob.front() else { break };
-            let e = &self.entries[&uid];
-            if e.completed_at.is_none() {
+            let Some((uid, e)) = self.rob.head() else {
+                break;
+            };
+            if e.completed_at.is_none() || std::mem::take(&mut self.plant_head_wait) {
                 // Only an incomplete head is memoized: a completed atomic's
                 // stall is re-derived by `commit_stall` every cycle.
                 self.head_wait = Some(uid);
@@ -1018,21 +1000,16 @@ impl Core {
                     }
                 }
             }
-            self.rob.pop_front();
-            let e = self.entries.remove(&uid).expect("committed entry");
+            let (_, e) = self.rob.pop_front().expect("the head");
             self.stats.committed += 1;
             self.last_commit = now;
             match e.instr.op {
-                Op::Load { .. } => {
-                    self.lq.remove(&e.order);
-                }
                 Op::Store { .. } => {
                     if let Some(s) = self.sb.iter_mut().find(|s| s.uid == uid) {
                         s.committed = true;
                     }
                 }
                 Op::Atomic { .. } => {
-                    self.lq.remove(&e.order);
                     self.commit_release = None;
                     if self.far() {
                         self.finish_far_atomic(uid, now);
@@ -1241,7 +1218,7 @@ impl Core {
     /// Whether `issue` has nothing to do: nothing is ready, and the oldest
     /// lazily waiting atomic or fence, if any, may not issue yet.
     fn issue_idle(&self) -> bool {
-        self.ready.is_empty()
+        self.rob.nothing_ready()
             && self
                 .lazy_wait
                 .keys()
@@ -1259,7 +1236,7 @@ impl Core {
                 break;
             }
             self.lazy_wait.remove(&order);
-            match self.entries[&uid].instr.op {
+            match self.rob.get(uid).expect("live lazy waiter").instr.op {
                 Op::Fence => {
                     self.exec_done.push(now + 1, (uid, Comp::Exec));
                 }
@@ -1284,24 +1261,23 @@ impl Core {
         let barrier = self.barriers.iter().next().copied();
         let mut issued = 0;
         let mut pick = std::mem::take(&mut self.scratch_pick);
-        for (&order, &uid) in self.ready.iter() {
+        for order in self.rob.ready_orders() {
             if issued >= self.cfg.issue_width {
                 break;
             }
-            let e = &self.entries[&uid];
+            let (_, e) = self.rob.by_order(order);
             // A barrier blocks younger *memory* operations.
             let is_mem = e.instr.op.addr().is_some();
             if is_mem && barrier.is_some_and(|b| order > b) {
                 continue;
             }
-            pick.push(uid);
+            pick.push(order);
             issued += 1;
         }
-        for &uid in &pick {
-            let e = self.entries.get_mut(&uid).expect("ready entry");
-            let order = e.order;
+        for &order in &pick {
+            self.rob.clear_ready(order);
+            let (uid, e) = self.rob.by_order_mut(order);
             e.issued_at = Some(now);
-            self.ready.remove(&order);
             let free_iq = !matches!(e.instr.op, Op::Atomic { .. });
             if free_iq && e.in_iq {
                 e.in_iq = false;
@@ -1387,10 +1363,10 @@ impl Core {
     /// Whether `op`'s structural resources (LQ, SB, AQ) are full.
     fn hazard(&self, op: Op) -> bool {
         match op {
-            Op::Load { .. } => self.lq.len() >= self.cfg.lq_entries,
+            Op::Load { .. } => self.rob.lq_len() >= self.cfg.lq_entries,
             Op::Store { .. } => self.sb.len() >= self.cfg.sb_entries,
             Op::Atomic { .. } => {
-                self.lq.len() >= self.cfg.lq_entries
+                self.rob.lq_len() >= self.cfg.lq_entries
                     || (!self.far() && self.sb.len() >= self.cfg.sb_entries)
                     || self.aq.len() >= self.cfg.aq_entries
             }
@@ -1430,11 +1406,7 @@ impl Core {
             let mut deps = 0;
             for src in instr.srcs.into_iter().flatten() {
                 if let Some(p) = self.rename[src as usize] {
-                    if self
-                        .entries
-                        .get(&p)
-                        .is_some_and(|pe| pe.completed_at.is_none())
-                    {
+                    if self.rob.get(p).is_some_and(|pe| pe.completed_at.is_none()) {
                         deps += 1;
                         let pool = &mut self.waiter_pool;
                         self.waiters
@@ -1448,15 +1420,11 @@ impl Core {
             }
 
             match instr.op {
-                Op::Load { .. } => {
-                    self.lq.insert(order, uid);
-                }
                 Op::Store { .. } => {
                     self.push_sb(uid, order, instr);
                     self.ss.store_dispatched(instr.pc, uid);
                 }
                 Op::Atomic { rmw, addr } => {
-                    self.lq.insert(order, uid);
                     if !self.far() {
                         self.push_sb(uid, order, instr);
                     }
@@ -1505,7 +1473,7 @@ impl Core {
                 }
             }
 
-            self.entries.insert(
+            self.rob.push_back(
                 uid,
                 RobEntry {
                     order,
@@ -1517,10 +1485,9 @@ impl Core {
                     forwarded_from: None,
                 },
             );
-            self.rob.push_back(uid);
             self.iq_used += 1;
             if deps == 0 {
-                self.ready.insert(order, uid);
+                self.rob.set_ready(order);
             }
             if stall_after {
                 break;
@@ -1570,32 +1537,25 @@ impl Core {
     // Squash and deadlock handling
     // ------------------------------------------------------------------
 
+    /// Squashes every entry of order `order` or younger and queues them,
+    /// oldest first, to be dispatched again.
     fn squash_from(&mut self, order: u64, now: Cycle, mem: &mut MemorySystem) {
-        let mut squashed: Vec<(u64, Instr)> = Vec::new();
-        while let Some(&uid) = self.rob.back() {
-            if self.entries[&uid].order < order {
-                break;
-            }
-            self.rob.pop_back();
-            let e = self.entries.remove(&uid).expect("squashing live entry");
-            squashed.push((e.order, e.instr));
+        // Youngest first, so each entry's SB and AQ entries, if any, are
+        // their queues' youngest.
+        while let Some((uid, e)) = self.rob.pop_back_from(order) {
             if e.in_iq {
                 self.iq_used -= 1;
             }
-            self.lq.remove(&e.order);
-            self.ready.remove(&e.order);
             self.lazy_wait.remove(&e.order);
             self.barriers.remove(&e.order);
             if let Some(mut ws) = self.waiters.remove(&uid) {
                 ws.clear();
                 self.waiter_pool.push(ws);
             }
-            if let Some(pos) = self.sb.iter().position(|s| s.uid == uid) {
-                debug_assert!(!self.sb[pos].committed, "cannot squash committed store");
-                self.sb.remove(pos);
+            if let Some(s) = self.sb.pop_back_if(|s| s.uid == uid) {
+                debug_assert!(!s.committed, "cannot squash committed store");
             }
-            if let Some(pos) = self.aq.iter().position(|a| a.uid == uid) {
-                let a = self.aq.remove(pos).expect("present");
+            if let Some(a) = self.aq.pop_back_if(|a| a.uid == uid) {
                 if a.locked {
                     mem.unlock(self.id, a.addr.line(), now);
                 }
@@ -1603,19 +1563,16 @@ impl Core {
             if self.branch_stall == Some(uid) {
                 self.branch_stall = None;
             }
-        }
-        squashed.sort_by_key(|(o, _)| *o);
-        for item in squashed.into_iter().rev() {
-            self.replay.push_front(item);
+            self.replay.push_front((e.order, e.instr));
         }
         // Purge dangling waiter references and rebuild the rename map.
         for ws in self.waiters.values_mut() {
-            ws.retain(|w| self.entries.contains_key(w));
+            ws.retain(|&w| self.rob.contains(w));
         }
         let mut waiting_dead: Vec<u64> = Vec::new();
         for (st, ls) in self.waiting_on_store.iter_mut() {
-            ls.retain(|l| self.entries.contains_key(l));
-            if !self.entries.contains_key(&st) || ls.is_empty() {
+            ls.retain(|&l| self.rob.contains(l));
+            if !self.rob.contains(st) || ls.is_empty() {
                 waiting_dead.push(st);
             }
         }
@@ -1626,8 +1583,8 @@ impl Core {
             }
         }
         self.rename = [None; NUM_REGS];
-        for &uid in &self.rob {
-            if let Some(d) = self.entries[&uid].instr.dst {
+        for (uid, e) in self.rob.iter() {
+            if let Some(d) = e.instr.dst {
                 self.rename[d as usize] = Some(uid);
             }
         }
@@ -1655,7 +1612,7 @@ impl Core {
         let victim = self
             .aq
             .iter()
-            .find(|a| a.locked && self.entries.contains_key(&a.uid))
+            .find(|a| a.locked && self.rob.contains(a.uid))
             .map(|a| a.order);
         if let Some(order) = victim {
             self.stats.deadlock_breaks += 1;
@@ -1739,6 +1696,25 @@ impl Core {
     pub fn drop_recheck_for_test(&mut self) {
         self.drop_recheck = true;
     }
+
+    /// Audit mode's check of the incomplete-head memo after a step: whether
+    /// `head_wait` names the ROB head although the head has completed, so
+    /// that `commit` and the sleep proof take a head it could retire for
+    /// one it must wait on.
+    pub fn head_wait_is_stale(&self) -> bool {
+        self.rob
+            .head()
+            .is_some_and(|(uid, e)| self.head_wait == Some(uid) && e.completed_at.is_some())
+    }
+
+    /// Test instrumentation: the next time `commit` finds a completed ROB
+    /// head, it memoizes that head as incomplete instead of retiring it.
+    /// `Machine::set_audit` must catch this. Not persisted across
+    /// checkpoint/restore.
+    #[doc(hidden)]
+    pub fn plant_head_wait_for_test(&mut self) {
+        self.plant_head_wait = true;
+    }
 }
 
 /// What audit mode found wrong with a core's parked writes (see
@@ -1796,16 +1772,6 @@ row_common::codec_enum!(Comp {
     6 => Parked,
 });
 
-row_common::codec_struct!(RobEntry {
-    order,
-    instr,
-    pending_deps,
-    in_iq,
-    issued_at,
-    completed_at,
-    forwarded_from,
-});
-
 row_common::codec_struct!(SbEntry {
     uid,
     order,
@@ -1847,15 +1813,14 @@ impl Persist for Core {
         self.replay.encode(w);
         w.put_u64(self.next_order);
         w.put_u64(self.next_uid);
-        self.rob.encode(w);
-        self.entries.encode(w);
+        self.rob.encode_rob(w);
         self.rename.encode(w);
         self.waiters.encode(w);
-        self.ready.encode(w);
+        self.rob.encode_ready(w);
         self.lazy_wait.encode(w);
         self.waiting_on_store.encode(w);
         self.iq_used.encode(w);
-        self.lq.encode(w);
+        self.rob.encode_lq(w);
         self.sb.encode(w);
         self.aq.encode(w);
         self.barriers.encode(w);
@@ -1885,15 +1850,14 @@ impl Persist for Core {
         self.replay = VecDeque::<(u64, Instr)>::decode(r)?;
         self.next_order = r.get_u64()?;
         self.next_uid = r.get_u64()?;
-        self.rob = VecDeque::<u64>::decode(r)?;
-        self.entries = FastMap::<u64, RobEntry>::decode(r)?;
+        self.rob.restore_rob(r)?;
         self.rename = <[Option<u64>; NUM_REGS]>::decode(r)?;
         self.waiters = FastMap::<u64, Vec<u64>>::decode(r)?;
-        self.ready = BTreeMap::<u64, u64>::decode(r)?;
+        self.rob.restore_ready(r)?;
         self.lazy_wait = BTreeMap::<u64, u64>::decode(r)?;
         self.waiting_on_store = FastMap::<u64, Vec<u64>>::decode(r)?;
         self.iq_used = usize::decode(r)?;
-        self.lq = BTreeMap::<u64, u64>::decode(r)?;
+        self.rob.restore_lq(r)?;
         self.sb = VecDeque::<SbEntry>::decode(r)?;
         self.aq = VecDeque::<AqEntry>::decode(r)?;
         self.barriers = BTreeSet::<u64>::decode(r)?;
@@ -1932,6 +1896,7 @@ mod tests {
     use super::*;
     use crate::instr::VecStream;
     use row_common::choice::Schedule;
+    use row_common::persist::to_bytes;
     use row_common::SystemConfig;
 
     fn atomic(addr: u64) -> Instr {
@@ -1980,7 +1945,7 @@ mod tests {
 
     /// The completed atomic at the ROB head, if the head is one.
     fn completed_head_atomic(c: &Core) -> Option<&RobEntry> {
-        let e = c.entries.get(c.rob.front()?)?;
+        let (_, e) = c.rob.head()?;
         (matches!(e.instr.op, Op::Atomic { .. }) && e.completed_at.is_some()).then_some(e)
     }
 
@@ -2079,7 +2044,7 @@ mod tests {
                 && c.sb[2].committed
                 && !c.sb[2].inflight
         });
-        let head = c.rob.front().copied();
+        let head = c.rob.head().map(|(uid, _)| uid);
         assert!(
             head.is_some() && c.head_wait == head,
             "the load miss holds the head"
@@ -2102,7 +2067,7 @@ mod tests {
             c.cfg.lq_entries = 1;
             c.cfg.sb_entries = 1;
             let now = run_until(&mut c, &mut mem, |c| {
-                c.head_wait.is_some() && c.ready.is_empty() && c.exec_done.next_cycle().is_none()
+                c.head_wait.is_some() && c.rob.nothing_ready() && c.exec_done.next_cycle().is_none()
             });
             assert_eq!(c.replay.front().map(|&(_, i)| i), Some(third));
             let sleep = c.sleep_until(now).expect("a full queue blocks the front");
@@ -2117,6 +2082,157 @@ mod tests {
                 None,
                 "with room, dispatch takes the front"
             );
+        }
+    }
+
+    /// A program whose first cycles leave the window holding loads and
+    /// ready entries behind a load miss at the head.
+    fn window_prog() -> Vec<Instr> {
+        let alu = Instr::simple(Pc::new(0x30), Op::Alu { latency: 1 });
+        let mut prog = vec![load(0x9000)];
+        prog.extend((0..12).map(|k| {
+            if k % 3 == 0 {
+                load(0x9040 + 0x40 * k)
+            } else {
+                alu
+            }
+        }));
+        prog
+    }
+
+    /// A fresh core for [`window_prog`] with a ROB of `rob_entries`.
+    fn window_core(rob_entries: usize) -> Core {
+        let mut cfg = SystemConfig::small(1);
+        cfg.core.rob_entries = rob_entries;
+        let stream = Box::new(VecStream::new(window_prog()));
+        Core::new(CoreId::new(0), cfg.core, cfg.mem.l1d.hit_latency, stream)
+    }
+
+    /// [`window_prog`]'s core once its window holds loads and ready
+    /// entries, with its image.
+    fn core_with_a_window() -> (Core, Vec<u8>) {
+        let (mut c, mut mem) = machine(AtomicPolicy::Eager, window_prog(), None);
+        run_until(&mut c, &mut mem, |c| {
+            c.rob.len() >= 4 && !c.rob.nothing_ready() && c.rob.lq_len() >= 2
+        });
+        let image = image_of(&c);
+        (c, image)
+    }
+
+    fn image_of(c: &Core) -> Vec<u8> {
+        let mut w = Writer::new();
+        c.persist(&mut w);
+        w.into_bytes()
+    }
+
+    /// Restores `image` into a fresh core with a ROB of `rob_entries`.
+    fn restore_into(image: &[u8], rob_entries: usize) -> Result<Core, PersistError> {
+        let mut c = window_core(rob_entries);
+        c.restore(&mut Reader::new(image))?;
+        Ok(c)
+    }
+
+    /// The offset just past the first copy of `section` in `image` at or
+    /// after `from`.
+    fn after(image: &[u8], section: &[u8], from: usize) -> usize {
+        let at = image[from..]
+            .windows(section.len())
+            .position(|w| w == section)
+            .expect("the section is in the image");
+        from + at + section.len()
+    }
+
+    /// Overwrites the `u64` at `at` with `v`.
+    fn put_u64(image: &mut [u8], at: usize, v: u64) {
+        image[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    #[test]
+    fn a_window_image_restores_to_the_same_bytes() {
+        let (c, image) = core_with_a_window();
+        let back = restore_into(&image, c.cfg.rob_entries).expect("a valid image");
+        assert_eq!(image_of(&back), image);
+        assert_eq!(back.rob.len(), c.rob.len());
+    }
+
+    #[test]
+    fn restore_refuses_rob_uids_that_do_not_rise() {
+        let (mut c, _) = core_with_a_window();
+        let (uids, _) = c.rob.parts_mut();
+        uids[1] = uids[0];
+        let err = restore_into(&image_of(&c), c.cfg.rob_entries).unwrap_err();
+        assert_eq!(err, PersistError::Corrupt("ROB uids do not rise"));
+    }
+
+    #[test]
+    fn restore_refuses_a_gap_in_the_orders() {
+        let (mut c, _) = core_with_a_window();
+        let (_, entries) = c.rob.parts_mut();
+        entries.back_mut().expect("a tail").order += 1;
+        let err = restore_into(&image_of(&c), c.cfg.rob_entries).unwrap_err();
+        assert_eq!(err, PersistError::Corrupt("ROB orders have a gap"));
+    }
+
+    #[test]
+    fn restore_refuses_more_entries_than_the_rob_holds() {
+        let (c, image) = core_with_a_window();
+        let err = restore_into(&image, c.rob.len() - 1).unwrap_err();
+        assert_eq!(
+            err,
+            PersistError::Corrupt("ROB holds more entries than it has")
+        );
+    }
+
+    #[test]
+    fn restore_refuses_entries_that_do_not_match_the_rob() {
+        // The entry map names a uid the ROB does not hold in place of its
+        // head's: the map lacks a ROB uid.
+        let (c, mut image) = core_with_a_window();
+        let uids: VecDeque<u64> = c.rob.iter().map(|(uid, _)| uid).collect();
+        let entries = after(&image, &to_bytes(&uids), 0);
+        let dead = uids.back().expect("a tail") + 100;
+        put_u64(&mut image, entries + 8, dead);
+        let err = restore_into(&image, c.cfg.rob_entries).unwrap_err();
+        assert_eq!(
+            err,
+            PersistError::Corrupt("ROB entries do not match the ROB")
+        );
+    }
+
+    #[test]
+    fn restore_refuses_ready_and_load_queue_entries_that_name_no_window_entry() {
+        let (c, image) = core_with_a_window();
+        let uids: VecDeque<u64> = c.rob.iter().map(|(uid, _)| uid).collect();
+        let dead = uids.back().expect("a tail") + 100;
+        let ready: BTreeMap<u64, u64> = c
+            .rob
+            .ready_orders()
+            .map(|o| (o, c.rob.by_order(o).0))
+            .collect();
+        let lq: BTreeMap<u64, u64> = c
+            .rob
+            .iter()
+            .filter(|(_, e)| matches!(e.instr.op, Op::Load { .. } | Op::Atomic { .. }))
+            .map(|(uid, e)| (e.order, uid))
+            .collect();
+        let rob_end = after(&image, &to_bytes(&uids), 0);
+        let ready_end = after(&image, &to_bytes(&ready), rob_end);
+        let lq_end = after(&image, &to_bytes(&lq), ready_end);
+        let cases = [
+            (
+                ready_end - 16 * ready.len() + 8,
+                "ready entry names no window entry",
+            ),
+            (
+                lq_end - 16 * lq.len() + 8,
+                "load queue does not match the window's loads",
+            ),
+        ];
+        for (first_uid, what) in cases {
+            let mut forged = image.clone();
+            put_u64(&mut forged, first_uid, dead);
+            let err = restore_into(&forged, c.cfg.rob_entries).unwrap_err();
+            assert_eq!(err, PersistError::Corrupt(what));
         }
     }
 

@@ -49,6 +49,7 @@ pub mod core;
 pub mod instr;
 pub mod stats;
 pub mod storeset;
+mod window;
 
 pub use crate::core::{Core, LoadObservation, ParkedFault, Sleep, SleepCause, WakeSource};
 pub use crate::instr::{Instr, InstrStream, Op, RmwKind};

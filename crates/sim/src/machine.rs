@@ -167,6 +167,13 @@ pub enum Shortcut {
         /// What was wrong.
         fault: ParkedFault,
     },
+    /// The core's incomplete-head memo named its ROB head after that head
+    /// had completed ([`Core::head_wait_is_stale`]), so the core would
+    /// stall on an instruction it could retire.
+    HeadWait {
+        /// The stalled core.
+        core: u16,
+    },
 }
 
 impl std::fmt::Display for AuditFailure {
@@ -207,6 +214,11 @@ impl std::fmt::Display for AuditFailure {
             Shortcut::ParkedWrites { core, fault } => write!(
                 f,
                 "audit: core {core}'s parked store-buffer writes at cycle {cycle}: {fault}"
+            ),
+            Shortcut::HeadWait { core } => write!(
+                f,
+                "audit: core {core}'s incomplete-head memo names a completed ROB head \
+                 at cycle {cycle}"
             ),
         }
     }
@@ -920,6 +932,13 @@ impl Machine {
                     let core = i as u16;
                     Some(Shortcut::ParkedWrites { core, fault })
                 })
+            })
+            .or_else(|| {
+                let i = self
+                    .active
+                    .iter()
+                    .find(|&i| self.cores[i].head_wait_is_stale())?;
+                Some(Shortcut::HeadWait { core: i as u16 })
             });
         if let Some(shortcut) = failure {
             return Err(AuditFailure {
