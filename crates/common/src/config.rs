@@ -78,9 +78,6 @@ pub enum PredictorKind {
     /// Jump to the maximum on contention, −1 otherwise; predict contended
     /// when counter > 0.
     SaturateOnContention,
-    /// +2 on contention, −1 otherwise (evaluated and discarded by the paper;
-    /// kept for the ablation bench).
-    TwoUpOneDown,
     /// Gshare-style: the table index is XORed with a global history of
     /// recent contention outcomes. The paper argues history does not help
     /// because atomics are uncorrelated (Section VII); this variant exists
@@ -111,7 +108,7 @@ impl RowConfig {
     /// RoW with the given detector/predictor and the paper's table geometry.
     pub fn new(detector: DetectorKind, predictor: PredictorKind) -> Self {
         let decision_threshold = match predictor {
-            PredictorKind::UpDown | PredictorKind::TwoUpOneDown | PredictorKind::History => 1,
+            PredictorKind::UpDown | PredictorKind::History => 1,
             PredictorKind::SaturateOnContention => 0,
         };
         RowConfig {

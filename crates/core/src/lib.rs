@@ -6,8 +6,8 @@
 //! contention prediction:
 //!
 //! * [`predictor`] — the 64-entry, 4-bit-counter, XOR-indexed contention
-//!   predictor with the *Up/Down*, *Saturate on Contention*, and *+2/−1*
-//!   update policies.
+//!   predictor with the *Up/Down* and *Saturate on Contention* update
+//!   policies.
 //! * [`detect`] — the three contention-detection mechanisms that train it:
 //!   execution window, ready window, and ready window + directory-latency
 //!   heuristic (14-bit wrapping timestamps, 400-cycle threshold).

@@ -1,10 +1,10 @@
 //! The RoW contention predictor (paper Section IV-D).
 //!
 //! A 64-entry table of 4-bit saturating counters, indexed by XOR-folding the
-//! atomic's PC (the XOR-mapping of González et al. the paper cites). Three
-//! update policies are provided: the paper's *Up/Down* and *Saturate on
-//! Contention*, plus the *+2/−1* variant the authors evaluated and discarded
-//! (kept for the ablation benches).
+//! atomic's PC (the XOR-mapping of González et al. the paper cites), updated
+//! by the paper's *Up/Down* or *Saturate on Contention* policy, or by a
+//! gshare-style *History* variant that tests the paper's claim that history
+//! does not help.
 
 use row_common::config::PredictorKind;
 use row_common::ids::Pc;
@@ -140,7 +140,6 @@ impl ContentionPredictor {
             match self.kind {
                 PredictorKind::UpDown | PredictorKind::History => c.increment(1),
                 PredictorKind::SaturateOnContention => c.saturate(),
-                PredictorKind::TwoUpOneDown => c.increment(2),
             }
         } else {
             c.decrement();
@@ -246,14 +245,6 @@ mod tests {
         }
         p.train(pc, false);
         assert!(!p.predict(pc));
-    }
-
-    #[test]
-    fn two_up_one_down_climbs_faster() {
-        let mut p = ContentionPredictor::new(PredictorKind::TwoUpOneDown, 64, 4, 1);
-        let pc = Pc::new(0x70);
-        p.train(pc, true);
-        assert!(p.predict(pc), "one contention event is enough (+2 > 1)");
     }
 
     #[test]

@@ -11,11 +11,7 @@ use row_core::detect::{marks_on_external, marks_on_fill};
 use row_core::predictor::ContentionPredictor;
 use row_core::RowEngine;
 
-const KINDS: [PredictorKind; 3] = [
-    PredictorKind::UpDown,
-    PredictorKind::SaturateOnContention,
-    PredictorKind::TwoUpOneDown,
-];
+const KINDS: [PredictorKind; 2] = [PredictorKind::UpDown, PredictorKind::SaturateOnContention];
 
 /// The XOR index never leaves the table, for any PC.
 #[test]
@@ -34,7 +30,7 @@ fn index_is_always_in_range() {
 fn counters_stay_bounded() {
     let mut rng = SplitMix64::new(0xc0de_0002);
     for _ in 0..64 {
-        let kind = KINDS[rng.below(3) as usize];
+        let kind = KINDS[rng.below(KINDS.len() as u64) as usize];
         let bits = 1 + rng.below(5) as u32;
         let n = 1 + rng.below(300) as usize;
         let mut p = ContentionPredictor::new(kind, 64, bits, 1);

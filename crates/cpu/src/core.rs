@@ -247,12 +247,6 @@ pub struct Core {
     /// RMW first became commit-ready. `None` between atomics. Without an
     /// explorer schedule the release is the ready cycle itself.
     commit_release: Option<(u64, Cycle)>,
-    /// ROB-head uid that `commit` found incomplete (`completed_at == None`);
-    /// `commit_stall` reports the stall from it until the uid completes,
-    /// which clears it (a squashed uid never heads the ROB again). Derived
-    /// cache — never persisted (cleared on restore) or compared; audit mode
-    /// checks it after every step ([`Core::head_wait_is_stale`]).
-    head_wait: Option<u64>,
     /// Cycles [`Core::sleep_until`] adds to every wake it reports; see
     /// [`Core::inject_oversleep_for_test`]. Zero outside tests; never
     /// persisted.
@@ -260,9 +254,6 @@ pub struct Core {
     /// Set by [`Core::drop_recheck_for_test`]; false outside tests; never
     /// persisted.
     drop_recheck: bool,
-    /// Set by [`Core::plant_head_wait_for_test`]; false outside tests;
-    /// never persisted.
-    plant_head_wait: bool,
 }
 
 impl Core {
@@ -310,10 +301,8 @@ impl Core {
             coverage: CpuCounts::default(),
             load_log: None,
             commit_release: None,
-            head_wait: None,
             oversleep: 0,
             drop_recheck: false,
-            plant_head_wait: false,
         }
     }
 
@@ -650,9 +639,6 @@ impl Core {
             return;
         }
         e.completed_at = Some(now);
-        if self.head_wait == Some(uid) {
-            self.head_wait = None;
-        }
         let is_branch = matches!(e.instr.op, Op::Branch { .. });
         let is_fence = matches!(e.instr.op, Op::Fence);
         let order = e.order;
@@ -935,16 +921,14 @@ impl Core {
 
     /// Why `commit` cannot retire the ROB head at `now`, with the explorer's
     /// release cycle when that is the cause. `None` when the ROB is empty or
-    /// `commit` has work at its head: retiring it, memoizing it as
-    /// incomplete, or asking for a ready atomic's release.
+    /// `commit` has work at its head: retiring it, or asking for a ready
+    /// atomic's release.
     fn commit_stall(&self, now: Cycle) -> Option<(SleepCause, Option<Cycle>)> {
         let (uid, e) = self.rob.head()?;
-        // Memoized stall: the head is known incomplete and nothing has
-        // completed it since.
-        if self.head_wait == Some(uid) {
+        if e.completed_at.is_none() {
             return Some((SleepCause::IncompleteHead, None));
         }
-        if !matches!(e.instr.op, Op::Atomic { .. }) || e.completed_at.is_none() {
+        if !matches!(e.instr.op, Op::Atomic { .. }) {
             return None;
         }
         // The previous atomic's AQ entry may linger until its STU writes, so
@@ -978,12 +962,6 @@ impl Core {
             let Some((uid, e)) = self.rob.head() else {
                 break;
             };
-            if e.completed_at.is_none() || std::mem::take(&mut self.plant_head_wait) {
-                // Only an incomplete head is memoized: a completed atomic's
-                // stall is re-derived by `commit_stall` every cycle.
-                self.head_wait = Some(uid);
-                break;
-            }
             if let Op::Atomic { addr, .. } = e.instr.op {
                 // Explorer decision point, asked exactly once when the RMW
                 // first becomes commit-ready: the schedule may hold the
@@ -1618,7 +1596,6 @@ impl Core {
             self.stats.deadlock_breaks += 1;
             self.coverage.record(cpu_slot(CpuEvent::DeadlockBreak));
             self.force_lazy.insert(order);
-            self.head_wait = None;
             self.squash_from(order, now, mem);
         }
         self.last_commit = now; // rearm either way
@@ -1695,25 +1672,6 @@ impl Core {
     #[doc(hidden)]
     pub fn drop_recheck_for_test(&mut self) {
         self.drop_recheck = true;
-    }
-
-    /// Audit mode's check of the incomplete-head memo after a step: whether
-    /// `head_wait` names the ROB head although the head has completed, so
-    /// that `commit` and the sleep proof take a head it could retire for
-    /// one it must wait on.
-    pub fn head_wait_is_stale(&self) -> bool {
-        self.rob
-            .head()
-            .is_some_and(|(uid, e)| self.head_wait == Some(uid) && e.completed_at.is_some())
-    }
-
-    /// Test instrumentation: the next time `commit` finds a completed ROB
-    /// head, it memoizes that head as incomplete instead of retiring it.
-    /// `Machine::set_audit` must catch this. Not persisted across
-    /// checkpoint/restore.
-    #[doc(hidden)]
-    pub fn plant_head_wait_for_test(&mut self) {
-        self.plant_head_wait = true;
     }
 }
 
@@ -1885,7 +1843,6 @@ impl Persist for Core {
         self.load_log = Option::<Vec<LoadObservation>>::decode(r)?;
         self.commit_release = Option::<(u64, Cycle)>::decode(r)?;
         // Derived caches restart cold.
-        self.head_wait = None;
         self.parked.clear();
         Ok(())
     }
@@ -1947,6 +1904,11 @@ mod tests {
     fn completed_head_atomic(c: &Core) -> Option<&RobEntry> {
         let (_, e) = c.rob.head()?;
         (matches!(e.instr.op, Op::Atomic { .. }) && e.completed_at.is_some()).then_some(e)
+    }
+
+    /// Whether the ROB holds a head that has not completed.
+    fn head_incomplete(c: &Core) -> bool {
+        c.rob.head().is_some_and(|(_, e)| e.completed_at.is_none())
     }
 
     #[test]
@@ -2044,11 +2006,7 @@ mod tests {
                 && c.sb[2].committed
                 && !c.sb[2].inflight
         });
-        let head = c.rob.head().map(|(uid, _)| uid);
-        assert!(
-            head.is_some() && c.head_wait == head,
-            "the load miss holds the head"
-        );
+        assert!(head_incomplete(&c), "the load miss holds the head");
         assert_eq!(
             c.sleep_until(now),
             None,
@@ -2067,7 +2025,7 @@ mod tests {
             c.cfg.lq_entries = 1;
             c.cfg.sb_entries = 1;
             let now = run_until(&mut c, &mut mem, |c| {
-                c.head_wait.is_some() && c.rob.nothing_ready() && c.exec_done.next_cycle().is_none()
+                head_incomplete(c) && c.rob.nothing_ready() && c.exec_done.next_cycle().is_none()
             });
             assert_eq!(c.replay.front().map(|&(_, i)| i), Some(third));
             let sleep = c.sleep_until(now).expect("a full queue blocks the front");
@@ -2083,6 +2041,27 @@ mod tests {
                 "with room, dispatch takes the front"
             );
         }
+    }
+
+    #[test]
+    fn incomplete_head_after_a_full_commit_width_sleeps() {
+        // Twelve 1-cycle ops wait on a 20-cycle op, so they complete
+        // together and retire in one step, a full commit width, which
+        // leaves the commit loop before it reaches the 200-cycle op behind
+        // them.
+        let alu = |latency| Instr::simple(Pc::new(0x30), Op::Alu { latency });
+        let mut prog = vec![alu(20).with_dst(1)];
+        prog.extend((0..12).map(|_| alu(1).with_srcs(Some(1), None)));
+        prog.push(alu(200));
+        let (mut c, mut mem) = machine(AtomicPolicy::Eager, prog, None);
+        let now = run_until(&mut c, &mut mem, |c| c.stats.committed > 1);
+        assert_eq!(c.stats.committed, 1 + c.cfg.commit_width as u64);
+        assert!(head_incomplete(&c), "the 200-cycle op holds the head");
+        let sleep = c
+            .sleep_until(now)
+            .expect("an incomplete head sleeps after a full commit width");
+        assert_eq!(sleep.cause, SleepCause::IncompleteHead);
+        assert_eq!(sleep.wake, WakeSource::Wheel);
     }
 
     /// A program whose first cycles leave the window holding loads and

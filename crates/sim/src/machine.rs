@@ -40,8 +40,6 @@ pub struct SimTimeout {
     pub unfinished: Vec<u16>,
     /// Per-core committed-instruction counts at the timeout.
     pub committed: Vec<u64>,
-    /// Per-core [`Core::last_commit`].
-    pub last_commit: Vec<Cycle>,
     /// Full diagnostic snapshot of the wedged machine.
     pub report: StallReport,
 }
@@ -167,13 +165,6 @@ pub enum Shortcut {
         /// What was wrong.
         fault: ParkedFault,
     },
-    /// The core's incomplete-head memo named its ROB head after that head
-    /// had completed ([`Core::head_wait_is_stale`]), so the core would
-    /// stall on an instruction it could retire.
-    HeadWait {
-        /// The stalled core.
-        core: u16,
-    },
 }
 
 impl std::fmt::Display for AuditFailure {
@@ -214,11 +205,6 @@ impl std::fmt::Display for AuditFailure {
             Shortcut::ParkedWrites { core, fault } => write!(
                 f,
                 "audit: core {core}'s parked store-buffer writes at cycle {cycle}: {fault}"
-            ),
-            Shortcut::HeadWait { core } => write!(
-                f,
-                "audit: core {core}'s incomplete-head memo names a completed ROB head \
-                 at cycle {cycle}"
             ),
         }
     }
@@ -932,13 +918,6 @@ impl Machine {
                     let core = i as u16;
                     Some(Shortcut::ParkedWrites { core, fault })
                 })
-            })
-            .or_else(|| {
-                let i = self
-                    .active
-                    .iter()
-                    .find(|&i| self.cores[i].head_wait_is_stale())?;
-                Some(Shortcut::HeadWait { core: i as u16 })
             });
         if let Some(shortcut) = failure {
             return Err(AuditFailure {
@@ -1145,7 +1124,6 @@ impl Machine {
                 .map(|c| c.id().index() as u16)
                 .collect(),
             committed: self.cores.iter().map(|c| c.stats().committed).collect(),
-            last_commit: self.cores.iter().map(|c| c.last_commit()).collect(),
             report: StallReport::capture(&self.cores, &self.mem, self.now, None),
         }))
     }
@@ -1265,7 +1243,6 @@ mod tests {
         assert_eq!(t.limit, 10);
         assert!(!t.unfinished.is_empty());
         assert_eq!(t.committed.len(), 2);
-        assert_eq!(t.last_commit.len(), 2);
         assert_eq!(t.report.cores.len(), 2);
         assert!(!t.to_string().is_empty());
     }

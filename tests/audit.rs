@@ -1,7 +1,7 @@
 //! Audit mode (`Machine::set_audit`): the simulation loop's shortcuts —
 //! sleeping cores, the pending-cache set, parked store-buffer writes, the
-//! incomplete-head memo, the holder index and the incremental sweep —
-//! checked against doing all the work, on small cells under every policy, the explorer and lossy chaos.
+//! holder index and the incremental sweep — checked against doing all the
+//! work, on small cells under every policy, the explorer and lossy chaos.
 //! An audited run must also match the plain run exactly.
 
 use norush::common::config::FaultConfig;
@@ -166,29 +166,6 @@ fn dropped_recheck_of_a_parked_write_is_caught_naming_the_core() {
     let text = err.to_string();
     let cycle = format!("cycle {}", failure.cycle.raw());
     for part in ["core 1", "parked", &cycle] {
-        assert!(text.contains(part), "{text}");
-    }
-}
-
-/// A core whose incomplete-head memo names a head that has completed
-/// would stall on an instruction it could retire; the audit catches that
-/// in the cycle it is planted and names the core.
-#[test]
-fn stale_incomplete_head_memo_is_caught_naming_the_core() {
-    let mut m = pc_machine(&Variant::eager(), 2, |_| {});
-    m.set_audit(true);
-    m.core_mut(1).plant_head_wait_for_test();
-    // The memo is planted at core 1's first commit, a few cycles in. Left
-    // uncaught, the core would stall for the whole budget with the audit
-    // imaging it every cycle, so the budget is short.
-    let err = m.run(2_000).expect_err("the stale memo must be caught");
-    let SimError::Audit(failure) = &err else {
-        panic!("expected an audit failure, got {err}");
-    };
-    assert_eq!(failure.shortcut, Shortcut::HeadWait { core: 1 });
-    let text = err.to_string();
-    let cycle = format!("cycle {}", failure.cycle.raw());
-    for part in ["core 1", "incomplete-head memo", &cycle] {
         assert!(text.contains(part), "{text}");
     }
 }

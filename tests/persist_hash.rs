@@ -90,8 +90,8 @@ fn checkpoint_restore_round_trip_preserves_the_hash() {
     );
 }
 
-/// The hot loop keeps derived per-core caches (sleep/wake cycles, ROB
-/// head-wait memos, recycled scratch buffers) that a restored machine
+/// The hot loop keeps derived per-core caches (sleep/wake cycles, parked
+/// store-buffer writes, recycled scratch buffers) that a restored machine
 /// rebuilds from zero. None of that may leak into the image: a machine
 /// that ran straight through and one that detoured through a mid-run
 /// checkpoint/restore must produce bit-identical images at the same cycle.

@@ -331,8 +331,11 @@ fn trail(policy: &str, check: impl FnOnce(&mut CheckConfig)) -> Trail {
 }
 
 /// `pc` on 16 cores with the paper's caches, 2,000 instructions per core
-/// (`norush profile pc --cores 16 --instr 2000 --policy P`): cycles and the
-/// core steps the loop took, per policy.
+/// (`norush profile pc --cores 16 --instr 2000 --policy P`), under every
+/// policy: the four counts CI's perf-smoke cells pin — cycles, the core
+/// steps the loop took, the memory events delivered to cores and the cycles
+/// in which no core stepped and no event arrived. Core steps and idle
+/// cycles move when what may sleep changes, even if cycles do not.
 #[test]
 fn core_steps_are_pinned() {
     let exp = ExperimentConfig {
@@ -341,10 +344,12 @@ fn core_steps_are_pinned() {
         paper_caches: true,
         ..ExperimentConfig::quick()
     };
-    for (policy, cycles, steps) in [
-        ("eager", 109_334, 91_512),
-        ("lazy", 55_625, 110_526),
-        ("row", 81_858, 100_055),
+    for (policy, counts) in [
+        ("eager", [109_334, 91_512, 9_786, 28_553]),
+        ("lazy", [55_625, 110_522, 10_193, 3_090]),
+        ("row", [81_858, 100_054, 10_344, 16_311]),
+        ("row-fwd", [81_858, 100_054, 10_344, 16_311]),
+        ("far", [23_547, 107_551, 9_467, 968]),
     ] {
         let sys = Variant::by_name(policy)
             .expect("known policy")
@@ -352,7 +357,8 @@ fn core_steps_are_pinned() {
         let (r, p) = Machine::new(&sys, bench_streams(Benchmark::Pc, &exp))
             .run_profiled(exp.cycle_limit)
             .expect("clean run");
-        assert_eq!((r.cycles, p.core_steps), (cycles, steps), "{policy}");
+        let got = [r.cycles, p.core_steps, p.events, p.idle_cycles];
+        assert_eq!(got, counts, "{policy}: cycles, steps, events, idle");
     }
 }
 

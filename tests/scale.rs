@@ -79,8 +79,8 @@ fn incremental_and_full_sweep_agree_under_chaos() {
 
 /// Checkpoint round trip at the 64-core huge tier: the image is a pure
 /// function of machine state (derived caches — wake cycles, scratch
-/// buffers, head-wait memos — must not leak in), and a restored machine
-/// continues bit-identically.
+/// buffers, parked store-buffer writes — must not leak in), and a restored
+/// machine continues bit-identically.
 #[test]
 fn huge_checkpoint_round_trip_is_bit_exact() {
     let sys = SystemConfig::huge(64);
